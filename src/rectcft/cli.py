@@ -15,8 +15,9 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+
+from scipy.sparse.linalg import ArpackError
 
 from .series import C, DivisibilityError, cpoly, eta_inverse_power
 from . import fitting, freefield, ising, looplattice, slitmaps, virasoro
@@ -222,31 +223,16 @@ def cmd_majorana(args):
 def cmd_loop(args):
     nmin = _check_range("nmin", args.nmin, 1000)
     nmax = _check_range("nmax", args.nmax, 26)
-    ps = [looplattice.parse_p(p) for p in args.p.split(",")]
-    n_values = list(range(nmin + nmin % 2, nmax + 1, 2))
-    jobs = []
-    for w in ps:
-        for n in n_values:
-            jobs.append((w, n))
-
-    def run(job):
-        w, n = job
-        return [(w.p, r.n_sites, r.k, r.energy, r.overlap)
-                for r in (looplattice.LoopOverlapRecord(w.p, n, e.k, e.energy, e.boundary_overlap)
-                          for e in looplattice.spectrum(n, w.beta, args.kmax))]
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        chunks = list(pool.map(run, jobs))
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (math.inf if math.isinf(r[0]) else r[0], r[1], r[2]))
-    csv_rows = [("inf" if math.isinf(p) else p, n, k, repr(e), repr(o))
-                for p, n, k, e, o in rows]
-    summaries = {}
-    for w in ps:
-        recs = [looplattice.LoopOverlapRecord(p, n, k, e, o)
-                for p, n, k, e, o in rows if p == w.p]
-        key = "inf" if math.isinf(w.p) else str(w.p)
-        summaries[key] = looplattice.loop_fit_summary(recs)
+    n_values = range(nmin + nmin % 2, nmax + 1, 2)
+    if not n_values:
+        raise UsageError(f"no even N in [{nmin}, {nmax}]")
+    weights = dict.fromkeys(looplattice.parse_p(p) for p in args.p.split(","))
+    tables = {w: looplattice.overlap_table(w.p, n_values, args.kmax) for w in weights}
+    csv_rows = [("inf" if math.isinf(r.p) else r.p, r.n_sites, r.k, repr(r.energy),
+                 repr(r.overlap))
+                for w in sorted(tables, key=lambda w: w.p) for r in tables[w]]
+    summaries = {("inf" if math.isinf(w.p) else str(w.p)): looplattice.loop_fit_summary(t)
+                 for w, t in tables.items()}
     if args.format == "csv" or args.out and args.out.endswith(".csv"):
         args.format = "csv"
         _emit(args, summaries, csv_rows=csv_rows,
@@ -432,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for independent lattice jobs")
     common.add_argument("--selftest", action="store_true",
                         help="run this module's invariant suite and exit")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -506,7 +490,7 @@ def main(argv=None) -> int:
     except STRUCTURAL_ERRORS as exc:
         print(f"rectcft: structural check failed: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, ArithmeticError) as exc:
+    except (OSError, ValueError, ArithmeticError, ArpackError) as exc:
         print(f"rectcft: {exc}", file=sys.stderr)
         return 1
 

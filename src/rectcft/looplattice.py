@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg as sla
@@ -125,66 +127,80 @@ def loops_between(s1: tuple, s2: tuple) -> int:
     return count
 
 
+@dataclass(frozen=True)
+class LinkBasis:
+    """Link states, their index, and moves[k, i] = index of e_i on state k
+    (a closed loop iff moves[k, i] == k).  Cached and shared: read-only."""
+
+    states: tuple
+    index: MappingProxyType
+    moves: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def link_basis(n_sites: int) -> LinkBasis:
+    """One beta-independent basis per N, shared by every p."""
+    states = tuple(enumerate_links(n_sites))
+    index = {s: k for k, s in enumerate(states)}
+    moves = np.empty((len(states), n_sites - 1), dtype=np.int32)
+    for k, s in enumerate(states):
+        moves[k] = [index[apply_tl(i, s)[0]] for i in range(n_sites - 1)]
+    moves.flags.writeable = False
+    return LinkBasis(states, MappingProxyType(index), moves)
+
+
+@lru_cache(maxsize=None)
+def loop_counts(n_sites: int) -> np.ndarray:
+    """loops_between for every pair of link states (read-only)."""
+    states = link_basis(n_sites).states
+    counts = np.empty((len(states), len(states)), dtype=np.int8)
+    for a, s in enumerate(states):
+        counts[a, a:] = counts[a:, a] = [loops_between(s, t) for t in states[a:]]
+    counts.flags.writeable = False
+    return counts
+
+
 def gram(n_sites: int, beta: float) -> np.ndarray:
-    states = enumerate_links(n_sites)
-    d = len(states)
-    g = np.empty((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            g[a, b] = g[b, a] = beta ** loops_between(states[a], states[b])
-    return g
+    # Python's float ** int, not np.power, which rounds differently
+    powers = np.array([beta ** m for m in range(n_sites // 2 + 1)])
+    return powers[loop_counts(n_sites)]
 
 
 def hamiltonian(n_sites: int, beta: float) -> np.ndarray:
-    states = enumerate_links(n_sites)
-    index = {s: k for k, s in enumerate(states)}
-    d = len(states)
-    h = np.zeros((d, d))
-    for k, s in enumerate(states):
-        for i in range(n_sites - 1):
-            t, closed = apply_tl(i, s)
-            h[index[t], k] -= beta if closed else 1.0
+    """H = -sum_i e_i, accumulated in increasing i."""
+    h = np.zeros((len(link_basis(n_sites).states),) * 2)
+    for i in range(n_sites - 1):
+        h -= tl_generator_matrix(i, n_sites, beta)
     return h
 
 
 def tl_generator_matrix(i: int, n_sites: int, beta: float) -> np.ndarray:
-    states = enumerate_links(n_sites)
-    index = {s: k for k, s in enumerate(states)}
-    d = len(states)
-    e = np.zeros((d, d))
-    for k, s in enumerate(states):
-        t, closed = apply_tl(i, s)
-        e[index[t], k] += beta if closed else 1.0
+    moves = link_basis(n_sites).moves
+    cols = np.arange(len(moves))
+    e = np.zeros((len(moves), len(moves)))
+    e[moves[:, i], cols] = np.where(moves[:, i] == cols, beta, 1.0)
     return e
 
 
 def sparse_structure(n_sites: int):
     """(states, index, offdiag A, diagonal loop counts); H = -(A + beta*diag).
 
-    beta-independent, so one build serves the whole p sweep."""
-    states = enumerate_links(n_sites)
-    index = {s: k for k, s in enumerate(states)}
-    d = len(states)
-    rows, cols = [], []
-    diag = np.zeros(d)
-    for k, s in enumerate(states):
-        for i in range(n_sites - 1):
-            t, closed = apply_tl(i, s)
-            if closed:
-                diag[k] += 1.0
-            else:
-                rows.append(index[t])
-                cols.append(k)
+    beta-independent; read off the cached move table of `link_basis`."""
+    basis = link_basis(n_sites)
+    d, moves = len(basis.states), basis.moves
+    closed = moves == np.arange(d)[:, None]
+    # row-major order: state k outer, generator i inner
+    cols, _ = np.nonzero(~closed)
+    rows = moves[~closed]
     a = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(d, d)).tocsr()
-    return states, index, a, diag
+    return basis.states, basis.index, a, closed.sum(axis=1).astype(float)
 
 
 def boundary_link_state(n_sites: int, beta: float) -> np.ndarray:
     """beta^{-N/2} on the all-adjacent-arcs pattern, as a link-basis vector."""
-    states = enumerate_links(n_sites)
-    index = {s: k for k, s in enumerate(states)}
-    v = np.zeros(len(states))
-    v[index[adjacent_state(n_sites)]] = beta ** (-n_sites / 2)
+    basis = link_basis(n_sites)
+    v = np.zeros(len(basis.states))
+    v[basis.index[adjacent_state(n_sites)]] = beta ** (-n_sites / 2)
     return v
 
 
@@ -207,6 +223,31 @@ class SpectrumEntry:
 NULL_TOL = 1e-8
 
 
+def eigenvalue_clusters(energies):
+    """Half-open index ranges [i, j) of the sorted `energies` that lie
+    within 1e-9 * max(1, |E_i|) of their first member E_i."""
+    i = 0
+    while i < len(energies):
+        j = i + 1
+        while j < len(energies) and energies[j] - energies[i] < 1e-9 * max(1.0, abs(energies[i])):
+            j += 1
+        yield i, j
+        i = j
+
+
+def _with_overlaps(n_sites, beta, states, picked) -> list[SpectrumEntry]:
+    """Entry k for the k-th (energy, loop-normalized vector), signed so
+    that <B|k> >= 0."""
+    row = gram_row(states, beta, adjacent_state(n_sites))
+    out = []
+    for k, (e, v) in enumerate(picked):
+        ovl = beta ** (-n_sites / 2) * float(row @ v)
+        if ovl < 0:
+            v, ovl = -v, -ovl
+        out.append(SpectrumEntry(k=k, energy=e, vector=v, boundary_overlap=ovl))
+    return out
+
+
 def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
     """Lowest `count`+1 physical states by full diagonalization.
 
@@ -214,7 +255,6 @@ def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]
     yields loop-normalized eigenvectors directly.  Otherwise (the loop form
     has a radical at these roots of unity) fall back to plain eig and
     project each eigenvalue cluster onto the Gram-positive subspace."""
-    h = hamiltonian(n_sites, beta)
     g = gram(n_sites, beta)
     scale = g.max()
     # Cholesky alone is not a safe positivity test: at the root-of-unity
@@ -222,27 +262,24 @@ def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]
     # which factor "successfully" and poison the pencil solve
     gram_eigs = np.linalg.eigvalsh(g)
     positive = gram_eigs.min() > 1e-10 * gram_eigs.max()
-    picked = []  # (energy, loop-normalized vector)
+    # H stays unnamed, so its memory is freed before the eigensolver runs
     if positive:
-        energies, vectors = sla.eigh(g @ h, g)
-        order = np.argsort(energies)
-        for t in order[:count + 1]:
-            picked.append((float(energies[t]), vectors[:, t]))
+        energies, vectors = sla.eigh(g @ hamiltonian(n_sites, beta), g)
+        picked = [(float(energies[t]), vectors[:, t])
+                  for t in np.argsort(energies)[:count + 1]]
     else:
-        energies, vectors = sla.eig(h)
+        picked = []  # (energy, loop-normalized vector)
+        energies, vectors = sla.eig(hamiltonian(n_sites, beta))
         if np.abs(energies.imag).max() > 1e-9:
             raise DegenerateNormError("complex eigenvalues in the link-basis H")
         energies = energies.real
         vectors = vectors.real
         order = np.argsort(energies)
         energies, vectors = energies[order], vectors[:, order]
-        i = 0
-        while i < len(energies) and len(picked) <= count:
-            j = i
-            while (j + 1 < len(energies)
-                   and energies[j + 1] - energies[i] < 1e-9 * max(1.0, abs(energies[i]))):
-                j += 1
-            block = vectors[:, i:j + 1]
+        for i, j in eigenvalue_clusters(energies):
+            if len(picked) > count:
+                break
+            block = vectors[:, i:j]
             m = block.T @ g @ block
             lam, u = np.linalg.eigh(m)
             if lam.min() < -NULL_TOL * scale:
@@ -250,20 +287,9 @@ def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]
                     f"negative loop norm {lam.min()} at N={n_sites}")
             for t in range(len(lam)):
                 if lam[t] > NULL_TOL * scale:
-                    picked.append((float(energies[i:j + 1].mean()),
+                    picked.append((float(energies[i:j].mean()),
                                    block @ u[:, t] / math.sqrt(lam[t])))
-            i = j + 1
-    states = enumerate_links(n_sites)
-    row = gram_row(states, beta, adjacent_state(n_sites))
-    prefactor = beta ** (-n_sites / 2)
-    out = []
-    for k, (e, v) in enumerate(picked[:count + 1]):
-        ovl = prefactor * float(row @ v)
-        if ovl < 0:
-            v = -v
-            ovl = -ovl
-        out.append(SpectrumEntry(k=k, energy=e, vector=v, boundary_overlap=ovl))
-    return out
+    return _with_overlaps(n_sites, beta, link_basis(n_sites).states, picked[:count + 1])
 
 
 def spectrum_sparse(n_sites: int, beta: float, count: int,
@@ -273,7 +299,8 @@ def spectrum_sparse(n_sites: int, beta: float, count: int,
     Right and left eigenvectors (H and H^T) are matched by eigenvalue; for a
     simple physical eigenvalue G v = const * w, with the constant fixed by
     one row of G evaluated at the left vector's largest component.  Null
-    states give const ~ 0 and are skipped."""
+    states give const ~ 0 and are skipped.  A degenerate eigenvalue among
+    the pairs used raises, since position alone cannot pair its vectors."""
     states, index, a, diag = sparse_structure(n_sites)
     h = -(a + sp.diags(beta * diag)).tocsc()
     k_req = n_eigs or max(count + 6, 10)
@@ -292,34 +319,26 @@ def spectrum_sparse(n_sites: int, beta: float, count: int,
     wl, vl = wl.real[o2], vl[:, o2].real
     if np.abs(wr - wl).max() > 1e-7 * max(1.0, np.abs(wr).max()):
         raise DegenerateNormError("left/right ARPACK spectra disagree")
-    adj = adjacent_state(n_sites)
-    row_adj = gram_row(states, beta, adj)
-    prefactor = beta ** (-n_sites / 2)
-    out = []
-    k_phys = 0
-    for t in range(k_req):
-        if k_phys > count:
+    picked = []
+    for t, end in eigenvalue_clusters(wr):
+        if len(picked) > count:
             break
-        v = vr[:, t]
-        w = vl[:, t]
+        if end - t > 1:
+            raise DegenerateNormError(
+                f"degenerate ARPACK eigenvalue {wr[t]} at N={n_sites}; "
+                "left/right pairing is ambiguous")
+        v, w = vr[:, t], vl[:, t]
         anchor = int(np.argmax(np.abs(w)))
         row_anchor = gram_row(states, beta, states[anchor])
-        gv_anchor = float(row_anchor @ v)
-        const = gv_anchor / w[anchor]
+        const = float(row_anchor @ v) / w[anchor]
         norm_sq = const * float(v @ w)
         if norm_sq <= NULL_TOL * float(np.abs(row_anchor).max()):
             continue  # Gram-null state
-        v = v / math.sqrt(norm_sq)
-        ovl = prefactor * float(row_adj @ v)
-        if ovl < 0:
-            v, ovl = -v, -ovl
-        out.append(SpectrumEntry(k=k_phys, energy=float(wr[t]), vector=v,
-                                 boundary_overlap=ovl))
-        k_phys += 1
-    if len(out) < count + 1:
+        picked.append((float(wr[t]), v / math.sqrt(norm_sq)))
+    if len(picked) < count + 1:
         raise DegenerateNormError(
-            f"only {len(out)} physical states converged at N={n_sites}; raise n_eigs")
-    return out
+            f"only {len(picked)} physical states converged at N={n_sites}; raise n_eigs")
+    return _with_overlaps(n_sites, beta, states, picked)
 
 
 def spectrum(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
@@ -339,13 +358,9 @@ class LoopOverlapRecord:
 
 def overlap_table(p, n_values, kmax: int = 3) -> list[LoopOverlapRecord]:
     weight = parse_p(p)
-    out = []
-    for n in sorted(n_values):
-        for entry in spectrum(n, weight.beta, kmax):
-            out.append(LoopOverlapRecord(p=weight.p, n_sites=n, k=entry.k,
-                                         energy=entry.energy,
-                                         overlap=entry.boundary_overlap))
-    return out
+    return [LoopOverlapRecord(p=weight.p, n_sites=n, k=e.k, energy=e.energy,
+                              overlap=e.boundary_overlap)
+            for n in sorted(n_values) for e in spectrum(n, weight.beta, kmax)]
 
 
 def loop_fit_summary(records, drop_first_excited: int = 3) -> dict:

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from rectcft import looplattice
 from rectcft.cli import build_parser, main
 
 
@@ -85,6 +86,20 @@ class TestSubcommands:
         assert len(lines) == 1 + 3 * 2
         assert "3.0" in json.loads(summary.read_text())
 
+    def test_link_basis_built_once_per_n(self, capsys, monkeypatch, tmp_path):
+        enumerate_links, calls = looplattice.enumerate_links, []
+
+        def counting(n_sites):
+            calls.append(n_sites)
+            return enumerate_links(n_sites)
+
+        looplattice.link_basis.cache_clear()
+        monkeypatch.setattr(looplattice, "enumerate_links", counting)
+        code, _, _ = run(capsys, "loop", "--p", "3,inf", "--nmin", "8", "--nmax", "18",
+                         "--kmax", "1", "--out", str(tmp_path / "loop.csv"))
+        assert code == 0
+        assert calls == [8, 10, 12, 14, 16, 18]
+
     def test_ising_csv(self, capsys, tmp_path):
         table = tmp_path / "ising.csv"
         code, _, _ = run(capsys, "ising", "--nmin", "2", "--nmax", "40",
@@ -96,17 +111,14 @@ class TestSubcommands:
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, capsys):
-        _, out1, _ = run(capsys, "pn", "--slits-exponent", "2", "--order", "6")
-        _, out2, _ = run(capsys, "pn", "--slits-exponent", "2", "--order", "6")
-        assert out1 == out2
-
-    def test_jobs_do_not_change_output(self, capsys, tmp_path):
-        t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(capsys, "loop", "--p", "3", "--nmin", "8", "--nmax", "12", "--kmax", "1",
-            "--out", str(t1), "--jobs", "1")
-        run(capsys, "loop", "--p", "3", "--nmin", "8", "--nmax", "12", "--kmax", "1",
-            "--out", str(t2), "--jobs", "4")
-        assert t1.read_text() == t2.read_text()
+        # the loop run covers the dense (N <= 16) and ARPACK paths; its
+        # second run reuses the cached link bases
+        for argv in (("pn", "--slits-exponent", "2", "--order", "6"),
+                     ("loop", "--p", "3", "--nmin", "14", "--nmax", "18", "--kmax", "1",
+                      "--format", "csv")):
+            _, out1, _ = run(capsys, *argv)
+            _, out2, _ = run(capsys, *argv)
+            assert out1 == out2
 
 
 class TestErrorPaths:
@@ -131,6 +143,20 @@ class TestErrorPaths:
     def test_fit_missing_data(self, capsys):
         code, _, err = run(capsys, "fit")
         assert code == 2
+
+    def test_loop_empty_n_range(self, capsys):
+        code, _, err = run(capsys, "loop", "--nmin", "20", "--nmax", "10")
+        assert code == 2
+        assert "no even N" in err
+
+    def test_arpack_failure_is_runtime_error(self, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise looplattice.spl.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(looplattice.spl, "eigs", no_convergence)
+        code, _, err = run(capsys, "loop", "--nmin", "18", "--nmax", "18", "--kmax", "1")
+        assert code == 1
+        assert err.startswith("rectcft: ")
 
 
 class TestSelftests:

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rectcft.looplattice import (adjacent_state, apply_tl,
+from rectcft.looplattice import (DegenerateNormError, adjacent_state, apply_tl,
                                  boundary_link_state, enumerate_links, gram,
-                                 gram_row, hamiltonian, loop_fit_summary,
-                                 loops_between, overlap_table, parse_p, spectrum,
-                                 spectrum_dense, spectrum_sparse,
-                                 tl_generator_matrix)
+                                 gram_row, hamiltonian, link_basis, loop_counts,
+                                 loop_fit_summary, loops_between, overlap_table,
+                                 parse_p, spectrum, spectrum_dense, spectrum_sparse,
+                                 spl, tl_generator_matrix)
 
 BETA3 = 2 * math.cos(math.pi / 4)  # p = 3
 
@@ -28,6 +28,19 @@ class TestLinkStates:
     def test_n4_states(self):
         states = set(enumerate_links(4))
         assert states == {(1, 0, 3, 2), (3, 2, 1, 0)}  # (12)(34) and (14)(23)
+        # the cached basis is shared by every caller, so it is read-only
+        basis = link_basis(4)
+        assert basis is link_basis(4)
+        assert basis.states == tuple(enumerate_links(4))
+        adj, other = basis.index[(1, 0, 3, 2)], basis.index[(3, 2, 1, 0)]
+        # e_1 and e_3 close a loop on (12)(34); e_2 takes it to (14)(23)
+        assert basis.moves[adj].tolist() == [adj, other, adj]
+        with pytest.raises(ValueError):
+            basis.moves[0, 0] = 1
+        with pytest.raises(TypeError):
+            basis.index[(1, 0, 3, 2)] = 1
+        with pytest.raises(ValueError):
+            loop_counts(4)[0, 0] = 0
 
     def test_planarity(self):
         for s in enumerate_links(8):
@@ -178,6 +191,19 @@ class TestSpectrum:
                 assert dev < prev
             prev = dev
         assert dev < 0.05
+
+    def test_sparse_rejects_degenerate_pairs(self, monkeypatch):
+        eigs = spl.eigs
+
+        def doubled_ground(*args, **kwargs):
+            w, v = eigs(*args, **kwargs)
+            w = w.copy()
+            w[np.argsort(w.real)[1]] = w[np.argmin(w.real)]
+            return w, v
+
+        monkeypatch.setattr(spl, "eigs", doubled_ground)
+        with pytest.raises(DegenerateNormError, match="degenerate"):
+            spectrum_sparse(10, BETA3, 2)
 
     def test_h3_state_decouples(self):
         for n in (10, 12, 14):
