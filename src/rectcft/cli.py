@@ -82,7 +82,7 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
 def _flatten(obj, prefix=""):
     if isinstance(obj, dict):
         for k, v in obj.items():
-            yield from _flatten(v, f"{prefix}{k}." if not prefix else f"{prefix}{k}.")
+            yield from _flatten(v, f"{prefix}{k}.")
     else:
         yield prefix.rstrip("."), obj
 
@@ -122,7 +122,7 @@ def cmd_pn(args):
     if n < 1 or n > 6:
         raise UsageError("slits-exponent must be in 1..6")
     p = virasoro.p_series(n, order)
-    dev = virasoro.pk_conjecture_check(n, order)
+    dev = virasoro.pk_conjecture_check(p)
     payload = {"slits_exponent": n, "order": order,
                "coefficients": [str(p[k]) for k in range(order + 1)],
                "first_deviation": dev.first_deviation,
@@ -195,11 +195,9 @@ def cmd_majorana(args):
         return
     if args.compare_virasoro:
         level = _check_range("level", args.level, 12)
-        factors = 1
-        while 2 ** (factors + 1) <= level:
-            factors += 1
         prod = freefield.virasoro_product_state(
-            freefield.fermion_virasoro, freefield.fermion_vacuum(level), level, factors)
+            freefield.fermion_virasoro, freefield.fermion_vacuum(level), level,
+            virasoro.slit_factor_count(level))
         coh = freefield.fermion_boundary_state(level, freefield.g_series(level))
         same = prod == coh
         _emit(args, {"level": level, "virasoro_product_equals_coherent": same})
@@ -490,7 +488,8 @@ def main(argv=None) -> int:
     except STRUCTURAL_ERRORS as exc:
         print(f"rectcft: structural check failed: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, ArithmeticError, ArpackError) as exc:
+    except (OSError, ValueError, ArithmeticError, ArpackError,
+            looplattice.ArpackShortfallError) as exc:
         print(f"rectcft: {exc}", file=sys.stderr)
         return 1
 

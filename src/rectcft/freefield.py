@@ -20,46 +20,20 @@ including the two-pair level-8 term that distinguishes the sign choices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .series import Series
+from .series import GradedVector, Series, exp_truncated
+from .virasoro import slit_product
 
 # ---------------------------------------------------------------------------
 # free boson
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BosonVector:
+class BosonVector(GradedVector):
     """Combination of a_{-l1}...a_{-lk}|0> indexed by partitions (parts >= 1)."""
-
-    terms: dict
-    cutoff: int
-
-    def __post_init__(self):
-        self.terms = {lam: Fraction(co) for lam, co in self.terms.items() if co}
-
-    def __eq__(self, other):
-        return isinstance(other, BosonVector) and self.terms == other.terms
-
-    def coeff(self, lam) -> Fraction:
-        return self.terms.get(tuple(lam), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add_scaled(self, other: "BosonVector", s) -> "BosonVector":
-        out = dict(self.terms)
-        for lam, co in other.terms.items():
-            out[lam] = out.get(lam, Fraction(0)) + co * s
-        return BosonVector(out, max(self.cutoff, other.cutoff))
-
-    def level_component(self, n: int) -> "BosonVector":
-        return BosonVector({lam: co for lam, co in self.terms.items() if sum(lam) == n},
-                           self.cutoff)
 
 
 def boson_vacuum(cutoff: int) -> BosonVector:
@@ -91,21 +65,18 @@ def boson_mode(m: int, v: BosonVector) -> BosonVector:
 
 def boson_boundary_state(cutoff: int) -> BosonVector:
     """exp(-sum_{n>0} a_{-n}^2 / 2n)|0>, truncated at `cutoff`."""
-    out = boson_vacuum(cutoff)
-    term = out
-    j = 0
-    while True:
-        j += 1
+
+    def quadratic(term: BosonVector) -> BosonVector:
         nxt: dict = {}
         for n in range(1, cutoff // 2 + 1):
             w = boson_mode(-n, boson_mode(-n, term))
             for lam, co in w.terms.items():
                 nxt[lam] = nxt.get(lam, Fraction(0)) + co * Fraction(-1, 2 * n)
-        term = BosonVector(nxt, cutoff)
-        if term.is_zero():
-            break
-        out = out.add_scaled(term, Fraction(1, math.factorial(j)))
-    return out
+        return BosonVector(nxt, cutoff)
+
+    # the form raises the level by at least 2, so a zero term ends the sum
+    # before the cap of `cutoff` applications
+    return exp_truncated(quadratic, boson_vacuum(cutoff), 1, cutoff)
 
 
 def boson_gluing_check(v: BosonVector, m: int) -> BosonVector:
@@ -187,21 +158,12 @@ def boson_product_formula(order: int) -> Series:
 
 def virasoro_product_state(apply_l, vac, cutoff: int, n_factors: int):
     """prod_{j<=n_factors} e^{x_j L_{-2^j}} |0> with x_j = -2/2^j, built from a
-    realization's Virasoro action `apply_l(n, vec)`."""
-    v = vac
-    for j in range(1, n_factors + 1):
-        k, x = 2 ** j, Fraction(-1, 2 ** (j - 1))
-        out = v
-        term = v
-        jj = 0
-        while k * (jj + 1) <= cutoff:
-            jj += 1
-            term = apply_l(-k, term)
-            if term.is_zero():
-                break
-            out = out.add_scaled(term, Fraction(x) ** jj / math.factorial(jj))
-        v = out
-    return v
+    realization's Virasoro action `apply_l(n, vec)`.
+
+    A function of its own rather than an alias of `virasoro.slit_product`,
+    so that per-function timings (perfbench/spans.py) keep the free-field
+    products apart from the Verma ones."""
+    return slit_product(apply_l, vac, cutoff, n_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -309,39 +271,16 @@ def g_from_amatrix(cutoff: int) -> np.ndarray:
     return 0.5 * (g - g.T)
 
 
-@dataclass
-class FermionVector:
-    """Combination of psi_{-m1-1/2}...psi_{-mk-1/2}|O> over strictly
-    decreasing mode tuples; level = sum(m_i + 1/2)."""
-
-    terms: dict
-    cutoff: int  # max level, integer (states used here have integer level)
-
-    def __post_init__(self):
-        self.terms = {modes: Fraction(co) for modes, co in self.terms.items() if co}
-
-    def __eq__(self, other):
-        return isinstance(other, FermionVector) and self.terms == other.terms
-
-    def coeff(self, modes) -> Fraction:
-        return self.terms.get(tuple(modes), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add_scaled(self, other: "FermionVector", s) -> "FermionVector":
-        out = dict(self.terms)
-        for modes, co in other.terms.items():
-            out[modes] = out.get(modes, Fraction(0)) + co * s
-        return FermionVector(out, max(self.cutoff, other.cutoff))
-
-    def level_component(self, n) -> "FermionVector":
-        return FermionVector({m: c for m, c in self.terms.items() if fermion_level(m) == n},
-                             self.cutoff)
-
-
 def fermion_level(modes) -> Fraction:
     return sum(modes, 0) + Fraction(len(modes), 2)
+
+
+class FermionVector(GradedVector):
+    """Combination of psi_{-m1-1/2}...psi_{-mk-1/2}|O> over strictly
+    decreasing mode tuples; level = sum(m_i + 1/2).  The cutoff is an
+    integer level (states used here have integer level)."""
+
+    level = staticmethod(fermion_level)
 
 
 def fermion_vacuum(cutoff: int) -> FermionVector:
@@ -383,25 +322,19 @@ def fermion_boundary_state(cutoff: int, g: GMatrix) -> FermionVector:
     if g.cutoff < cutoff:
         raise ValueError("G table too small for the requested level cutoff")
 
-    def apply_q(vec: FermionVector) -> FermionVector:
-        out = FermionVector({}, cutoff)
-        for m, n, gmn in g.pairs():
-            if m + n + 1 > cutoff:
-                continue
-            w = fermion_mode(-(2 * m + 1), fermion_mode(-(2 * n + 1), vec))
-            out = out.add_scaled(w, gmn)
-        return out
+    pairs = [(m, n, gmn) for m, n, gmn in g.pairs() if m + n + 1 <= cutoff]
 
-    out = fermion_vacuum(cutoff)
-    term = out
-    j = 0
-    while True:
-        j += 1
-        term = apply_q(term)
-        if term.is_zero():
-            break
-        out = out.add_scaled(term, Fraction(1, math.factorial(j)))
-    return out
+    def quadratic(vec: FermionVector) -> FermionVector:
+        acc: dict = {}
+        for m, n, gmn in pairs:
+            w = fermion_mode(-(2 * m + 1), fermion_mode(-(2 * n + 1), vec))
+            for modes, co in w.terms.items():
+                acc[modes] = acc.get(modes, Fraction(0)) + co * gmn
+        return FermionVector(acc, cutoff)
+
+    # each pair raises the level by m + n + 1 >= 2, so a zero term ends the
+    # sum before the cap of `cutoff` applications
+    return exp_truncated(quadratic, fermion_vacuum(cutoff), 1, cutoff)
 
 
 def fermion_annihilation_check(v: FermionVector, m: int, g: GMatrix) -> FermionVector:

@@ -212,6 +212,11 @@ class DegenerateNormError(ArithmeticError):
     pass
 
 
+class ArpackShortfallError(RuntimeError):
+    """Fewer physical states than requested among the computed ARPACK
+    eigenvalues (a resource limit, not a broken exact invariant)."""
+
+
 @dataclass
 class SpectrumEntry:
     k: int
@@ -292,18 +297,19 @@ def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]
     return _with_overlaps(n_sites, beta, link_basis(n_sites).states, picked[:count + 1])
 
 
-def spectrum_sparse(n_sites: int, beta: float, count: int,
-                    n_eigs: int | None = None) -> list[SpectrumEntry]:
+def spectrum_sparse(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
     """Lowest `count`+1 physical states via ARPACK without building G.
 
     Right and left eigenvectors (H and H^T) are matched by eigenvalue; for a
     simple physical eigenvalue G v = const * w, with the constant fixed by
     one row of G evaluated at the left vector's largest component.  Null
     states give const ~ 0 and are skipped.  A degenerate eigenvalue among
-    the pairs used raises, since position alone cannot pair its vectors."""
+    the pairs used raises, since position alone cannot pair its vectors;
+    so does a request with too few physical states among the computed
+    eigenvalues (ArpackShortfallError)."""
     states, index, a, diag = sparse_structure(n_sites)
     h = -(a + sp.diags(beta * diag)).tocsc()
-    k_req = n_eigs or max(count + 6, 10)
+    k_req = max(count + 6, 10)
     ncv = max(60, 5 * k_req)
     # fixed start vector: ARPACK's default is random, which would break the
     # byte-identical-rerun guarantee; the ones vector has a large component
@@ -336,8 +342,9 @@ def spectrum_sparse(n_sites: int, beta: float, count: int,
             continue  # Gram-null state
         picked.append((float(wr[t]), v / math.sqrt(norm_sq)))
     if len(picked) < count + 1:
-        raise DegenerateNormError(
-            f"only {len(picked)} physical states converged at N={n_sites}; raise n_eigs")
+        raise ArpackShortfallError(
+            f"only {len(picked)} of the {count + 1} requested physical states are among "
+            f"the {k_req} lowest ARPACK eigenvalues at N={n_sites}")
     return _with_overlaps(n_sites, beta, states, picked)
 
 

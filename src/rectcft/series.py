@@ -6,11 +6,14 @@ polynomials in the formal symbol c are dense tuples of rationals (`CPoly`),
 and series are dense coefficient lists over either ring, tagged by their
 expansion variable ('q' or 'qhat', the half-period nome).  Fractional
 symbolic prefactors such as q^{-c/48} are never folded into a series; they
-are carried separately as an exponent (see `EtaPower`).
+are carried separately as an exponent (see `EtaPower`).  Sparse graded
+vectors over either ring (`GradedVector`) and their truncated exponentials
+(`exp_truncated`) are shared by the Verma module and the free fields.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -451,3 +454,62 @@ def eta_inverse_power(exponent, var: str = "q", order: int = DEFAULT_ORDER) -> E
     if var == "qhat":
         body = body.substitute_square("qhat").truncate(order)
     return EtaPower(series=body, prefactor_exponent=-(s_poly * Fraction(1, 24)))
+
+
+# ---------------------------------------------------------------------------
+# graded vectors
+
+
+@dataclass
+class GradedVector:
+    """Finite combination of basis states, truncated at level `cutoff`.
+
+    `terms` maps a basis key (a tuple of mode labels) to its coefficient;
+    zero coefficients are dropped on construction.  A realization subclasses
+    this with its coefficient ring (`ring` coerces a coefficient) and the
+    level of a key (`level`), and supplies its mode action separately.
+    """
+
+    terms: dict
+    cutoff: int
+
+    ring = Fraction
+    level = staticmethod(sum)
+
+    def __post_init__(self):
+        ring = self.ring
+        self.terms = {key: c for key, co in self.terms.items() if (c := ring(co))}
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def coeff(self, key):
+        return self.terms.get(tuple(key), self.ring(0))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def level_component(self, n):
+        level = self.level
+        return type(self)({key: co for key, co in self.terms.items() if level(key) == n},
+                          self.cutoff)
+
+    def add_scaled(self, other, s):
+        """self + s * other."""
+        out = dict(self.terms)
+        for key, co in other.terms.items():
+            v = co * s
+            acc = out.get(key)
+            out[key] = v if acc is None else acc + v
+        return type(self)(out, max(self.cutoff, other.cutoff))
+
+
+def exp_truncated(op, v, x, n_max: int):
+    """sum_{j=0}^{n_max} x^j/j! op^j v, ending early at the first op^j v = 0."""
+    out = term = v
+    for j in range(1, n_max + 1):
+        term = op(term)
+        if term.is_zero():
+            break
+        out = out.add_scaled(term, Fraction(x) ** j / math.factorial(j))
+    return out

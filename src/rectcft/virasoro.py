@@ -11,12 +11,12 @@ charge values.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import (C, CONE, CPoly, CZERO, Series, cpoly, partition_numbers,
-                     series_pow_c_ratio, series_pow_scalar)
+from .series import (C, CONE, CPoly, CZERO, GradedVector, Series, cpoly,
+                     exp_truncated, partition_numbers, series_pow_c_ratio,
+                     series_pow_scalar)
 
 Partition = tuple  # descending tuple of ints >= 2; () is the vacuum
 
@@ -58,32 +58,17 @@ def act(n: int, lam: Partition) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-@dataclass
-class VermaVector:
-    """Finite combination of vacuum descendants, truncated at level `cutoff`."""
+class VermaVector(GradedVector):
+    """Finite combination of vacuum descendants over Q[c], truncated at
+    level `cutoff`."""
 
-    terms: dict
-    cutoff: int
+    ring = staticmethod(cpoly)
 
     def __post_init__(self):
-        self.terms = {lam: cpoly(co) for lam, co in self.terms.items()
-                      if not cpoly(co).is_zero()}
+        super().__post_init__()
         for lam in self.terms:
             if sum(lam) > self.cutoff:
                 raise ValueError(f"partition {lam} above cutoff {self.cutoff}")
-
-    def __eq__(self, other):
-        return isinstance(other, VermaVector) and self.terms == other.terms
-
-    def coeff(self, lam) -> CPoly:
-        return self.terms.get(tuple(lam), CZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def level_component(self, n: int) -> "VermaVector":
-        return VermaVector({lam: co for lam, co in self.terms.items() if sum(lam) == n},
-                           self.cutoff)
 
     def restrict(self, cutoff: int) -> "VermaVector":
         return VermaVector({lam: co for lam, co in self.terms.items() if sum(lam) <= cutoff},
@@ -91,21 +76,6 @@ class VermaVector:
 
     def max_level(self) -> int:
         return max((sum(lam) for lam in self.terms), default=0)
-
-    def add_scaled(self, other: "VermaVector", s) -> "VermaVector":
-        out = dict(self.terms)
-        for lam, co in other.terms.items():
-            v = co * s
-            acc = out.get(lam)
-            out[lam] = v if acc is None else acc + v
-        return VermaVector(out, max(self.cutoff, other.cutoff))
-
-    def scale(self, s) -> "VermaVector":
-        return VermaVector({lam: co * s for lam, co in self.terms.items()}, self.cutoff)
-
-    def specialize_c(self, c_value) -> dict:
-        """Terms with coefficients evaluated at a rational c."""
-        return {lam: co(c_value) for lam, co in self.terms.items()}
 
     def to_json(self):
         return {"cutoff": self.cutoff,
@@ -161,45 +131,39 @@ def shapovalov(u: VermaVector, v: VermaVector) -> CPoly:
     return total
 
 
-def _exp_lowering(k: int, x: Fraction, v: VermaVector) -> VermaVector:
-    """Apply e^{x L_{-k}} truncated at v.cutoff (exactly floor(cutoff/k) terms)."""
-    out = v
-    term = v
-    j = 0
-    while k * (j + 1) <= v.cutoff:
-        j += 1
-        term = apply_mode(-k, term)
-        if term.is_zero():
-            break
-        out = out.add_scaled(term, Fraction(x) ** j / math.factorial(j))
-    return out
-
-
 def _slit_factors(n_factors: int):
     """(k, x) for the product e^{x_N L_{-2^N}} ... e^{-L_{-2}}, x_j = -2/2^j."""
     return [(2 ** j, Fraction(-1, 2 ** (j - 1))) for j in range(1, n_factors + 1)]
+
+
+def slit_factor_count(cutoff: int) -> int:
+    """The largest N >= 1 with 2^N <= cutoff.
+
+    Factors with 2^N > cutoff act trivially below the cutoff (their lowest
+    action sits at level 2^N), so this many factors give the full state."""
+    return max(1, cutoff.bit_length() - 1)
+
+
+def slit_product(apply_l, v, cutoff: int, n_factors: int):
+    """The slit product e^{x_N L_{-2^N}} ... e^{-L_{-2}} applied to v, in any
+    realization whose Virasoro action is `apply_l(n, vec)`.  The factor with
+    L_{-k} stops after floor(cutoff/k) applications, the last that can stay
+    within the cutoff."""
+    for k, x in _slit_factors(n_factors):
+        v = exp_truncated(functools.partial(apply_l, -k), v, x, cutoff // k)
+    return v
 
 
 def finitized_state(n_slit_exponent: int, cutoff: int) -> VermaVector:
     """The 2^N - 1 slit state: exactly N exponential factors applied to |0>."""
     if n_slit_exponent < 1:
         raise ValueError("need N >= 1")
-    v = vacuum(cutoff)
-    for k, x in _slit_factors(n_slit_exponent):
-        v = _exp_lowering(k, x, v)
-    return v
+    return slit_product(apply_mode, vacuum(cutoff), cutoff, n_slit_exponent)
 
 
 def boundary_state(cutoff: int) -> VermaVector:
-    """The rectangle boundary state truncated at `cutoff`.
-
-    Factors with 2^N > cutoff act trivially below the cutoff (their lowest
-    action sits at level 2^N), so finitely many factors suffice.
-    """
-    n = 1
-    while 2 ** (n + 1) <= cutoff:
-        n += 1
-    return finitized_state(n, cutoff)
+    """The rectangle boundary state truncated at `cutoff`."""
+    return finitized_state(slit_factor_count(cutoff), cutoff)
 
 
 @dataclass(frozen=True)
@@ -259,34 +223,17 @@ def product_amplitude(n_slit_exponent: int | None, order: int) -> Series:
     level; the two are compared in the tests.  `n_slit_exponent=None` means
     the full boundary state.
     """
-    if n_slit_exponent is None:
-        n = 1
-        while 2 ** (n + 1) <= order:
-            n += 1
-    else:
-        n = n_slit_exponent
+    n = slit_factor_count(order) if n_slit_exponent is None else n_slit_exponent
     factors = _slit_factors(n)
-    v = vacuum(order)
-    for k, x in factors:
-        v = _exp_lowering(k, x, v)
+    v = slit_product(apply_mode, vacuum(order), order, n)
     coeffs = []
     for lev in range(order + 1):
         comp = v.level_component(lev)
-        for k, x in sorted(factors, reverse=True):
-            comp = _exp_raising(k, x, comp)
+        for k, x in reversed(factors):
+            comp = exp_truncated(functools.partial(apply_mode, k), comp, x,
+                                 comp.max_level() // k)
         coeffs.append(comp.coeff(()))
     return Series("qhat", tuple(coeffs), order=order)
-
-
-def _exp_raising(k: int, x: Fraction, v: VermaVector) -> VermaVector:
-    out = v
-    term = v
-    for j in range(1, v.max_level() // k + 1):
-        term = apply_mode(k, term)
-        if term.is_zero():
-            break
-        out = out.add_scaled(term, Fraction(x) ** j / math.factorial(j))
-    return out
 
 
 def p_series(n_slit_exponent: int, order: int) -> Series:
@@ -329,20 +276,19 @@ def p2_closed_form_check(order: int) -> bool:
 
 @dataclass(frozen=True)
 class PkDeviation:
-    """First index where P_N departs from the partition numbers."""
+    """First index where a P_N series departs from the partition numbers."""
 
-    n_slit_exponent: int
     first_deviation: int | None
     deviation_sign: int  # +1 if p^{(N)}_{k0} > p_{k0}
     value: Fraction | None
     partition_number: int | None
 
 
-def pk_conjecture_check(n_slit_exponent: int, order: int) -> PkDeviation:
-    p = p_series(n_slit_exponent, order)
-    pk = partition_numbers(order)
-    for k in range(order + 1):
+def pk_conjecture_check(p: Series) -> PkDeviation:
+    """Compare P_N = `p_series(N, order)` with the partition numbers."""
+    pk = partition_numbers(p.order)
+    for k in range(p.order + 1):
         if p[k] != pk[k]:
             d = p[k] - pk[k]
-            return PkDeviation(n_slit_exponent, k, 1 if d > 0 else -1, p[k], pk[k])
-    return PkDeviation(n_slit_exponent, None, 0, None, None)
+            return PkDeviation(k, 1 if d > 0 else -1, p[k], pk[k])
+    return PkDeviation(None, 0, None, None)

@@ -69,7 +69,7 @@ def test_criterion_4_p_series():
     p5 = virasoro.p_series(5, 16)
     ok = ok and all(p5[k] == pk[k] for k in range(17))
     for n in (1, 2, 3, 4):
-        dev = virasoro.pk_conjecture_check(n, 2 ** n)
+        dev = virasoro.pk_conjecture_check(virasoro.p_series(n, 2 ** n))
         ok = ok and dev.first_deviation == 2 ** n and dev.deviation_sign == 1
     report(4, "P_1..P_5 match their frozen expansions; first deviation at 2^N, positive", ok)
 

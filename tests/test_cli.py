@@ -158,6 +158,12 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("rectcft: ")
 
+    def test_loop_arpack_shortfall_is_runtime_error(self, capsys):
+        code, _, err = run(capsys, "loop", "--p", "3", "--nmin", "18", "--nmax", "18",
+                           "--kmax", "40")
+        assert code == 1
+        assert "ARPACK" in err and "structural" not in err
+
 
 class TestSelftests:
     @pytest.mark.parametrize("name", ["boundary-state", "amplitude", "slitmap",

@@ -4,10 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from rectcft import virasoro
+from rectcft.freefield import BosonVector, FermionVector, boson_mode, boson_vacuum
 from rectcft.series import (C, CPoly, DivisibilityError, Series, SeriesError,
                             VariableMismatchError, cpoly, eta_inverse_power,
-                            partition_numbers, series_exp, series_log, series_one,
-                            series_pow_c_ratio, series_pow_scalar)
+                            exp_truncated, partition_numbers, series_exp, series_log,
+                            series_one, series_pow_c_ratio, series_pow_scalar)
+from rectcft.virasoro import VermaVector
 
 
 def S(coeffs, order=None, var="q"):
@@ -193,3 +196,75 @@ class TestPartitionNumbers:
 
     def test_p26(self):
         assert partition_numbers(26)[26] == 2436
+
+
+class Counting:
+    """Wraps an operator and counts its applications."""
+
+    def __init__(self, op):
+        self.op = op
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.op(*args)
+
+
+# basis keys of each realization with their levels, all within cutoff 4
+REALIZATIONS = [
+    pytest.param(VermaVector, {(2,): 2, (3,): 3, (2, 2): 4, (4,): 4}, id="verma"),
+    pytest.param(BosonVector, {(1,): 1, (2,): 2, (1, 1): 2, (3, 1): 4}, id="boson"),
+    pytest.param(FermionVector, {(0,): F(1, 2), (1,): F(3, 2), (1, 0): 2, (2,): F(5, 2),
+                                 (3, 0): 4}, id="fermion"),
+]
+
+
+@pytest.mark.parametrize("cls, levels", REALIZATIONS)
+class TestGradedVector:
+    def test_cancelling_add_scaled_leaves_no_zero(self, cls, levels):
+        first, second = list(levels)[:2]
+        v = cls({first: F(1, 3), second: 1}, 4)
+        w = v.add_scaled(cls({first: 1}, 4), F(-1, 3))
+        assert w.terms == {second: 1}
+        assert all(co != 0 for co in w.terms.values())
+        zero = w.add_scaled(w, -1)
+        assert zero.terms == {} and zero.is_zero()
+        assert cls({first: 0}, 4).is_zero()
+
+    def test_coeff_of_missing_key_is_zero(self, cls, levels):
+        first, second = list(levels)[:2]
+        v = cls({first: 2}, 4)
+        assert v.coeff(second) == 0
+        assert v.coeff(first) == 2
+        assert cls({}, 4).coeff(()) == 0
+
+    def test_level_component(self, cls, levels):
+        v = cls(dict.fromkeys(levels, 1), 4)
+        for lev in set(levels.values()) | {0, 1, 3, F(7, 2)}:
+            want = {key for key, kl in levels.items() if kl == lev}
+            comp = v.level_component(lev)
+            assert type(comp) is cls
+            assert set(comp.terms) == want
+
+
+class TestExpTruncated:
+    def test_stops_after_n_max(self):
+        op = Counting(lambda v: boson_mode(-1, v))
+        out = exp_truncated(op, boson_vacuum(10), 2, 3)
+        assert op.calls == 3
+        assert out.terms == {(): 1, (1,): 2, (1, 1): 2, (1, 1, 1): F(4, 3)}
+
+    def test_stops_at_first_zero_term(self):
+        op = Counting(lambda v: boson_mode(-1, v))
+        out = exp_truncated(op, boson_vacuum(2), 2, 10)
+        assert op.calls == 3  # the third application leaves the cutoff
+        assert out.terms == {(): 1, (1,): 2, (1, 1): 2}
+
+    def test_slit_product_caps(self, monkeypatch):
+        # lowering: floor(6/2) = 3 applications of L_{-2}; raising at level
+        # 2l: floor(2l/2) = l applications of L_2, none at odd levels
+        count = Counting(virasoro.apply_mode)
+        monkeypatch.setattr(virasoro, "apply_mode", count)
+        amp = virasoro.product_amplitude(1, 6)
+        assert count.calls == 3 + (0 + 1 + 2 + 3)
+        assert amp.coeffs[2] == cpoly(C * F(1, 2))

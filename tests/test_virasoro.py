@@ -252,7 +252,7 @@ class TestPSeries:
 
     def test_first_deviation(self):
         for n, k0, val, pk in ((1, 2, F(5, 2), 2), (2, 4, F(33, 4), 5), (3, 8, F(245, 8), 22)):
-            rep = pk_conjecture_check(n, k0)
+            rep = pk_conjecture_check(p_series(n, k0))
             assert rep.first_deviation == k0
             assert rep.deviation_sign == 1
             assert rep.value == val and rep.partition_number == pk
