@@ -34,9 +34,9 @@ class UsageError(ValueError):
     pass
 
 
-def _check_range(name, value, hi):
-    if value < 0 or value > hi:
-        raise UsageError(f"{name}={value} outside [0, {hi}]")
+def _check_range(name, value, hi, lo=0):
+    if value < lo or value > hi:
+        raise UsageError(f"{name}={value} outside [{lo}, {hi}]")
     return value
 
 
@@ -79,6 +79,20 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
         sys.stdout.write(text)
 
 
+def _emit_table(args, csv_rows, csv_header, summary, summary_key):
+    """A lattice table: CSV rows when asked for (or when --out ends in .csv),
+    else {"rows", summary_key} in the chosen format; --summary-out gets the
+    summary JSON whatever the format."""
+    if args.format == "csv" or args.out and args.out.endswith(".csv"):
+        args.format = "csv"
+        _emit(args, summary, csv_rows=csv_rows, csv_header=csv_header)
+    else:
+        _emit(args, {"rows": [list(r) for r in csv_rows], summary_key: summary})
+    if args.summary_out:
+        with open(args.summary_out, "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True, default=str)
+
+
 def _flatten(obj, prefix=""):
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -98,11 +112,14 @@ def cmd_boundary_state(args):
 
 def cmd_amplitude(args):
     order = _check_range("order", args.order, max_order())
+    try:
+        c_val = None if args.at_c is None else Fraction(args.at_c)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--at-c {args.at_c!r} is not a rational number") from None
     amp = virasoro.product_amplitude(None, order)
     eta = eta_inverse_power(C * Fraction(1, 2), "qhat", order).series
     matches = amp == eta
-    if args.at_c is not None:
-        c_val = Fraction(args.at_c)
+    if c_val is not None:
         coeffs = [str(cpoly(amp[n])(c_val)) for n in range(order + 1)]
     else:
         coeffs = [cpoly(amp[n]).to_json() for n in range(order + 1)]
@@ -188,13 +205,15 @@ def cmd_boson(args):
 def cmd_majorana(args):
     if args.g_table:
         m_max, n_max = args.g_table
+        if min(m_max, n_max) < 0 or max(m_max, n_max) < 1:
+            raise UsageError(f"--g-table {m_max} {n_max}: need M, N >= 0, one of them >= 1")
         g = freefield.g_series(max(m_max, n_max))
         rows = [(m, n, str(g[m, n])) for m in range(m_max + 1) for n in range(n_max + 1)]
         _emit(args, {"entries": {f"G[{m},{n}]": s for m, n, s in rows}},
               csv_rows=rows, csv_header=("m", "n", "G_mn"))
         return
     if args.compare_virasoro:
-        level = _check_range("level", args.level, 12)
+        level = _check_range("level", args.level, 12, lo=1)
         prod = freefield.virasoro_product_state(
             freefield.fermion_virasoro, freefield.fermion_vacuum(level), level,
             virasoro.slit_factor_count(level))
@@ -224,22 +243,24 @@ def cmd_loop(args):
     n_values = range(nmin + nmin % 2, nmax + 1, 2)
     if not n_values:
         raise UsageError(f"no even N in [{nmin}, {nmax}]")
-    weights = dict.fromkeys(looplattice.parse_p(p) for p in args.p.split(","))
+    weights = dict.fromkeys(_loop_weight(p) for p in args.p.split(","))
     tables = {w: looplattice.overlap_table(w.p, n_values, args.kmax) for w in weights}
     csv_rows = [("inf" if math.isinf(r.p) else r.p, r.n_sites, r.k, repr(r.energy),
                  repr(r.overlap))
                 for w in sorted(tables, key=lambda w: w.p) for r in tables[w]]
     summaries = {("inf" if math.isinf(w.p) else str(w.p)): looplattice.loop_fit_summary(t)
                  for w, t in tables.items()}
-    if args.format == "csv" or args.out and args.out.endswith(".csv"):
-        args.format = "csv"
-        _emit(args, summaries, csv_rows=csv_rows,
-              csv_header=("p", "N", "k", "energy", "overlap"))
-        if args.summary_out:
-            with open(args.summary_out, "w") as fh:
-                json.dump(summaries, fh, indent=2, sort_keys=True, default=str)
-    else:
-        _emit(args, {"rows": [list(r) for r in csv_rows], "fits": summaries})
+    _emit_table(args, csv_rows, ("p", "N", "k", "energy", "overlap"), summaries, "fits")
+
+
+def _loop_weight(text):
+    try:
+        weight = looplattice.parse_p(text)
+    except ValueError:
+        weight = None
+    if weight is None or not weight.p > 0:
+        raise UsageError(f"--p {text!r}: expected a positive number or inf")
+    return weight
 
 
 def cmd_ising(args):
@@ -247,17 +268,12 @@ def cmd_ising(args):
     nmax = _check_range("nmax", args.nmax, 1000)
     kmax = _check_range("kmax", args.kmax, 30)
     n_values = list(range(nmin + nmin % 2, nmax + 1, 2))
+    if not n_values or n_values[0] < 1:
+        raise UsageError(f"need even N >= 2 in [{nmin}, {nmax}]")
     records = ising.ising_overlap_table(n_values, kmax)
     summary = ising.ising_fit_summary(records)
     csv_rows = [(r.n_sites, r.k, str(r.h_label), repr(r.overlap)) for r in records]
-    if args.format == "csv" or args.out and args.out.endswith(".csv"):
-        args.format = "csv"
-        _emit(args, summary, csv_rows=csv_rows, csv_header=("N", "k", "h_label", "overlap"))
-        if args.summary_out:
-            with open(args.summary_out, "w") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True, default=str)
-    else:
-        _emit(args, {"rows": [list(r) for r in csv_rows], "fit": summary})
+    _emit_table(args, csv_rows, ("N", "k", "h_label", "overlap"), summary, "fit")
 
 
 def cmd_fit(args):
@@ -430,9 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("amplitude", cmd_amplitude, help="symbolic amplitude vs eta^{-c/2}")
     p.add_argument("--order", type=int, default=20)
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--symbolic", action="store_true", default=True)
-    grp.add_argument("--at-c", help="evaluate coefficients at a rational c")
+    p.add_argument("--at-c", help="evaluate coefficients at a rational c")
 
     p = add("pn", cmd_pn, help="finitized P_N(q) series")
     p.add_argument("--slits-exponent", type=int, required=False, default=3)

@@ -27,6 +27,33 @@ import numpy as np
 from .series import GradedVector, Series, exp_truncated
 from .virasoro import slit_product
 
+
+def mode_sum(mode, words, v: GradedVector, keep) -> GradedVector:
+    """sum_w w * mode(j1, mode(j2, ... v)) over the (w, (j1, j2, ...)) in
+    `words`: the last mode acts first, a word stops at its first zero
+    partial product, and only levels <= `keep` are kept."""
+    level = v.level
+    acc: dict = {}
+    for w, word in words:
+        u = v
+        for j in reversed(word):
+            u = mode(j, u)
+            if u.is_zero():
+                break
+        else:
+            for key, co in u.terms.items():
+                if level(key) <= keep:
+                    acc[key] = acc.get(key, 0) + co * w
+    return type(v)(acc, v.cutoff)
+
+
+def level_operator(v: GradedVector) -> GradedVector:
+    """L_0 of a free field: each term times its level (zero-point constants
+    dropped, prefactors are carried by the amplitudes)."""
+    level = v.level
+    return type(v)({key: co * level(key) for key, co in v.terms.items()}, v.cutoff)
+
+
 # ---------------------------------------------------------------------------
 # free boson
 # ---------------------------------------------------------------------------
@@ -65,51 +92,31 @@ def boson_mode(m: int, v: BosonVector) -> BosonVector:
 
 def boson_boundary_state(cutoff: int) -> BosonVector:
     """exp(-sum_{n>0} a_{-n}^2 / 2n)|0>, truncated at `cutoff`."""
-
-    def quadratic(term: BosonVector) -> BosonVector:
-        nxt: dict = {}
-        for n in range(1, cutoff // 2 + 1):
-            w = boson_mode(-n, boson_mode(-n, term))
-            for lam, co in w.terms.items():
-                nxt[lam] = nxt.get(lam, Fraction(0)) + co * Fraction(-1, 2 * n)
-        return BosonVector(nxt, cutoff)
-
+    words = [(Fraction(-1, 2 * n), (-n, -n)) for n in range(1, cutoff // 2 + 1)]
     # the form raises the level by at least 2, so a zero term ends the sum
     # before the cap of `cutoff` applications
-    return exp_truncated(quadratic, boson_vacuum(cutoff), 1, cutoff)
+    return exp_truncated(lambda term: mode_sum(boson_mode, words, term, cutoff),
+                         boson_vacuum(cutoff), 1, cutoff)
 
 
 def boson_gluing_check(v: BosonVector, m: int) -> BosonVector:
     """(a_m + a_{-m}) v; vanishes at levels <= cutoff - m on the boundary state."""
     if m <= 0:
         raise ValueError("m must be positive")
-    res = boson_mode(m, v).add_scaled(boson_mode(-m, v), Fraction(1))
-    keep = v.cutoff - m
-    return BosonVector({lam: co for lam, co in res.terms.items() if sum(lam) <= keep},
-                       v.cutoff)
+    return mode_sum(boson_mode, [(1, (m,)), (1, (-m,))], v, v.cutoff - m)
 
 
 def boson_virasoro(n: int, v: BosonVector) -> BosonVector:
-    """L_n = (1/2) sum_m a_{n-m} a_m for n != 0, L_0 = sum_{m>=1} a_{-m} a_m."""
-    out: dict = {}
+    """L_n = (1/2) sum_m a_{n-m} a_m for n != 0, L_0 = sum_{m>=1} a_{-m} a_m.
+
+    For n != 0 the two modes commute, so each pair {n-k, k} is applied
+    once, larger index k first (the annihilator, if the pair has one);
+    a_0 = 0 here, and neither index goes beyond the cutoff."""
     if n == 0:
-        for lam, co in v.terms.items():
-            if sum(lam):
-                out[lam] = co * sum(lam)
-        return BosonVector(out, v.cutoff)
-    bound = v.cutoff + abs(n) + 1
-    # headroom: a creator inside the pair may overshoot the cutoff before the
-    # partner annihilator brings the level back down
-    lifted = BosonVector(dict(v.terms), v.cutoff + 2 * bound)
-    res: dict = {}
-    for m in range(-bound, bound + 1):
-        if m == 0 or n - m == 0:
-            continue  # a_0 = 0 here
-        w = boson_mode(n - m, boson_mode(m, lifted))
-        for lam, co in w.terms.items():
-            if sum(lam) <= v.cutoff:
-                res[lam] = res.get(lam, Fraction(0)) + co * Fraction(1, 2)
-    return BosonVector(res, v.cutoff)
+        return level_operator(v)
+    words = [(Fraction(1, 2) if 2 * k == n else 1, (n - k, k))
+             for k in range(-(-n // 2), v.cutoff + min(n, 0) + 1) if k and k != n]
+    return mode_sum(boson_mode, words, v, v.cutoff)
 
 
 def boson_norm_sq(lam) -> Fraction:
@@ -196,15 +203,6 @@ class GMatrix:
         """Nonzero (m, n, G_mn) with m < n."""
         for (m, n), g in sorted(self._upper.items()):
             yield m, n, g
-
-    def to_array(self, size: int | None = None) -> np.ndarray:
-        size = size or self.cutoff + 1
-        out = np.zeros((size, size))
-        for m, n, g in self.pairs():
-            if m < size and n < size:
-                out[m, n] = float(g)
-                out[n, m] = -float(g)
-        return out
 
 
 def _sqrt_one_minus_sq(order: int) -> list[Fraction]:
@@ -322,60 +320,34 @@ def fermion_boundary_state(cutoff: int, g: GMatrix) -> FermionVector:
     if g.cutoff < cutoff:
         raise ValueError("G table too small for the requested level cutoff")
 
-    pairs = [(m, n, gmn) for m, n, gmn in g.pairs() if m + n + 1 <= cutoff]
-
-    def quadratic(vec: FermionVector) -> FermionVector:
-        acc: dict = {}
-        for m, n, gmn in pairs:
-            w = fermion_mode(-(2 * m + 1), fermion_mode(-(2 * n + 1), vec))
-            for modes, co in w.terms.items():
-                acc[modes] = acc.get(modes, Fraction(0)) + co * gmn
-        return FermionVector(acc, cutoff)
-
+    words = [(gmn, (-(2 * m + 1), -(2 * n + 1)))
+             for m, n, gmn in g.pairs() if m + n + 1 <= cutoff]
     # each pair raises the level by m + n + 1 >= 2, so a zero term ends the
     # sum before the cap of `cutoff` applications
-    return exp_truncated(quadratic, fermion_vacuum(cutoff), 1, cutoff)
+    return exp_truncated(lambda vec: mode_sum(fermion_mode, words, vec, cutoff),
+                         fermion_vacuum(cutoff), 1, cutoff)
 
 
 def fermion_annihilation_check(v: FermionVector, m: int, g: GMatrix) -> FermionVector:
     """(psi_{m+1/2} - sum_n G_mn psi_{-n-1/2}) v, kept at levels where the
     truncation is faithful (<= cutoff - m - 1/2)."""
-    res = fermion_mode(2 * m + 1, v)
-    for n in range(g.cutoff + 1):
-        gmn = g[m, n]
-        if gmn:
-            res = res.add_scaled(fermion_mode(-(2 * n + 1), v), -gmn)
-    keep = v.cutoff - m - Fraction(1, 2)
-    return FermionVector({mo: co for mo, co in res.terms.items()
-                          if fermion_level(mo) <= keep}, v.cutoff)
+    words = [(1, (2 * m + 1,))] + [(-gmn, (-(2 * n + 1),))
+                                   for n in range(g.cutoff + 1) if (gmn := g[m, n])]
+    return mode_sum(fermion_mode, words, v, v.cutoff - m - Fraction(1, 2))
 
 
 def fermion_virasoro(n: int, v: FermionVector) -> FermionVector:
     """L_n = (1/2) sum_k k :psi_{n-k} psi_k: on NS states.
 
-    For n != 0 the two modes never collide, so no ordering constant; L_0 is
-    the level operator (zero-point constants dropped, prefactors are carried
-    by the amplitudes)."""
+    For n != 0 the two modes anticommute, so each pair {n-k, k} is applied
+    once, larger index k first, with weight k - n/2 (the pair k = n/2 drops
+    out, psi_{n/2}^2 = 0), and neither index goes beyond the cutoff.  L_0 is
+    the level operator.  Indices are doubled below: k2 = 2k is odd."""
     if n == 0:
-        out = {}
-        for modes, co in v.terms.items():
-            lev = fermion_level(modes)
-            if lev:
-                out[modes] = co * lev
-        return FermionVector(out, v.cutoff)
-    bound = 2 * (v.cutoff + abs(n) + 2)
-    lifted = FermionVector(dict(v.terms), v.cutoff + bound)
-    res: dict = {}
-    for k2 in range(-bound + 1, bound, 2):
-        n2 = 2 * n - k2
-        w = fermion_mode(k2, lifted)
-        if w.is_zero():
-            continue
-        w = fermion_mode(n2, w)
-        for modes, co in w.terms.items():
-            if fermion_level(modes) <= v.cutoff:
-                res[modes] = res.get(modes, Fraction(0)) + co * Fraction(k2, 4)
-    return FermionVector(res, v.cutoff)
+        return level_operator(v)
+    words = [(Fraction(k2 - n, 2), (2 * n - k2, k2))
+             for k2 in range(n + 1 + n % 2, 2 * (v.cutoff + min(n, 0)), 2)]
+    return mode_sum(fermion_mode, words, v, v.cutoff)
 
 
 def fermion_inner(u: FermionVector, v: FermionVector) -> Fraction:

@@ -119,7 +119,8 @@ class OverlapRecord:
     parity: int            # len(excitation) mod 2
     overlap: float         # |<B|k>|; exact 0 for parity-odd states
     neg_log_overlap: float
-    overlap_det: float     # raw det((1+G)/2), the numeric |<B|k>|^2
+    overlap_det: float     # numeric |<B|k>|^2: overlap**2, or det((1+G)/2)
+                           # for parity-odd states and infinite -log
 
 
 def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
@@ -135,6 +136,8 @@ def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
     Parity-odd states have overlap 0 identically (the all-up state has even
     fermion parity); their reported overlap is exact 0 and the raw
     determinant is kept in `overlap_det` as the numeric consistency check.
+    Each state is factorised once: `det` for parity-odd states, `slogdet`
+    for even ones (plus `det` only where -log comes out infinite).
     """
     n_values = sorted(n_values)
     n_star = n_values[-1]
@@ -147,13 +150,13 @@ def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
             if exc and exc[-1] > n:
                 continue
             e = float(sum(lam[j - 1] for j in exc))
-            det = overlap_sq(sol, exc)
             parity = len(exc) % 2
             if parity:
-                nlo, ovl = np.inf, 0.0
+                nlo, ovl, det = np.inf, 0.0, overlap_sq(sol, exc)
             else:
                 nlo = neg_log_overlap(sol, exc)
                 ovl = float(np.exp(-nlo))
+                det = ovl ** 2 if np.isfinite(nlo) else overlap_sq(sol, exc)
             records.append(OverlapRecord(
                 n_sites=n, k=k, excitation=exc, energy_above_ground=e,
                 h_label=conformal_label(exc), parity=parity,

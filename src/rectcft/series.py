@@ -185,10 +185,6 @@ CONE = CPoly((1,))
 C = CPoly((0, 1))  # the symbol c itself
 
 
-def _coeff_zero(sample):
-    return CZERO if isinstance(sample, CPoly) else Fraction(0)
-
-
 class Series:
     """Truncated power series c_off*x^off + ... + c_ord*x^ord over Fraction or CPoly.
 
@@ -335,10 +331,6 @@ class Series:
 
 def series_one(var: str, order: int) -> Series:
     return Series(var, (Fraction(1),), order=order)
-
-
-def series_x(var: str, order: int) -> Series:
-    return Series(var, (Fraction(0), Fraction(1)), order=order)
 
 
 def _is_zero(c) -> bool:

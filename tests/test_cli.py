@@ -108,6 +108,15 @@ class TestSubcommands:
         lines = table.read_text().strip().splitlines()
         assert lines[0] == "N,k,h_label,overlap"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
+    def test_ising_summary_out_with_every_format(self, capsys, tmp_path, fmt):
+        summary = tmp_path / "fits.json"
+        code, out, _ = run(capsys, "ising", "--nmax", "40", "--kmax", "3",
+                           "--format", fmt, "--summary-out", str(summary))
+        assert code == 0
+        assert out
+        assert json.loads(summary.read_text())["overlaps"]["1"]["parity_forbidden"] is True
+
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, capsys):
@@ -148,6 +157,21 @@ class TestErrorPaths:
         code, _, err = run(capsys, "loop", "--nmin", "20", "--nmax", "10")
         assert code == 2
         assert "no even N" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("loop", "--p", "abc"),
+        ("loop", "--p", "0"),
+        ("amplitude", "--order", "4", "--at-c", "x"),
+        ("amplitude", "--order", "4", "--at-c", "1/0"),
+        ("ising", "--nmin", "0", "--nmax", "0"),
+        ("ising", "--nmin", "6", "--nmax", "4"),
+        ("majorana", "--g-table", "0", "0"),
+        ("majorana", "--compare-virasoro", "--level", "0"),
+    ])
+    def test_bad_option_value_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("rectcft: ")
 
     def test_arpack_failure_is_runtime_error(self, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from rectcft import freefield
 from rectcft.freefield import (BosonVector, FermionVector, boson_amplitude,
                                boson_boundary_state, boson_gluing_check, boson_inner,
                                boson_mode, boson_norm_sq, boson_product_formula,
@@ -11,8 +13,119 @@ from rectcft.freefield import (BosonVector, FermionVector, boson_amplitude,
                                fermion_annihilation_check, fermion_boundary_state,
                                fermion_inner, fermion_level, fermion_mode,
                                fermion_vacuum, fermion_virasoro, g_from_amatrix,
-                               g_series, virasoro_product_state)
+                               g_series, level_operator, mode_sum,
+                               virasoro_product_state)
 from rectcft.series import eta_inverse_power
+
+
+class Counting:
+    """Wraps a mode function and counts its applications."""
+
+    def __init__(self, op):
+        self.op = op
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.op(*args)
+
+
+# Reference L_n: every ordered pair of modes in a range wide enough for all
+# of them, on a copy lifted far above the cutoff so that a creator acting
+# first cannot be truncated before its partner annihilator acts.
+
+
+def lifted_boson_virasoro(n, v):
+    bound = v.cutoff + abs(n) + 1
+    lifted = BosonVector(dict(v.terms), v.cutoff + 2 * bound)
+    res = {}
+    for m in range(-bound, bound + 1):
+        if m == 0 or n - m == 0:
+            continue
+        w = boson_mode(n - m, boson_mode(m, lifted))
+        for lam, co in w.terms.items():
+            if sum(lam) <= v.cutoff:
+                res[lam] = res.get(lam, F(0)) + co * F(1, 2)
+    return BosonVector(res, v.cutoff)
+
+
+def lifted_fermion_virasoro(n, v):
+    bound = 2 * (v.cutoff + abs(n) + 2)
+    lifted = FermionVector(dict(v.terms), v.cutoff + bound)
+    res = {}
+    for k2 in range(-bound + 1, bound, 2):
+        w = fermion_mode(2 * n - k2, fermion_mode(k2, lifted))
+        for modes, co in w.terms.items():
+            if fermion_level(modes) <= v.cutoff:
+                res[modes] = res.get(modes, F(0)) + co * F(k2, 4)
+    return FermionVector(res, v.cutoff)
+
+
+def partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def random_vectors(cutoff, seed):
+    """A boson and a fermion vector with random coefficients on every basis
+    state up to `cutoff`."""
+    rng = random.Random(seed)
+    bkeys = [lam for lev in range(cutoff + 1) for lam in partitions(lev)]
+    fkeys = [t for r in range(cutoff + 1)
+             for t in itertools.combinations(range(cutoff, -1, -1), r)
+             if fermion_level(t) <= cutoff]
+    return (BosonVector({k: F(rng.randint(-3, 3), rng.randint(1, 3)) for k in bkeys},
+                        cutoff),
+            FermionVector({k: F(rng.randint(-3, 3), rng.randint(1, 3)) for k in fkeys},
+                          cutoff))
+
+
+class TestModeSum:
+    def test_last_mode_acts_first_and_keep_filters(self):
+        words = [(1, (1, -1)), (3, (-3,))]
+        # a_1 a_{-1}|0> = |0> (a_{-1} a_1|0> would be 0), plus 3 a_{-3}|0>
+        assert mode_sum(boson_mode, words, boson_vacuum(6), 6).terms == {(): 1, (3,): 3}
+        assert mode_sum(boson_mode, words, boson_vacuum(6), 2).terms == {(): 1}
+
+    def test_word_stops_at_first_zero(self):
+        count = Counting(boson_mode)
+        out = mode_sum(count, [(1, (-1, 2)), (F(1, 2), (-1, -1))], boson_vacuum(4), 4)
+        assert count.calls == 1 + 2  # a_2|0> = 0 ends the first word
+        assert out.terms == {(1, 1): F(1, 2)}
+
+    def test_level_operator(self):
+        v = FermionVector({(): F(2), (1, 0): F(1), (2,): F(3)}, 4)
+        assert level_operator(v).terms == {(1, 0): F(2), (2,): F(15, 2)}
+
+
+class TestVirasoroAgainstLiftedReference:
+    @pytest.mark.parametrize("cutoff", [0, 1, 4, 7])
+    def test_term_for_term(self, cutoff):
+        for seed in range(2):
+            vb, vf = random_vectors(cutoff, seed)
+            for n in range(-(cutoff + 1), cutoff + 2):
+                if n == 0:
+                    continue
+                assert boson_virasoro(n, vb) == lifted_boson_virasoro(n, vb), (cutoff, n)
+                assert fermion_virasoro(n, vf) == lifted_fermion_virasoro(n, vf), (cutoff, n)
+
+    def test_mode_calls_of_level8_products(self, monkeypatch):
+        # the lifted reference made 334 boson and 316 fermion mode calls here
+        boson = Counting(freefield.boson_mode)
+        fermion = Counting(freefield.fermion_mode)
+        monkeypatch.setattr(freefield, "boson_mode", boson)
+        monkeypatch.setattr(freefield, "fermion_mode", fermion)
+        bprod = virasoro_product_state(boson_virasoro, boson_vacuum(8), 8, 3)
+        fprod = virasoro_product_state(fermion_virasoro, fermion_vacuum(8), 8, 3)
+        assert boson.calls < 334
+        assert fermion.calls < 316
+        monkeypatch.undo()
+        assert bprod == boson_boundary_state(8)
+        assert fprod == fermion_boundary_state(8, g_series(8))
 
 
 # ------------------------------------------------------------------- boson
