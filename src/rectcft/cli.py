@@ -3,7 +3,7 @@
 Identical inputs give byte-identical outputs on the exact-arithmetic paths
 and printed-precision-stable outputs on the floating ones.  Exit codes:
 0 success, 1 runtime failure, 2 usage, 3 structural assertion (exact
-invariants violated, e.g. c-divisibility), 4 selftest failure.
+invariants violated, e.g. c-divisibility).
 """
 
 from __future__ import annotations
@@ -240,11 +240,12 @@ def cmd_majorana(args):
 def cmd_loop(args):
     nmin = _check_range("nmin", args.nmin, 1000)
     nmax = _check_range("nmax", args.nmax, 26)
+    kmax = _check_range("kmax", args.kmax, 40)
     n_values = range(nmin + nmin % 2, nmax + 1, 2)
     if not n_values:
         raise UsageError(f"no even N in [{nmin}, {nmax}]")
     weights = dict.fromkeys(_loop_weight(p) for p in args.p.split(","))
-    tables = {w: looplattice.overlap_table(w.p, n_values, args.kmax) for w in weights}
+    tables = {w: looplattice.overlap_table(w.p, n_values, kmax) for w in weights}
     csv_rows = [("inf" if math.isinf(r.p) else r.p, r.n_sites, r.k, repr(r.energy),
                  repr(r.overlap))
                 for w in sorted(tables, key=lambda w: w.p) for r in tables[w]]
@@ -279,13 +280,17 @@ def cmd_ising(args):
 def cmd_fit(args):
     if not args.data:
         raise UsageError("fit requires --data")
+    basis = tuple(args.basis.split(","))
+    if len(basis) < 2 or not set(basis) <= set(fitting.TERMS):
+        raise UsageError(f"--basis {args.basis!r}: need two or more terms from "
+                         f"{{{','.join(fitting.TERMS)}}}")
+    drop_first = _check_range("drop-first", args.drop_first, math.inf)
     with open(args.data) as fh:
         rows = list(csv.reader(fh))
     if rows and not _is_number(rows[0][0]):
         rows = rows[1:]
     data = [(float(r[0]), float(r[1])) for r in rows]
-    basis = tuple(args.basis.split(","))
-    result = fitting.fit(data, basis, drop_first=args.drop_first)
+    result = fitting.fit(data, basis, drop_first=drop_first)
     _emit(args, result.to_json())
 
 
@@ -295,131 +300,6 @@ def _is_number(s) -> bool:
         return True
     except ValueError:
         return False
-
-
-# --------------------------------------------------------------- selftests
-
-
-def _selftest_virasoro():
-    from fractions import Fraction as F
-    b = virasoro.boundary_state(4)
-    yield "level-4 state", b.coeff(()) == 1 and b.coeff((2,)) == -1 \
-        and b.coeff((4,)) == cpoly(F(-1, 2)) and b.coeff((2, 2)) == cpoly(F(1, 2))
-    amp = virasoro.product_amplitude(None, 10)
-    eta = eta_inverse_power(C * F(1, 2), "qhat", 10).series
-    yield "eta identity to 10", amp == eta
-    yield "shapovalov route agrees", virasoro.amplitude(virasoro.boundary_state(10), 10) == amp
-    ok = True
-    b8 = virasoro.boundary_state(8)
-    for n in range(1, 5):
-        r = virasoro.gluing_residual(b8, virasoro.homogeneous_gluing(n))
-        ok = ok and all(co.is_zero() for lam, co in r.terms.items() if sum(lam) <= 8 - n)
-    yield "gluing residuals", ok
-    yield "P1 series", [str(x) for x in virasoro.p_series(1, 2).coeffs] == ["1", "1", "5/2"]
-    yield "P2 closed form", virasoro.p2_closed_form_check(8)
-
-
-def _selftest_slitmap():
-    import cmath
-    yield "f1(3)=sqrt(11)", abs(slitmaps.slit_map(1, 3.0) - math.sqrt(11)) < 1e-12
-    z = 5 * cmath.exp(0.05j)
-    ok = all(abs(slitmaps.composed_map(n, z) - slitmaps.slit_map(n, z)) < 1e-12
-             for n in (1, 2, 3))
-    yield "composition", ok
-    slope = slitmaps.asymptotic_decay_slope(2)
-    yield "decay slope N=2", abs(slope + 7) / 7 < 0.05
-
-
-def _selftest_boson():
-    from fractions import Fraction as F
-    b = freefield.boson_boundary_state(8)
-    yield "gluing", all(freefield.boson_gluing_check(b, m).is_zero() for m in (1, 2, 3))
-    amp = freefield.boson_amplitude(10)
-    yield "eta^{-1/2}", amp == eta_inverse_power(F(1, 2), "qhat", 10).series
-    yield "product formula", amp == freefield.boson_product_formula(10)
-    prod = freefield.virasoro_product_state(freefield.boson_virasoro,
-                                            freefield.boson_vacuum(6), 6, 2)
-    yield "virasoro product c=1", prod == freefield.boson_boundary_state(6)
-
-
-def _selftest_majorana():
-    from fractions import Fraction as F
-    g = freefield.g_series(8)
-    table = {(0, 1): F(1, 2), (0, 3): F(1, 8), (1, 2): F(5, 8), (3, 4): F(81, 128)}
-    yield "G table", all(g[m, n] == v for (m, n), v in table.items())
-    b = freefield.fermion_boundary_state(8, g)
-    yield "annihilation", all(freefield.fermion_annihilation_check(b, m, g).is_zero()
-                              for m in (0, 1, 2))
-    amp = freefield.fermion_amplitude(8, g)
-    yield "eta^{-1/4}", amp == eta_inverse_power(F(1, 4), "qhat", 8).series
-    prod = freefield.virasoro_product_state(freefield.fermion_virasoro,
-                                            freefield.fermion_vacuum(6), 6, 2)
-    yield "virasoro product c=1/2", prod == freefield.fermion_boundary_state(6, g)
-
-
-def _selftest_loop():
-    import numpy as np
-    beta = looplattice.parse_p(3).beta
-    es = [looplattice.tl_generator_matrix(i, 8, beta) for i in range(7)]
-    ok = all(np.abs(e @ e - beta * e).max() < 1e-12 for e in es)
-    ok = ok and all(np.abs(es[i] @ es[i + 1] @ es[i] - es[i]).max() < 1e-12
-                    for i in range(6))
-    yield "TL relations N=8", ok
-    g = looplattice.gram(8, beta)
-    h = looplattice.hamiltonian(8, beta)
-    yield "Gram self-adjointness", np.abs(g @ h - h.T @ g).max() < 1e-9
-    d = looplattice.spectrum_dense(12, beta, 2)
-    s = looplattice.spectrum_sparse(12, beta, 2)
-    yield "dense vs sparse N=12", all(
-        abs(a.energy - b.energy) < 1e-9 and abs(a.boundary_overlap - b.boundary_overlap) < 1e-8
-        for a, b in zip(d, s))
-
-
-def _selftest_ising():
-    import numpy as np
-    ok = True
-    for n in (2, 3, 4):
-        sol = ising.solve_chain(n)
-        dense_e, dense_ov = ising.brute_force_reference(n)
-        levels = ising.many_body_spectrum(sol)
-        ok = ok and np.abs(np.array([e for e, _ in levels]) - dense_e).max() < 1e-12
-        ok = ok and all(abs(ising.overlap_sq(sol, exc) - dense_ov[i]) < 1e-10
-                        for i, (_, exc) in enumerate(levels))
-    yield "brute force N<=4", ok
-    sol = ising.solve_chain(3)
-    import itertools
-    total = sum(ising.overlap_sq(sol, e) for r in range(4)
-                for e in itertools.combinations(range(1, 4), r))
-    yield "completeness", abs(total - 1) < 1e-10
-
-
-def _selftest_fit():
-    data = [(n, 2 * n - 0.0625 * math.log(n) + 1 + 3 / n) for n in range(4, 40, 2)]
-    r = fitting.fit(data, ("N", "logN", "1", "1/N"))
-    yield "exact recovery", all(abs(r.coefficient(t) - v) < 1e-9 for t, v in
-                                (("N", 2), ("logN", -0.0625), ("1", 1), ("1/N", 3)))
-
-
-SELFTESTS = {
-    "boundary-state": _selftest_virasoro,
-    "amplitude": _selftest_virasoro,
-    "pn": _selftest_virasoro,
-    "gluing-check": _selftest_virasoro,
-    "slitmap": _selftest_slitmap,
-    "boson": _selftest_boson,
-    "majorana": _selftest_majorana,
-    "loop": _selftest_loop,
-    "ising": _selftest_ising,
-    "fit": _selftest_fit,
-}
-
-
-def run_selftest(name) -> int:
-    failures = 0
-    for label, ok in SELFTESTS[name]():
-        print(f"[{'pass' if ok else 'FAIL'}] {name}: {label}")
-        failures += 0 if ok else 1
-    return failures
 
 
 # ------------------------------------------------------------------ parser
@@ -432,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--selftest", action="store_true",
-                        help="run this module's invariant suite and exit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -492,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.selftest:
-            return 4 if run_selftest(args.command) else 0
         args.handler(args)
         return 0
     except UsageError as exc:

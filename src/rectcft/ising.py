@@ -73,7 +73,8 @@ def overlap_sq(sol: FreeFermionSolution, excitation=()) -> float:
 
 
 def neg_log_overlap(sol: FreeFermionSolution, excitation=()) -> float:
-    """-log |<all-up|exc>| via slogdet; +inf for parity-forbidden states."""
+    """-log |<all-up|exc>| via slogdet; +inf where the determinant is not
+    positive."""
     g = correlation_matrix(sol, excitation)
     sign, logdet = np.linalg.slogdet((np.eye(sol.n_sites) + g) / 2)
     if sign <= 0:
@@ -104,6 +105,18 @@ def enumerate_low_states(sol: FreeFermionSolution, kmax: int):
     return out[:kmax + 1]
 
 
+def overlap_allowed(excitation) -> bool:
+    """The selection rule: <B|S> = 0 exactly unless S has as many odd as
+    even mode indices.
+
+    With M0 = (1 + G0)/2 and K = phi+ M0^-1 phi-^T, the kernel is
+    K = -1 + A with A antisymmetric and A_ab = 0 whenever a + b is even, so
+    det((1 + G_S)/2) = det M0 * Pf(A_SS)^2; a Pfaffian of a bipartite
+    antisymmetric matrix vanishes unless its two sides have equal size.
+    This covers every parity-odd S and even ones such as (1, 3)."""
+    return 2 * sum(k % 2 for k in excitation) == len(excitation)
+
+
 def conformal_label(excitation) -> Fraction:
     """Scaling dimension of the tower member: sum (k - 1/2) over excited k."""
     return sum((Fraction(2 * k - 1, 2) for k in excitation), Fraction(0))
@@ -117,10 +130,10 @@ class OverlapRecord:
     energy_above_ground: float
     h_label: Fraction
     parity: int            # len(excitation) mod 2
-    overlap: float         # |<B|k>|; exact 0 for parity-odd states
+    overlap: float         # |<B|k>|; exact 0 for forbidden states
     neg_log_overlap: float
     overlap_det: float     # numeric |<B|k>|^2: overlap**2, or det((1+G)/2)
-                           # for parity-odd states and infinite -log
+                           # for forbidden states
 
 
 def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
@@ -133,11 +146,11 @@ def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
     state; near-degenerate pairs (the two h = 4 states) are split by their
     exact energy sums.
 
-    Parity-odd states have overlap 0 identically (the all-up state has even
-    fermion parity); their reported overlap is exact 0 and the raw
-    determinant is kept in `overlap_det` as the numeric consistency check.
-    Each state is factorised once: `det` for parity-odd states, `slogdet`
-    for even ones (plus `det` only where -log comes out infinite).
+    States forbidden by `overlap_allowed` have overlap 0 identically; their
+    reported overlap is exact 0 and the raw determinant is kept in
+    `overlap_det` as the numeric consistency check.  Each state is
+    factorised once: `det` for forbidden states, `slogdet` for allowed
+    ones, where a -log that is not finite raises ArithmeticError.
     """
     n_values = sorted(n_values)
     n_star = n_values[-1]
@@ -150,16 +163,17 @@ def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
             if exc and exc[-1] > n:
                 continue
             e = float(sum(lam[j - 1] for j in exc))
-            parity = len(exc) % 2
-            if parity:
-                nlo, ovl, det = np.inf, 0.0, overlap_sq(sol, exc)
-            else:
+            if overlap_allowed(exc):
                 nlo = neg_log_overlap(sol, exc)
+                if not np.isfinite(nlo):
+                    raise ArithmeticError(f"-log <B|{exc}> = {nlo} at N={n}")
                 ovl = float(np.exp(-nlo))
-                det = ovl ** 2 if np.isfinite(nlo) else overlap_sq(sol, exc)
+                det = ovl ** 2
+            else:
+                nlo, ovl, det = np.inf, 0.0, overlap_sq(sol, exc)
             records.append(OverlapRecord(
                 n_sites=n, k=k, excitation=exc, energy_above_ground=e,
-                h_label=conformal_label(exc), parity=parity,
+                h_label=conformal_label(exc), parity=len(exc) % 2,
                 overlap=ovl, neg_log_overlap=nlo, overlap_det=det))
     return records
 
@@ -167,8 +181,8 @@ def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
 def ising_fit_summary(records, drop_first_excited: int = 3) -> dict:
     """a1, alpha from the ground-state series and <B|k> from ratio fits.
 
-    Parity-odd states are reported as exact zeros without fitting (the
-    all-up state has even fermion parity)."""
+    States forbidden by `overlap_allowed` are reported as exact zeros
+    without fitting; `parity_forbidden` marks the parity-odd ones."""
     by_k: dict = {}
     for r in records:
         by_k.setdefault(r.k, []).append(r)
@@ -188,13 +202,13 @@ def ising_fit_summary(records, drop_first_excited: int = 3) -> dict:
         if k == 0:
             continue
         rows = sorted(by_k[k], key=lambda r: r.n_sites)
-        if rows[0].parity == 1:
+        if not overlap_allowed(rows[0].excitation):
             worst = max(r.overlap_det for r in rows)
             summary["overlaps"][k] = {"h": str(rows[0].h_label), "value": 0.0,
-                                      "parity_forbidden": True, "max_det": worst}
+                                      "parity_forbidden": rows[0].parity == 1,
+                                      "max_det": worst}
             continue
-        data = [(r.n_sites, r.neg_log_overlap - g_by_n[r.n_sites]) for r in rows
-                if np.isfinite(r.neg_log_overlap)]
+        data = [(r.n_sites, r.neg_log_overlap - g_by_n[r.n_sites]) for r in rows]
         rfit = fit(data, RATIO_BASIS, drop_first=drop_first_excited)
         summary["overlaps"][k] = {"h": str(rows[0].h_label),
                                   "value": extract_overlap(rfit),

@@ -373,7 +373,8 @@ def overlap_table(p, n_values, kmax: int = 3) -> list[LoopOverlapRecord]:
 def loop_fit_summary(records, drop_first_excited: int = 3) -> dict:
     """Table-style summary: a1 and alpha from the ground state (full window,
     scaling form with N, logN), excited overlaps from ratio fits dropping the
-    first points, plus the raw k=2 overlaps (expected to vanish for N >= 10).
+    first points, plus the raw k=2 overlaps (expected to vanish for N >= 10;
+    null when no N >= 10 is present).
     """
     by_k: dict = {}
     p = None
@@ -412,6 +413,6 @@ def loop_fit_summary(records, drop_first_excited: int = 3) -> dict:
         except FitError as exc:
             summary["overlaps"][1] = {"fit_error": str(exc)}
     if 2 in by_k:
-        worst = max(abs(r.overlap) for r in by_k[2] if r.n_sites >= 10)
+        worst = max((abs(r.overlap) for r in by_k[2] if r.n_sites >= 10), default=None)
         summary["overlaps"][2] = {"max_abs_for_n_ge_10": worst, "cft": 0.0}
     return summary

@@ -100,6 +100,19 @@ class TestSubcommands:
         assert code == 0
         assert calls == [8, 10, 12, 14, 16, 18]
 
+    def test_loop_without_n_ge_10(self, capsys):
+        code, out, _ = run(capsys, "loop", "--nmin", "8", "--nmax", "8", "--kmax", "2")
+        assert code == 0
+        assert json.loads(out)["fits"]["3.0"]["overlaps"]["2"]["max_abs_for_n_ge_10"] is None
+
+    def test_ising_selection_rule_zero(self, capsys):
+        code, out, _ = run(capsys, "ising", "--nmax", "20", "--kmax", "5")
+        assert code == 0
+        # k = 5 is (1, 3): even fermion parity, two odd mode indices
+        entry = json.loads(out)["fit"]["overlaps"]["5"]
+        assert (entry["h"], entry["value"], entry["parity_forbidden"]) == ("3", 0.0, False)
+        assert entry["max_det"] < 1e-12
+
     def test_ising_csv(self, capsys, tmp_path):
         table = tmp_path / "ising.csv"
         code, _, _ = run(capsys, "ising", "--nmin", "2", "--nmax", "40",
@@ -131,9 +144,11 @@ class TestDeterminism:
 
 
 class TestErrorPaths:
-    def test_unknown_flag_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("argv", [("amplitude", "--bogus"),
+                                      ("amplitude", "--selftest")])
+    def test_unknown_flag_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["amplitude", "--bogus"])
+            build_parser().parse_args(list(argv))
         assert exc.value.code == 2
 
     def test_out_of_range_level(self, capsys):
@@ -167,6 +182,10 @@ class TestErrorPaths:
         ("ising", "--nmin", "6", "--nmax", "4"),
         ("majorana", "--g-table", "0", "0"),
         ("majorana", "--compare-virasoro", "--level", "0"),
+        ("loop", "--kmax", "-1"),
+        ("fit", "--data", os.devnull, "--drop-first", "-1"),
+        ("fit", "--data", os.devnull, "--basis", "N,foo"),
+        ("fit", "--data", os.devnull, "--basis", "N"),
     ])
     def test_bad_option_value_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -188,11 +207,3 @@ class TestErrorPaths:
         assert code == 1
         assert "ARPACK" in err and "structural" not in err
 
-
-class TestSelftests:
-    @pytest.mark.parametrize("name", ["boundary-state", "amplitude", "slitmap",
-                                      "boson", "majorana", "loop", "fit", "ising"])
-    def test_selftest_passes(self, capsys, name):
-        code, out, _ = run(capsys, name, "--selftest")
-        assert code == 0
-        assert "FAIL" not in out

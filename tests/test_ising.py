@@ -7,7 +7,8 @@ import pytest
 
 from rectcft.ising import (brute_force_reference, conformal_label, correlation_matrix,
                            enumerate_low_states, ising_fit_summary, ising_overlap_table,
-                           many_body_spectrum, neg_log_overlap, overlap_sq, solve_chain)
+                           many_body_spectrum, neg_log_overlap, overlap_allowed, overlap_sq,
+                           solve_chain)
 
 
 class TestSolveChain:
@@ -83,6 +84,22 @@ class TestOverlaps:
             for exc in ((1,), (2,), (1, 2, 3)):
                 if exc[-1] <= n:
                     assert overlap_sq(sol, exc) < 1e-12
+
+    def test_selection_rule(self):
+        # forbidden sets carry no weight, neither in det((1+G)/2) nor in the
+        # 2^N brute force: each degenerate cluster's weight is its allowed sets'
+        for n in range(1, 11):
+            sol = solve_chain(n)
+            spectrum = many_body_spectrum(sol)
+            forbidden = sum(overlap_sq(sol, exc) for _, exc in spectrum
+                            if not overlap_allowed(exc))
+            assert forbidden < 1e-14, n
+            _, dense_ov = brute_force_reference(n)
+            cuts = list(np.flatnonzero(np.diff([e for e, _ in spectrum]) > 1e-9) + 1)
+            for lo, hi in zip([0] + cuts, cuts + [len(spectrum)]):
+                allowed = sum(overlap_sq(sol, exc) for _, exc in spectrum[lo:hi]
+                              if overlap_allowed(exc))
+                assert abs(dense_ov[lo:hi].sum() - allowed) < 1e-10, (n, lo)
 
     def test_neg_log_matches_det(self):
         sol = solve_chain(40)

@@ -213,6 +213,7 @@ class TestAmplitude:
         eta = eta_inverse_power(C * F(1, 2), "qhat", order).series
         for n in range(order + 1):
             assert cpoly(a[n]) == cpoly(eta[n]), n
+        assert product_amplitude(None, order) == eta
 
     def test_coefficient_degree_bound(self):
         a = amplitude(boundary_state(10), 10)
