@@ -259,8 +259,8 @@ def _loop_weight(text):
         weight = looplattice.parse_p(text)
     except ValueError:
         weight = None
-    if weight is None or not weight.p > 0:
-        raise UsageError(f"--p {text!r}: expected a positive number or inf")
+    if weight is None or not weight.p >= 2:
+        raise UsageError(f"--p {text!r}: expected a number >= 2 or inf")
     return weight
 
 
@@ -286,9 +286,12 @@ def cmd_fit(args):
                          f"{{{','.join(fitting.TERMS)}}}")
     drop_first = _check_range("drop-first", args.drop_first, math.inf)
     with open(args.data) as fh:
-        rows = list(csv.reader(fh))
+        rows = [r for r in csv.reader(fh) if r]
     if rows and not _is_number(rows[0][0]):
         rows = rows[1:]
+    for r in rows:
+        if len(r) < 2:
+            raise ValueError(f"{args.data}: row {','.join(r)!r} has no (N, y) pair")
     data = [(float(r[0]), float(r[1])) for r in rows]
     result = fitting.fit(data, basis, drop_first=drop_first)
     _emit(args, result.to_json())
@@ -347,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=8)
 
     p = add("loop", cmd_loop, help="TL loop model sweep and Table-style fits")
-    p.add_argument("--p", default="3", help="comma list from {3,4,5,inf}")
+    p.add_argument("--p", default="3", help="comma list of p >= 2 or inf")
     p.add_argument("--nmin", type=int, default=8)
     p.add_argument("--nmax", type=int, default=24)
     p.add_argument("--kmax", type=int, default=3)

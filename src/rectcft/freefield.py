@@ -350,12 +350,6 @@ def fermion_virasoro(n: int, v: FermionVector) -> FermionVector:
     return mode_sum(fermion_mode, words, v, v.cutoff)
 
 
-def fermion_inner(u: FermionVector, v: FermionVector) -> Fraction:
-    """Orthonormal basis: <S|S'> = delta_{SS'} with psi_r^dagger = psi_{-r}."""
-    return sum((u.terms[m] * v.terms[m] for m in u.terms.keys() & v.terms.keys()),
-               Fraction(0))
-
-
 def fermion_amplitude(order: int, g: GMatrix | None = None) -> Series:
     """<B|qhat^{L_0}|B> (prefactor qhat^{-1/48} carried separately)."""
     g = g if g is not None else g_series(order)

@@ -10,8 +10,9 @@ by the exact single-particle data
 and the squared overlap of any eigenstate with the all-up product state is
 the determinant det((1 + G)/2) built from the correlation kernel
 G_ij = -sum_k s_k phi-_ki phi+_kj, where s_k = -1 on excited modes.
-Overlaps are accumulated as -log via slogdet so N = 500 needs no extended
-precision.  A 2^N brute-force reference (N <= 12) validates the pipeline.
+One LU of M0 = (1 + G0)/2 per N gives -log det M0 (so N = 500 needs no
+extended precision) and each state's det M0 * minor of a small kernel.
+A 2^N brute-force reference (N <= 12) validates the pipeline.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
 from .fitting import ABSOLUTE_BASIS, RATIO_BASIS, extract_overlap, fit
 
@@ -66,9 +68,13 @@ def overlap_sq(sol: FreeFermionSolution, excitation=()) -> float:
     """|<all-up | k1..ks>|^2 = det((1 + G)/2); alarms on determinants below
     -1e-12 (parity zeros may round to tiny negatives)."""
     g = correlation_matrix(sol, excitation)
-    det = float(np.linalg.det((np.eye(sol.n_sites) + g) / 2))
+    return _squared_overlap(np.linalg.det((np.eye(sol.n_sites) + g) / 2), sol.n_sites)
+
+
+def _squared_overlap(det, n_sites: int) -> float:
+    det = float(det)
     if det < -1e-12:
-        raise ArithmeticError(f"negative overlap determinant {det} at N={sol.n_sites}")
+        raise ArithmeticError(f"negative overlap determinant {det} at N={n_sites}")
     return max(det, 0.0)
 
 
@@ -136,6 +142,16 @@ class OverlapRecord:
                            # for forbidden states
 
 
+def _overlap_kernel(sol: FreeFermionSolution, m: int):
+    """log det M0 (raising unless det M0 > 0) and A = 1 + phi+ M0^-1 phi-^T on modes 1..m."""
+    lu, piv = scipy.linalg.lu_factor((np.eye(sol.n_sites) + correlation_matrix(sol)) / 2)
+    u = np.diag(lu)
+    if not np.prod(np.sign(u)) * (-1) ** np.count_nonzero(piv != np.arange(len(u))) > 0:
+        raise ArithmeticError(f"det((1 + G0)/2) is not positive at N={sol.n_sites}")
+    x = scipy.linalg.lu_solve((lu, piv), sol.phi_minus[:m].T)
+    return float(np.log(np.abs(u)).sum()), np.eye(m) + sol.phi_plus[:m] @ x
+
+
 def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
     """Overlap records for all N in `n_values` and the kmax+1 lowest states.
 
@@ -146,36 +162,41 @@ def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
     state; near-degenerate pairs (the two h = 4 states) are split by their
     exact energy sums.
 
-    States forbidden by `overlap_allowed` have overlap 0 identically; their
-    reported overlap is exact 0 and the raw determinant is kept in
-    `overlap_det` as the numeric consistency check.  Each state is
-    factorised once: `det` for forbidden states, `slogdet` for allowed
-    ones, where a -log that is not finite raises ArithmeticError.
+    Each N costs one LU: exciting S adds a rank-|S| term to M0, so
+    det((1 + G_S)/2) = det M0 * det A[S,S] (matrix determinant lemma), one
+    small principal minor per state.  States forbidden by `overlap_allowed`
+    are reported as exact 0, with det M0 * minor kept in `overlap_det` as
+    the numeric check; an allowed state whose minor is not positive raises
+    ArithmeticError.
     """
-    n_values = sorted(n_values)
-    n_star = n_values[-1]
-    labels = enumerate_low_states(solve_chain(n_star), kmax)
+    n_values = sorted(n_values, reverse=True)
+    sol = solve_chain(n_values[0])
+    labels = [exc for _, exc in enumerate_low_states(sol, kmax)]
+    modes = max((exc[-1] for exc in labels if exc), default=0)
     records = []
-    for n in n_values:
-        sol = solve_chain(n)
-        lam = sol.energies
-        for k, (_, exc) in enumerate(labels):
+    for n in n_values:  # largest N first, so the labels' chain is reused, not kept
+        if n != sol.n_sites:
+            sol = solve_chain(n)
+        logdet0, a = _overlap_kernel(sol, min(modes, n))
+        for k, exc in enumerate(labels):
             if exc and exc[-1] > n:
                 continue
-            e = float(sum(lam[j - 1] for j in exc))
+            s = [j - 1 for j in exc]
+            minor = float(np.linalg.det(a[np.ix_(s, s)]))
             if overlap_allowed(exc):
-                nlo = neg_log_overlap(sol, exc)
-                if not np.isfinite(nlo):
-                    raise ArithmeticError(f"-log <B|{exc}> = {nlo} at N={n}")
+                if not minor > 0:
+                    raise ArithmeticError(f"minor {minor} of <B|{exc}> at N={n}")
+                nlo = -0.5 * (logdet0 + np.log(minor))
                 ovl = float(np.exp(-nlo))
                 det = ovl ** 2
             else:
-                nlo, ovl, det = np.inf, 0.0, overlap_sq(sol, exc)
+                nlo, ovl, det = np.inf, 0.0, _squared_overlap(np.exp(logdet0) * minor, n)
             records.append(OverlapRecord(
-                n_sites=n, k=k, excitation=exc, energy_above_ground=e,
+                n_sites=n, k=k, excitation=exc,
+                energy_above_ground=float(sum(sol.energies[j] for j in s)),
                 h_label=conformal_label(exc), parity=len(exc) % 2,
                 overlap=ovl, neg_log_overlap=nlo, overlap_det=det))
-    return records
+    return sorted(records, key=lambda r: r.n_sites)
 
 
 def ising_fit_summary(records, drop_first_excited: int = 3) -> dict:

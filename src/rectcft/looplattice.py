@@ -183,7 +183,7 @@ def tl_generator_matrix(i: int, n_sites: int, beta: float) -> np.ndarray:
 
 
 def sparse_structure(n_sites: int):
-    """(states, index, offdiag A, diagonal loop counts); H = -(A + beta*diag).
+    """(states, offdiag A, diagonal loop counts); H = -(A + beta*diag).
 
     beta-independent; read off the cached move table of `link_basis`."""
     basis = link_basis(n_sites)
@@ -193,7 +193,7 @@ def sparse_structure(n_sites: int):
     cols, _ = np.nonzero(~closed)
     rows = moves[~closed]
     a = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(d, d)).tocsr()
-    return basis.states, basis.index, a, closed.sum(axis=1).astype(float)
+    return basis.states, a, closed.sum(axis=1).astype(float)
 
 
 def boundary_link_state(n_sites: int, beta: float) -> np.ndarray:
@@ -307,7 +307,7 @@ def spectrum_sparse(n_sites: int, beta: float, count: int) -> list[SpectrumEntry
     the pairs used raises, since position alone cannot pair its vectors;
     so does a request with too few physical states among the computed
     eigenvalues (ArpackShortfallError)."""
-    states, index, a, diag = sparse_structure(n_sites)
+    states, a, diag = sparse_structure(n_sites)
     h = -(a + sp.diags(beta * diag)).tocsc()
     k_req = max(count + 6, 10)
     ncv = max(60, 5 * k_req)

@@ -100,24 +100,6 @@ def apply_mode(n: int, v: VermaVector) -> VermaVector:
     return VermaVector(out, v.cutoff)
 
 
-def _raise_chain(parts, v: VermaVector):
-    """Apply L_{p} for p in parts (in order) and return the vacuum coefficient."""
-    cur = v.terms
-    for p in parts:
-        nxt: dict = {}
-        for lam, co in cur.items():
-            if sum(lam) < p:
-                continue
-            for mu, co2 in act(p, lam).items():
-                w = co * co2
-                acc = nxt.get(mu)
-                nxt[mu] = w if acc is None else acc + w
-        cur = nxt
-        if not cur:
-            return CZERO
-    return cur.get((), CZERO)
-
-
 def shapovalov(u: VermaVector, v: VermaVector) -> CPoly:
     """Bilinear form with L_n^dagger = L_{-n} and <0|0> = 1.
 
@@ -125,7 +107,10 @@ def shapovalov(u: VermaVector, v: VermaVector) -> CPoly:
     """
     total = CZERO
     for lam, co in u.terms.items():
-        val = _raise_chain(lam, v.level_component(sum(lam)))
+        w = v.level_component(sum(lam))
+        for p in lam:
+            w = apply_mode(p, w)
+        val = w.coeff(())
         if not val.is_zero():
             total = total + co * val
     return total
@@ -268,10 +253,6 @@ def p2_closed_form(order: int) -> Series:
     f2 = series_pow_scalar(poly([1, 0, 4]), Fraction(5, 8))
     f3 = series_pow_scalar(poly([1, 0, 0, 0, -16]), Fraction(-3, 4))
     return f1 * f2 * f3
-
-
-def p2_closed_form_check(order: int) -> bool:
-    return p_series(2, order) == p2_closed_form(order)
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,25 @@ class TestErrorPaths:
         code, _, err = run(capsys, "fit")
         assert code == 2
 
+    def test_fit_blank_row_is_skipped(self, capsys, tmp_path):
+        rows = ["N,y"] + [f"{n},{2*n + 1}" for n in range(4, 30, 2)]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(rows))
+        _, plain, _ = run(capsys, "fit", "--data", str(path), "--basis", "N,1")
+        path.write_text("\n".join(rows[:3] + [""] + rows[3:]) + "\n\n")
+        code, out, _ = run(capsys, "fit", "--data", str(path), "--basis", "N,1")
+        assert code == 0
+        assert out == plain
+
+    @pytest.mark.parametrize("text, row", [("N,y\n10,1.0\n12\n14,1.2\n", "'12'"),
+                                           ("N\n10\n12\n", "'10'")])
+    def test_fit_short_row_is_runtime_error(self, capsys, tmp_path, text, row):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        code, _, err = run(capsys, "fit", "--data", str(path), "--basis", "N,1")
+        assert code == 1
+        assert err.startswith("rectcft: ") and row in err
+
     def test_loop_empty_n_range(self, capsys):
         code, _, err = run(capsys, "loop", "--nmin", "20", "--nmax", "10")
         assert code == 2
@@ -176,6 +195,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
         ("loop", "--p", "abc"),
         ("loop", "--p", "0"),
+        ("loop", "--p", "1.5"),
         ("amplitude", "--order", "4", "--at-c", "x"),
         ("amplitude", "--order", "4", "--at-c", "1/0"),
         ("ising", "--nmin", "0", "--nmax", "0"),

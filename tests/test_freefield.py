@@ -11,7 +11,7 @@ from rectcft.freefield import (BosonVector, FermionVector, boson_amplitude,
                                boson_mode, boson_norm_sq, boson_product_formula,
                                boson_vacuum, boson_virasoro, fermion_amplitude,
                                fermion_annihilation_check, fermion_boundary_state,
-                               fermion_inner, fermion_level, fermion_mode,
+                               fermion_level, fermion_mode,
                                fermion_vacuum, fermion_virasoro, g_from_amatrix,
                                g_series, level_operator, mode_sum,
                                virasoro_product_state)

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from rectcft import ising
+from rectcft.cli import main
 from rectcft.ising import (brute_force_reference, conformal_label, correlation_matrix,
                            enumerate_low_states, ising_fit_summary, ising_overlap_table,
                            many_body_spectrum, neg_log_overlap, overlap_allowed, overlap_sq,
@@ -105,6 +107,48 @@ class TestOverlaps:
         sol = solve_chain(40)
         nlo = neg_log_overlap(sol)
         assert math.exp(-2 * nlo) == pytest.approx(overlap_sq(sol), rel=1e-10)
+
+
+class TestOverlapKernel:
+    """The table's one LU per N against the N x N determinant per state."""
+
+    def test_table_against_nxn_references(self):
+        ns = (1, 2, 3, 7, 40, 101, 500)
+        records = ising_overlap_table(ns, 10)
+        assert {r.n_sites for r in records} == set(ns)
+        sols = {n: solve_chain(n) for n in ns}
+        for r in records:
+            sol = sols[r.n_sites]
+            if overlap_allowed(r.excitation):
+                ref = neg_log_overlap(sol, r.excitation)
+                assert abs(r.neg_log_overlap - ref) <= 1e-12, (r.n_sites, r.excitation)
+            else:
+                assert r.overlap == 0.0
+                ref = overlap_sq(sol, r.excitation)
+                assert abs(r.overlap_det - ref) <= 1e-15, (r.n_sites, r.excitation)
+
+    def test_one_correlation_matrix_per_n(self, monkeypatch):
+        calls = []
+        original = ising.correlation_matrix
+
+        def counted(sol, excitation=()):
+            calls.append(sol.n_sites)
+            return original(sol, excitation)
+
+        monkeypatch.setattr(ising, "correlation_matrix", counted)
+        ising_overlap_table(range(2, 41, 2), 10)
+        assert sorted(calls) == list(range(2, 41, 2))
+
+    def test_nonpositive_det_m0_raises(self, monkeypatch, capsys):
+        # M0 = diag(-1, 1, ..., 1): det M0 = -1 at every N
+        def flipped(sol, excitation=()):
+            return np.diag([-3.0] + [1.0] * (sol.n_sites - 1))
+
+        monkeypatch.setattr(ising, "correlation_matrix", flipped)
+        with pytest.raises(ArithmeticError):
+            ising_overlap_table(range(2, 11, 2), 3)
+        assert main(["ising", "--nmax", "10", "--kmax", "3"]) == 1
+        assert capsys.readouterr().err.startswith("rectcft: ")
 
 
 class TestEnumeration:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from rectcft.series import C, CONE, CZERO, cpoly, eta_inverse_power, partition_numbers
 from rectcft.virasoro import (GluingParams, VermaVector, act, amplitude, apply_mode,
                               boundary_state, finitized_state, gluing_residual,
-                              homogeneous_gluing, p2_closed_form_check, p_series,
+                              homogeneous_gluing, p2_closed_form, p_series,
                               pk_conjecture_check, product_amplitude, shapovalov,
                               vacuum)
 
@@ -244,9 +244,8 @@ class TestPSeries:
         assert [p[k] for k in range(5)] == [1, 1, 2, 3, F(33, 4)]
 
     def test_p2_closed_form(self):
-        assert p2_closed_form_check(0)
-        assert p2_closed_form_check(4)
-        assert p2_closed_form_check(16)
+        for n in (0, 4, 16):
+            assert p_series(2, n) == p2_closed_form(n)
 
     def test_p3_q8(self):
         assert p_series(3, 8)[8] == F(245, 8)
