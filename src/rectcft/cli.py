@@ -271,6 +271,10 @@ def cmd_ising(args):
     n_values = list(range(nmin + nmin % 2, nmax + 1, 2))
     if not n_values or n_values[0] < 1:
         raise UsageError(f"need even N >= 2 in [{nmin}, {nmax}]")
+    # the summary's ground-state fit needs more points than its basis has terms
+    if len(n_values) <= len(fitting.ABSOLUTE_BASIS):
+        raise UsageError(f"the ground-state fit needs at least {len(fitting.ABSOLUTE_BASIS) + 1} "
+                         f"even N, [{nmin}, {nmax}] has {len(n_values)}")
     records = ising.ising_overlap_table(n_values, kmax)
     summary = ising.ising_fit_summary(records)
     csv_rows = [(r.n_sites, r.k, str(r.h_label), repr(r.overlap)) for r in records]
@@ -289,10 +293,13 @@ def cmd_fit(args):
         rows = [r for r in csv.reader(fh) if r]
     if rows and not _is_number(rows[0][0]):
         rows = rows[1:]
+    data = []
     for r in rows:
         if len(r) < 2:
             raise ValueError(f"{args.data}: row {','.join(r)!r} has no (N, y) pair")
-    data = [(float(r[0]), float(r[1])) for r in rows]
+        if not (_is_number(r[0]) and _is_number(r[1])):
+            raise ValueError(f"{args.data}: row {','.join(r)!r} is not a numeric (N, y) pair")
+        data.append((float(r[0]), float(r[1])))
     result = fitting.fit(data, basis, drop_first=drop_first)
     _emit(args, result.to_json())
 

@@ -8,6 +8,14 @@ Gram form is positive semidefinite with a nontrivial radical, so physical
 eigenstates are extracted by projecting Gram-null directions out of each
 (near-)degenerate eigenvalue cluster.
 
+The beta-independent combinatorics are whole-array numpy work, built once
+per N: the states are one int32 partner array (row k, column x = the
+partner of site x), ranked by their opener bit words; the move table of
+every e_i on every row is rewritten on those words and ranked with
+`searchsorted`; and loop counts between two states are half the cycles of
+the composed involutions, counted for many pairs at once by pointer
+doubling.
+
 Two diagonalization paths, cross-checked in the tests:
   dense (N <= 16):  full nonsymmetric eig + per-cluster Gram projection
                     (a Cholesky pencil solve is used when G is positive
@@ -23,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg as sla
@@ -62,113 +69,123 @@ def parse_p(text) -> LoopWeight:
     return LoopWeight(float(text))
 
 
-def enumerate_links(n_sites: int) -> list[tuple]:
-    """All non-crossing perfect matchings of 0..N-1, each as the tuple of
-    partner indices.  Count = Catalan(N/2)."""
+def enumerate_links(n_sites: int) -> np.ndarray:
+    """All non-crossing perfect matchings of 0..N-1 as one read-only int32
+    (Catalan(N/2), N) array of partner indices, rows in lexicographic order.
+
+    Built by the first-arc split, smallest N first: the matchings with arc
+    (0, p) are every inner matching of 1..p-1 (major) paired with every
+    outer matching of p+1..N-1, broadcast into their block of rows."""
     if n_sites % 2:
         raise ValueError("need an even number of sites")
-
-    def gen(sites):
-        if not sites:
-            yield ()
-            return
-        first = sites[0]
-        for idx in range(1, len(sites), 2):
-            partner = sites[idx]
-            for inner in gen(sites[1:idx]):
-                for outer in gen(sites[idx + 1:]):
-                    yield ((first, partner),) + inner + outer
-
-    out = []
-    for pairs in gen(tuple(range(n_sites))):
-        m = [0] * n_sites
-        for a, b in pairs:
-            m[a], m[b] = b, a
-        out.append(tuple(m))
-    return out
+    tables = [np.zeros((1, 0), dtype=np.int32)]  # tables[m]: matchings of 2m sites
+    for m in range(1, n_sites // 2 + 1):
+        pairs = [(tables[j], tables[m - 1 - j]) for j in range(m)]
+        out = np.empty((sum(len(i) * len(o) for i, o in pairs), 2 * m), dtype=np.int32)
+        row = 0
+        for p, (inner, outer) in zip(range(1, 2 * m, 2), pairs):
+            size = len(inner) * len(outer)
+            block = out[row:row + size].reshape(len(inner), len(outer), 2 * m)
+            block[..., 0], block[..., p] = p, 0
+            block[..., 1:p] = inner[:, None] + 1
+            block[..., p + 1:] = outer + (p + 1)
+            row += size
+        tables.append(out)
+    tables[-1].flags.writeable = False
+    return tables[-1]
 
 
-def adjacent_state(n_sites: int) -> tuple:
-    """(12)(34)...: every site paired with its neighbor."""
-    return tuple(i + 1 if i % 2 == 0 else i - 1 for i in range(n_sites))
-
-
-def apply_tl(i: int, state: tuple):
-    """e_i on a link state (pairs sites i, i+1, 0-based i <= N-2).
-
-    Returns (new_state, closed_loop): the new pairing joins (i, i+1) and the
-    former partners of i and i+1; a closed loop appears iff i and i+1 were
-    already partners (diagrammatically worth a factor beta)."""
-    a, b = state[i], state[i + 1]
-    if a == i + 1:
-        return state, True
-    t = list(state)
-    t[i], t[i + 1] = i + 1, i
-    t[a], t[b] = b, a
-    return tuple(t), False
-
-
-def loops_between(s1: tuple, s2: tuple) -> int:
-    """Closed loops formed by gluing s2 against the mirror image of s1:
-    the number of orbits of the composition of the two involutions."""
-    n = len(s1)
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            y = s2[x]
-            seen[y] = True
-            x = s1[y]
-    return count
+def adjacent_state(n_sites: int) -> np.ndarray:
+    """(12)(34)...: every site paired with its neighbor (row 0 of the basis)."""
+    return np.arange(n_sites, dtype=np.int32) ^ 1
 
 
 @dataclass(frozen=True)
 class LinkBasis:
-    """Link states, their index, and moves[k, i] = index of e_i on state k
-    (a closed loop iff moves[k, i] == k).  Cached and shared: read-only."""
+    """The partner array of `enumerate_links` and moves[k, i] = the row of
+    e_i applied to row k (a closed loop iff moves[k, i] == k).  Cached and
+    shared: both arrays are read-only."""
 
-    states: tuple
-    index: MappingProxyType
+    partners: np.ndarray
     moves: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def link_basis(n_sites: int) -> LinkBasis:
-    """One beta-independent basis per N, shared by every p."""
-    states = tuple(enumerate_links(n_sites))
-    index = {s: k for k, s in enumerate(states)}
-    moves = np.empty((len(states), n_sites - 1), dtype=np.int32)
-    for k, s in enumerate(states):
-        moves[k] = [index[apply_tl(i, s)[0]] for i in range(n_sites - 1)]
+    """One beta-independent basis per N, shared by every p.
+
+    A matching is fixed by its opener word (bit x set iff site x opens an
+    arc, P[x] > x), so rows are ranked by a sorted word array.  e_i pairs
+    (i, i+1) and joins the former partners a, b of i and i+1; applied to
+    every row at once, it rewrites those four bits and the result is ranked
+    by `searchsorted`.  On a closed loop (a = i+1, b = i) the rewrite gives
+    the word back, so the row stays."""
+    partners = enumerate_links(n_sites)
+    word = np.uint32 if n_sites <= 32 else np.uint64
+    one = word(1)
+    words = np.zeros(len(partners), dtype=word)
+    for x in range(n_sites):
+        words |= (partners[:, x] > x).astype(word) << x
+    rank = np.argsort(words)
+    ranked = words[rank]
+    moves = np.empty((len(partners), n_sites - 1), dtype=np.int32)
+    for i in range(n_sites - 1):
+        a, b = partners[:, i].astype(word), partners[:, i + 1].astype(word)
+        kept = words & ~((one << i) | (one << (i + 1)) | (one << a) | (one << b))
+        moves[:, i] = rank[np.searchsorted(ranked, kept | (one << i) | (one << np.minimum(a, b)))]
     moves.flags.writeable = False
-    return LinkBasis(states, MappingProxyType(index), moves)
+    return LinkBasis(partners, moves)
+
+
+_BATCH = 1 << 14  # glued partner entries per pointer-doubling batch (cache-sized)
+
+
+def _loops(glued: np.ndarray) -> np.ndarray:
+    """Closed loops of each glued pair of link states.
+
+    Row r is s0[s] for two fixed-point-free involutions s0, s; its cycles
+    come in pairs, one pair per loop.  Each cycle is counted once, at its
+    smallest site, which pointer doubling finds in every row at once."""
+    rows, n = glued.shape
+    sites = np.arange(rows * n, dtype=np.int32)
+    nxt = (glued + sites[::n, None]).ravel()
+    low = sites
+    # a cycle has at most N/2 sites: ceil(log2(N/2)) doublings cover it
+    for _ in range((n // 2 - 1).bit_length()):
+        low = np.minimum(low, low.take(nxt))
+        nxt = nxt.take(nxt)
+    return (low == sites).reshape(rows, n).sum(axis=1) // 2
 
 
 @lru_cache(maxsize=None)
 def loop_counts(n_sites: int) -> np.ndarray:
-    """loops_between for every pair of link states (read-only)."""
-    states = link_basis(n_sites).states
-    counts = np.empty((len(states), len(states)), dtype=np.int8)
-    for a, s in enumerate(states):
-        counts[a, a:] = counts[a:, a] = [loops_between(s, t) for t in states[a:]]
+    """Loops between every pair of link states (read-only): the upper
+    triangle block by block, mirrored."""
+    partners = link_basis(n_sites).partners
+    d = len(partners)
+    counts = np.empty((d, d), dtype=np.int8)
+    step = max(1, _BATCH // (n_sites * d))
+    for a in range(0, d, step):
+        block = partners[a:a + step]
+        loops = _loops(block[:, partners[a:]].reshape(-1, n_sites)).reshape(len(block), -1)
+        counts[a:a + step, a:] = loops
+        counts[a:, a:a + step] = loops.T
     counts.flags.writeable = False
     return counts
 
 
-def gram(n_sites: int, beta: float) -> np.ndarray:
+def _loop_powers(n_sites: int, beta: float) -> np.ndarray:
     # Python's float ** int, not np.power, which rounds differently
-    powers = np.array([beta ** m for m in range(n_sites // 2 + 1)])
-    return powers[loop_counts(n_sites)]
+    return np.array([beta ** m for m in range(n_sites // 2 + 1)])
+
+
+def gram(n_sites: int, beta: float) -> np.ndarray:
+    return _loop_powers(n_sites, beta)[loop_counts(n_sites)]
 
 
 def hamiltonian(n_sites: int, beta: float) -> np.ndarray:
     """H = -sum_i e_i, accumulated in increasing i."""
-    h = np.zeros((len(link_basis(n_sites).states),) * 2)
+    h = np.zeros((len(link_basis(n_sites).partners),) * 2)
     for i in range(n_sites - 1):
         h -= tl_generator_matrix(i, n_sites, beta)
     return h
@@ -183,29 +200,26 @@ def tl_generator_matrix(i: int, n_sites: int, beta: float) -> np.ndarray:
 
 
 def sparse_structure(n_sites: int):
-    """(states, offdiag A, diagonal loop counts); H = -(A + beta*diag).
+    """(partners, offdiag A, diagonal loop counts); H = -(A + beta*diag).
 
     beta-independent; read off the cached move table of `link_basis`."""
     basis = link_basis(n_sites)
-    d, moves = len(basis.states), basis.moves
+    d, moves = len(basis.partners), basis.moves
     closed = moves == np.arange(d)[:, None]
     # row-major order: state k outer, generator i inner
     cols, _ = np.nonzero(~closed)
     rows = moves[~closed]
     a = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(d, d)).tocsr()
-    return basis.states, a, closed.sum(axis=1).astype(float)
+    return basis.partners, a, closed.sum(axis=1).astype(float)
 
 
-def boundary_link_state(n_sites: int, beta: float) -> np.ndarray:
-    """beta^{-N/2} on the all-adjacent-arcs pattern, as a link-basis vector."""
-    basis = link_basis(n_sites)
-    v = np.zeros(len(basis.states))
-    v[basis.index[adjacent_state(n_sites)]] = beta ** (-n_sites / 2)
-    return v
-
-
-def gram_row(states, beta: float, s0: tuple) -> np.ndarray:
-    return np.array([beta ** loops_between(s0, s) for s in states])
+def gram_row(partners, beta: float, s0) -> np.ndarray:
+    """Row s0 (a partner row) of the Gram matrix: beta^{loops(s0, s)} for
+    every row s of `partners`."""
+    step = max(1, _BATCH // partners.shape[1])
+    counts = np.concatenate([_loops(s0[partners[r:r + step]])
+                             for r in range(0, len(partners), step)])
+    return _loop_powers(partners.shape[1], beta)[counts]
 
 
 class DegenerateNormError(ArithmeticError):
@@ -240,10 +254,10 @@ def eigenvalue_clusters(energies):
         i = j
 
 
-def _with_overlaps(n_sites, beta, states, picked) -> list[SpectrumEntry]:
+def _with_overlaps(n_sites, beta, partners, picked) -> list[SpectrumEntry]:
     """Entry k for the k-th (energy, loop-normalized vector), signed so
     that <B|k> >= 0."""
-    row = gram_row(states, beta, adjacent_state(n_sites))
+    row = gram_row(partners, beta, adjacent_state(n_sites))
     out = []
     for k, (e, v) in enumerate(picked):
         ovl = beta ** (-n_sites / 2) * float(row @ v)
@@ -294,7 +308,7 @@ def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]
                 if lam[t] > NULL_TOL * scale:
                     picked.append((float(energies[i:j].mean()),
                                    block @ u[:, t] / math.sqrt(lam[t])))
-    return _with_overlaps(n_sites, beta, link_basis(n_sites).states, picked[:count + 1])
+    return _with_overlaps(n_sites, beta, link_basis(n_sites).partners, picked[:count + 1])
 
 
 def spectrum_sparse(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
@@ -307,7 +321,7 @@ def spectrum_sparse(n_sites: int, beta: float, count: int) -> list[SpectrumEntry
     the pairs used raises, since position alone cannot pair its vectors;
     so does a request with too few physical states among the computed
     eigenvalues (ArpackShortfallError)."""
-    states, a, diag = sparse_structure(n_sites)
+    partners, a, diag = sparse_structure(n_sites)
     h = -(a + sp.diags(beta * diag)).tocsc()
     k_req = max(count + 6, 10)
     ncv = max(60, 5 * k_req)
@@ -335,7 +349,7 @@ def spectrum_sparse(n_sites: int, beta: float, count: int) -> list[SpectrumEntry
                 "left/right pairing is ambiguous")
         v, w = vr[:, t], vl[:, t]
         anchor = int(np.argmax(np.abs(w)))
-        row_anchor = gram_row(states, beta, states[anchor])
+        row_anchor = gram_row(partners, beta, partners[anchor])
         const = float(row_anchor @ v) / w[anchor]
         norm_sq = const * float(v @ w)
         if norm_sq <= NULL_TOL * float(np.abs(row_anchor).max()):
@@ -345,7 +359,7 @@ def spectrum_sparse(n_sites: int, beta: float, count: int) -> list[SpectrumEntry
         raise ArpackShortfallError(
             f"only {len(picked)} of the {count + 1} requested physical states are among "
             f"the {k_req} lowest ARPACK eigenvalues at N={n_sites}")
-    return _with_overlaps(n_sites, beta, states, picked)
+    return _with_overlaps(n_sites, beta, partners, picked)
 
 
 def spectrum(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from rectcft import looplattice
+from rectcft import ising, looplattice
 from rectcft.cli import build_parser, main
 
 
@@ -186,6 +186,27 @@ class TestErrorPaths:
         code, _, err = run(capsys, "fit", "--data", str(path), "--basis", "N,1")
         assert code == 1
         assert err.startswith("rectcft: ") and row in err
+
+    @pytest.mark.parametrize("text, row", [("N,y\n10,abc\n", "'10,abc'"),
+                                           ("N,y\n10,1.0\nx2,1.1\n", "'x2,1.1'")])
+    def test_fit_non_numeric_field_is_runtime_error(self, capsys, tmp_path, text, row):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        code, _, err = run(capsys, "fit", "--data", str(path), "--basis", "N,1")
+        assert code == 1
+        assert err.startswith(f"rectcft: {path}: ") and row in err
+
+    @pytest.mark.parametrize("argv", [("--nmin", "2", "--nmax", "2", "--kmax", "3"),
+                                      ("--nmin", "1000", "--nmax", "1000"),
+                                      ("--nmin", "2", "--nmax", "10", "--kmax", "0")])
+    def test_ising_too_few_n_for_ground_fit(self, capsys, monkeypatch, argv):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the table was computed")
+
+        monkeypatch.setattr(ising, "ising_overlap_table", not_reached)
+        code, _, err = run(capsys, "ising", *argv)
+        assert code == 2
+        assert "ground-state fit needs at least 6 even N" in err
 
     def test_loop_empty_n_range(self, capsys):
         code, _, err = run(capsys, "loop", "--nmin", "20", "--nmax", "10")

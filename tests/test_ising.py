@@ -147,7 +147,7 @@ class TestOverlapKernel:
         monkeypatch.setattr(ising, "correlation_matrix", flipped)
         with pytest.raises(ArithmeticError):
             ising_overlap_table(range(2, 11, 2), 3)
-        assert main(["ising", "--nmax", "10", "--kmax", "3"]) == 1
+        assert main(["ising", "--nmax", "12", "--kmax", "3"]) == 1
         assert capsys.readouterr().err.startswith("rectcft: ")
 
 

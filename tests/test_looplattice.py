@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rectcft.looplattice import (DegenerateNormError, adjacent_state, apply_tl,
-                                 boundary_link_state, enumerate_links, gram,
-                                 gram_row, hamiltonian, link_basis, loop_counts,
-                                 loop_fit_summary, loops_between, overlap_table,
-                                 parse_p, spectrum, spectrum_dense, spectrum_sparse,
-                                 spl, tl_generator_matrix)
+from rectcft.looplattice import (DegenerateNormError, adjacent_state, enumerate_links,
+                                 gram, gram_row, hamiltonian, link_basis, loop_counts,
+                                 loop_fit_summary, overlap_table, parse_p, spectrum,
+                                 spectrum_dense, spectrum_sparse, spl, tl_generator_matrix)
+from reference import apply_tl, boundary_link_state, loops_between
 
 BETA3 = 2 * math.cos(math.pi / 4)  # p = 3
 
@@ -26,19 +25,20 @@ class TestLinkStates:
             assert len(enumerate_links(n)) == catalan(n // 2)
 
     def test_n4_states(self):
-        states = set(enumerate_links(4))
-        assert states == {(1, 0, 3, 2), (3, 2, 1, 0)}  # (12)(34) and (14)(23)
+        # (12)(34) and (14)(23), in lexicographic order
+        assert enumerate_links(4).tolist() == [[1, 0, 3, 2], [3, 2, 1, 0]]
         # the cached basis is shared by every caller, so it is read-only
         basis = link_basis(4)
         assert basis is link_basis(4)
-        assert basis.states == tuple(enumerate_links(4))
-        adj, other = basis.index[(1, 0, 3, 2)], basis.index[(3, 2, 1, 0)]
+        assert np.array_equal(basis.partners, enumerate_links(4))
         # e_1 and e_3 close a loop on (12)(34); e_2 takes it to (14)(23)
-        assert basis.moves[adj].tolist() == [adj, other, adj]
+        assert basis.moves[0].tolist() == [0, 1, 0]
         with pytest.raises(ValueError):
             basis.moves[0, 0] = 1
-        with pytest.raises(TypeError):
-            basis.index[(1, 0, 3, 2)] = 1
+        with pytest.raises(ValueError):
+            basis.partners[0, 0] = 1
+        with pytest.raises(ValueError):
+            enumerate_links(4)[0, 0] = 1
         with pytest.raises(ValueError):
             loop_counts(4)[0, 0] = 0
 
@@ -50,6 +50,53 @@ class TestLinkStates:
                     c, d = sorted((j, s[j]))
                     crossing = a < c < b < d
                     assert not crossing
+
+
+def crossing(s) -> bool:
+    arcs = [(x, s[x]) for x in range(len(s)) if s[x] > x]
+    return any(a < c < b < d for a, b in arcs for c, d in arcs)
+
+
+class TestAgainstScalarReferences:
+    """The whole-array link combinatorics against the one-state references."""
+
+    def test_partner_rows_in_enumeration_order(self):
+        for n in range(2, 15, 2):
+            rows = [tuple(r) for r in enumerate_links(n).tolist()]
+            # Catalan(N/2) distinct non-crossing matchings are all of them;
+            # sorted means lexicographic order, the order of the first-arc split
+            assert len(rows) == catalan(n // 2)
+            assert rows == sorted(set(rows))
+            for s in rows:
+                assert all(s[s[x]] == x != s[x] for x in range(n))
+                assert not crossing(s)
+            assert rows[0] == tuple(adjacent_state(n).tolist())
+
+    def test_moves_against_apply_tl(self):
+        for n in range(2, 15, 2):
+            basis = link_basis(n)
+            rows = [tuple(r) for r in basis.partners.tolist()]
+            rank = {s: k for k, s in enumerate(rows)}
+            for k, s in enumerate(rows):
+                for i in range(n - 1):
+                    t, closed = apply_tl(i, s)
+                    assert basis.moves[k, i] == rank[t]
+                    assert (basis.moves[k, i] == k) == closed
+
+    def test_loop_counts_against_loops_between(self):
+        for n in range(2, 13, 2):
+            rows = link_basis(n).partners.tolist()
+            expect = [[loops_between(s, t) for t in rows] for s in rows]
+            assert loop_counts(n).tolist() == expect
+
+    def test_gram_row_at_random_anchors(self):
+        partners = link_basis(18).partners
+        rows = partners.tolist()
+        for anchor in np.random.default_rng(7).choice(len(rows), size=4, replace=False):
+            loops = [loops_between(rows[anchor], t) for t in rows]
+            for beta in (BETA3, 2.0):
+                row = gram_row(partners, beta, partners[anchor])
+                assert row.tolist() == [beta ** m for m in loops]
 
 
 class TestTLAction:
@@ -92,9 +139,7 @@ class TestGram:
     def test_n4_gram(self):
         g = gram(4, 1.5)
         b = 1.5
-        states = enumerate_links(4)
-        adj = states.index((1, 0, 3, 2))
-        other = 1 - adj
+        adj, other = 0, 1  # (12)(34), (14)(23)
         assert g[adj, adj] == pytest.approx(b ** 2)
         assert g[adj, other] == pytest.approx(b)
 
@@ -111,9 +156,7 @@ class TestHamiltonian:
 
     def test_n4_by_hand(self):
         beta = 1.5
-        states = enumerate_links(4)
-        idx = {s: k for k, s in enumerate(states)}
-        a, b = idx[(1, 0, 3, 2)], idx[(3, 2, 1, 0)]
+        a, b = 0, 1  # (12)(34), (14)(23)
         h = hamiltonian(4, beta)
         # e1+e3 act diagonally on (12)(34); e2 maps it to (14)(23), and v.v.
         expect = np.zeros((2, 2))
@@ -139,9 +182,8 @@ class TestHamiltonian:
 class TestBoundaryState:
     def test_coefficient(self):
         v = boundary_link_state(4, BETA3)
-        states = enumerate_links(4)
-        adj = states.index(adjacent_state(4))
-        assert v[adj] == pytest.approx(BETA3 ** -2)
+        assert enumerate_links(4)[0].tolist() == adjacent_state(4).tolist()
+        assert v[0] == pytest.approx(BETA3 ** -2)
         assert np.count_nonzero(v) == 1
 
     def test_loop_norm(self):
