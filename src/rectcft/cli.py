@@ -242,8 +242,8 @@ def cmd_loop(args):
     nmax = _check_range("nmax", args.nmax, 26)
     kmax = _check_range("kmax", args.kmax, 40)
     n_values = range(nmin + nmin % 2, nmax + 1, 2)
-    if not n_values:
-        raise UsageError(f"no even N in [{nmin}, {nmax}]")
+    if not n_values or n_values[0] < 2:
+        raise UsageError(f"no even N >= 2 in [{nmin}, {nmax}]")
     weights = dict.fromkeys(_loop_weight(p) for p in args.p.split(","))
     tables = {w: looplattice.overlap_table(w.p, n_values, kmax) for w in weights}
     csv_rows = [("inf" if math.isinf(r.p) else r.p, r.n_sites, r.k, repr(r.energy),
@@ -271,10 +271,19 @@ def cmd_ising(args):
     n_values = list(range(nmin + nmin % 2, nmax + 1, 2))
     if not n_values or n_values[0] < 1:
         raise UsageError(f"need even N >= 2 in [{nmin}, {nmax}]")
-    # the summary's ground-state fit needs more points than its basis has terms
+    # each summary fit needs more points than terms: the ground state's on every
+    # N, an allowed excited state's (labelled as in the table) on the N >= its
+    # top mode, less the DROP_FIRST_EXCITED smallest
     if len(n_values) <= len(fitting.ABSOLUTE_BASIS):
         raise UsageError(f"the ground-state fit needs at least {len(fitting.ABSOLUTE_BASIS) + 1} "
                          f"even N, [{nmin}, {nmax}] has {len(n_values)}")
+    need = len(fitting.RATIO_BASIS) + fitting.DROP_FIRST_EXCITED + 1
+    labels = ising.enumerate_low_states(ising.solve_chain(n_values[-1]), kmax)
+    for k, (_, exc) in enumerate(labels[1:], 1):
+        have = sum(n >= exc[-1] for n in n_values)
+        if have < need and ising.overlap_allowed(exc):
+            raise UsageError(f"the <B|{k}> ratio fit needs at least {need} even N >= "
+                             f"{exc[-1]}, [{nmin}, {nmax}] has {have}")
     records = ising.ising_overlap_table(n_values, kmax)
     summary = ising.ising_fit_summary(records)
     csv_rows = [(r.n_sites, r.k, str(r.h_label), repr(r.overlap)) for r in records]

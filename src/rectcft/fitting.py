@@ -20,6 +20,7 @@ TERMS = ("N", "logN", "1", "1/N", "1/N^2", "1/N^3")
 
 ABSOLUTE_BASIS = ("N", "logN", "1", "1/N", "1/N^2")
 RATIO_BASIS = ("1", "1/N", "1/N^2", "1/N^3")
+DROP_FIRST_EXCITED = 3  # smallest-N points the summaries' ratio fits leave out
 
 
 class FitError(ValueError):

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .fitting import ABSOLUTE_BASIS, RATIO_BASIS, extract_overlap, fit
+from .fitting import ABSOLUTE_BASIS, DROP_FIRST_EXCITED, RATIO_BASIS, extract_overlap, fit
 
 
 @dataclass
@@ -199,7 +199,7 @@ def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
     return sorted(records, key=lambda r: r.n_sites)
 
 
-def ising_fit_summary(records, drop_first_excited: int = 3) -> dict:
+def ising_fit_summary(records, drop_first_excited: int = DROP_FIRST_EXCITED) -> dict:
     """a1, alpha from the ground-state series and <B|k> from ratio fits.
 
     States forbidden by `overlap_allowed` are reported as exact zeros

@@ -17,13 +17,12 @@ the composed involutions, counted for many pairs at once by pointer
 doubling.
 
 Two diagonalization paths, cross-checked in the tests:
-  dense (N <= 16):  full nonsymmetric eig + per-cluster Gram projection
-                    (a Cholesky pencil solve is used when G is positive
-                    definite, e.g. larger p);
-  sparse (N > 16):  ARPACK on H and H^T; for a simple eigenvalue the left
-                    eigenvector w is proportional to G v, and the constant
-                    follows from a single computable row of G, giving loop
-                    norms and overlaps without ever materializing G.
+  sparse:  ARPACK on H and H^T wherever the basis is larger than the Arnoldi
+           space of `arnoldi_size`; for a simple eigenvalue the left
+           eigenvector w is proportional to G v, and the constant follows from
+           one computable row of G: loop norms and overlaps without G;
+  dense:   the smaller bases (N <= 10 for kmax <= 20, N <= 12 up to the kmax
+           cap of 40): full nonsymmetric eig + per-cluster Gram projection.
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
-from .fitting import ABSOLUTE_BASIS, RATIO_BASIS, FitError, extract_overlap, fit
-
-DENSE_LIMIT = 16
+from .fitting import ABSOLUTE_BASIS, DROP_FIRST_EXCITED, RATIO_BASIS, FitError, extract_overlap, fit
 
 
 @dataclass(frozen=True)
@@ -227,8 +224,9 @@ class DegenerateNormError(ArithmeticError):
 
 
 class ArpackShortfallError(RuntimeError):
-    """Fewer physical states than requested among the computed ARPACK
-    eigenvalues (a resource limit, not a broken exact invariant)."""
+    """Fewer physical states than requested: among the computed ARPACK
+    eigenvalues, or in the whole basis on the dense route (a limit of the
+    request, not a broken exact invariant)."""
 
 
 @dataclass
@@ -270,45 +268,37 @@ def _with_overlaps(n_sites, beta, partners, picked) -> list[SpectrumEntry]:
 def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
     """Lowest `count`+1 physical states by full diagonalization.
 
-    Gram-positive-definite case: symmetric pencil (GH) v = E G v, which
-    yields loop-normalized eigenvectors directly.  Otherwise (the loop form
-    has a radical at these roots of unity) fall back to plain eig and
-    project each eigenvalue cluster onto the Gram-positive subspace."""
+    The loop form has a radical at these roots of unity, so each cluster of
+    eig's eigenvalues is projected onto the Gram-positive subspace (which
+    also covers a positive-definite G).  Fewer physical states than
+    requested raise ArpackShortfallError, as on the sparse route."""
     g = gram(n_sites, beta)
     scale = g.max()
-    # Cholesky alone is not a safe positivity test: at the root-of-unity
-    # weights the Gram radical shows up as eigenvalues at roundoff scale,
-    # which factor "successfully" and poison the pencil solve
-    gram_eigs = np.linalg.eigvalsh(g)
-    positive = gram_eigs.min() > 1e-10 * gram_eigs.max()
-    # H stays unnamed, so its memory is freed before the eigensolver runs
-    if positive:
-        energies, vectors = sla.eigh(g @ hamiltonian(n_sites, beta), g)
-        picked = [(float(energies[t]), vectors[:, t])
-                  for t in np.argsort(energies)[:count + 1]]
-    else:
-        picked = []  # (energy, loop-normalized vector)
-        energies, vectors = sla.eig(hamiltonian(n_sites, beta))
-        if np.abs(energies.imag).max() > 1e-9:
-            raise DegenerateNormError("complex eigenvalues in the link-basis H")
-        energies = energies.real
-        vectors = vectors.real
-        order = np.argsort(energies)
-        energies, vectors = energies[order], vectors[:, order]
-        for i, j in eigenvalue_clusters(energies):
-            if len(picked) > count:
-                break
-            block = vectors[:, i:j]
-            m = block.T @ g @ block
-            lam, u = np.linalg.eigh(m)
-            if lam.min() < -NULL_TOL * scale:
-                raise DegenerateNormError(
-                    f"negative loop norm {lam.min()} at N={n_sites}")
-            for t in range(len(lam)):
-                if lam[t] > NULL_TOL * scale:
-                    picked.append((float(energies[i:j].mean()),
-                                   block @ u[:, t] / math.sqrt(lam[t])))
+    picked = []  # (energy, loop-normalized vector)
+    energies, vectors = sla.eig(hamiltonian(n_sites, beta))
+    if np.abs(energies.imag).max() > 1e-9:
+        raise DegenerateNormError("complex eigenvalues in the link-basis H")
+    order = np.argsort(energies.real)
+    energies, vectors = energies.real[order], vectors.real[:, order]
+    for i, j in eigenvalue_clusters(energies):
+        if len(picked) > count:
+            break
+        block = vectors[:, i:j]
+        lam, u = np.linalg.eigh(block.T @ g @ block)
+        if lam.min() < -NULL_TOL * scale:
+            raise DegenerateNormError(f"negative loop norm {lam.min()} at N={n_sites}")
+        picked += [(float(energies[i:j].mean()), block @ u[:, t] / math.sqrt(lam[t]))
+                   for t in range(len(lam)) if lam[t] > NULL_TOL * scale]
+    if len(picked) < count + 1:
+        raise ArpackShortfallError(f"only {len(picked)} of the {count + 1} requested "
+                                   f"physical states exist at N={n_sites}")
     return _with_overlaps(n_sites, beta, link_basis(n_sites).partners, picked[:count + 1])
+
+
+def arnoldi_size(count: int) -> tuple[int, int]:
+    """(k, ncv) of the ARPACK runs: k leaves spares for Gram-null states."""
+    k = max(count + 6, 10)
+    return k, max(60, 5 * k)
 
 
 def spectrum_sparse(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
@@ -323,8 +313,7 @@ def spectrum_sparse(n_sites: int, beta: float, count: int) -> list[SpectrumEntry
     eigenvalues (ArpackShortfallError)."""
     partners, a, diag = sparse_structure(n_sites)
     h = -(a + sp.diags(beta * diag)).tocsc()
-    k_req = max(count + 6, 10)
-    ncv = max(60, 5 * k_req)
+    k_req, ncv = arnoldi_size(count)
     # fixed start vector: ARPACK's default is random, which would break the
     # byte-identical-rerun guarantee; the ones vector has a large component
     # along the sign-uniform ground state
@@ -363,9 +352,10 @@ def spectrum_sparse(n_sites: int, beta: float, count: int) -> list[SpectrumEntry
 
 
 def spectrum(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
-    if n_sites <= DENSE_LIMIT:
-        return spectrum_dense(n_sites, beta, count)
-    return spectrum_sparse(n_sites, beta, count)
+    """ARPACK wherever it can run (k + 1 < ncv <= dim), else dense."""
+    if len(link_basis(n_sites).partners) > arnoldi_size(count)[1]:
+        return spectrum_sparse(n_sites, beta, count)
+    return spectrum_dense(n_sites, beta, count)
 
 
 @dataclass
@@ -384,7 +374,7 @@ def overlap_table(p, n_values, kmax: int = 3) -> list[LoopOverlapRecord]:
             for n in sorted(n_values) for e in spectrum(n, weight.beta, kmax)]
 
 
-def loop_fit_summary(records, drop_first_excited: int = 3) -> dict:
+def loop_fit_summary(records, drop_first_excited: int = DROP_FIRST_EXCITED) -> dict:
     """Table-style summary: a1 and alpha from the ground state (full window,
     scaling form with N, logN), excited overlaps from ratio fits dropping the
     first points, plus the raw k=2 overlaps (expected to vanish for N >= 10;

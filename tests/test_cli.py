@@ -133,10 +133,10 @@ class TestSubcommands:
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, capsys):
-        # the loop run covers the dense (N <= 16) and ARPACK paths; its
-        # second run reuses the cached link bases
+        # the loop run covers the dense (N = 10) and ARPACK (N = 12..16)
+        # paths; its second run reuses the cached link bases
         for argv in (("pn", "--slits-exponent", "2", "--order", "6"),
-                     ("loop", "--p", "3", "--nmin", "14", "--nmax", "18", "--kmax", "1",
+                     ("loop", "--p", "3", "--nmin", "10", "--nmax", "16", "--kmax", "1",
                       "--format", "csv")):
             _, out1, _ = run(capsys, *argv)
             _, out2, _ = run(capsys, *argv)
@@ -208,6 +208,31 @@ class TestErrorPaths:
         assert code == 2
         assert "ground-state fit needs at least 6 even N" in err
 
+    @pytest.mark.parametrize("argv", [("--nmin", "2", "--nmax", "12", "--kmax", "3"),
+                                      ("--nmin", "20", "--nmax", "32", "--kmax", "3")])
+    def test_ising_too_few_n_for_ratio_fit(self, capsys, monkeypatch, argv):
+        # k = 3 is (1, 2), an allowed state: its ratio fit drops 3 of the N
+        # and needs 5 more for its 4 terms
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the table was computed")
+
+        monkeypatch.setattr(ising, "ising_overlap_table", not_reached)
+        code, _, err = run(capsys, "ising", *argv)
+        assert code == 2
+        assert "the <B|3> ratio fit needs at least 8 even N >= 2" in err
+
+    def test_loop_dense_shortfall_is_runtime_error(self, capsys):
+        # p = 2 (beta = 1) has one physical state at every N: k = 1 cannot
+        # be had on the dense route (N = 8, 10) either
+        code, _, err = run(capsys, "loop", "--p", "2", "--nmin", "8", "--nmax", "10",
+                           "--kmax", "1")
+        assert code == 1
+        assert "only 1 of the 2 requested physical states exist at N=8" in err
+        code, out, _ = run(capsys, "loop", "--p", "2", "--nmin", "8", "--nmax", "10",
+                           "--kmax", "0", "--format", "csv")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 2
+
     def test_loop_empty_n_range(self, capsys):
         code, _, err = run(capsys, "loop", "--nmin", "20", "--nmax", "10")
         assert code == 2
@@ -224,6 +249,7 @@ class TestErrorPaths:
         ("majorana", "--g-table", "0", "0"),
         ("majorana", "--compare-virasoro", "--level", "0"),
         ("loop", "--kmax", "-1"),
+        ("loop", "--nmin", "0", "--nmax", "4", "--kmax", "0"),
         ("fit", "--data", os.devnull, "--drop-first", "-1"),
         ("fit", "--data", os.devnull, "--basis", "N,foo"),
         ("fit", "--data", os.devnull, "--basis", "N"),

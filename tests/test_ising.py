@@ -147,7 +147,8 @@ class TestOverlapKernel:
         monkeypatch.setattr(ising, "correlation_matrix", flipped)
         with pytest.raises(ArithmeticError):
             ising_overlap_table(range(2, 11, 2), 3)
-        assert main(["ising", "--nmax", "12", "--kmax", "3"]) == 1
+        # 8 even N: enough for the <B|3> ratio fit, so the table is reached
+        assert main(["ising", "--nmax", "16", "--kmax", "3"]) == 1
         assert capsys.readouterr().err.startswith("rectcft: ")
 
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rectcft.looplattice import (DegenerateNormError, adjacent_state, enumerate_links,
-                                 gram, gram_row, hamiltonian, link_basis, loop_counts,
-                                 loop_fit_summary, overlap_table, parse_p, spectrum,
+from rectcft.looplattice import (ArpackShortfallError, DegenerateNormError, adjacent_state,
+                                 enumerate_links, gram, gram_row, hamiltonian, link_basis,
+                                 loop_counts, loop_fit_summary, overlap_table, parse_p, spectrum,
                                  spectrum_dense, spectrum_sparse, spl, tl_generator_matrix)
 from reference import apply_tl, boundary_link_state, loops_between
 
@@ -212,12 +212,35 @@ class TestSpectrum:
             assert np.abs(h @ e.vector - e.energy * e.vector).max() < 1e-8
 
     def test_dense_vs_sparse(self):
-        for n in (12, 14):
-            d = spectrum_dense(n, BETA3, 3)
-            s = spectrum_sparse(n, BETA3, 3)
-            for a, b in zip(d, s):
-                assert a.energy == pytest.approx(b.energy, abs=1e-9)
-                assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
+        for p in (3, 5, math.inf):
+            beta = parse_p(p).beta
+            for n in (12, 14, 16):
+                d = spectrum_dense(n, beta, 3)
+                s = spectrum_sparse(n, beta, 3)
+                assert len(d) == len(s) == 4
+                for a, b in zip(d, s):
+                    assert a.energy == pytest.approx(b.energy, abs=1e-9)
+                    assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
+
+    def test_arpack_wherever_its_krylov_space_fits(self, monkeypatch):
+        # ARPACK needs k + 1 < ncv <= dim: at kmax 3 the Arnoldi space has 60
+        # vectors, so Catalan(6) = 132 goes sparse and Catalan(5) = 42 dense
+        eigs, calls = spl.eigs, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(spl, "eigs", counting)
+        spectrum(10, BETA3, 3)
+        assert calls == []
+        spectrum(12, BETA3, 3)
+        assert calls == [132, 132]
+
+    def test_dense_shortfall_raises(self):
+        # N = 4 has two link states in all
+        with pytest.raises(ArpackShortfallError, match="only 2 of the 4 .* at N=4"):
+            spectrum(4, BETA3, 3)
 
     def test_gap_ratios_approach_field_content(self):
         # scaled gaps carry a nonuniversal velocity; their ratios approach
