@@ -271,20 +271,12 @@ def cmd_ising(args):
     n_values = list(range(nmin + nmin % 2, nmax + 1, 2))
     if not n_values or n_values[0] < 1:
         raise UsageError(f"need even N >= 2 in [{nmin}, {nmax}]")
-    # each summary fit needs more points than terms: the ground state's on every
-    # N, an allowed excited state's (labelled as in the table) on the N >= its
-    # top mode, less the DROP_FIRST_EXCITED smallest
-    if len(n_values) <= len(fitting.ABSOLUTE_BASIS):
-        raise UsageError(f"the ground-state fit needs at least {len(fitting.ABSOLUTE_BASIS) + 1} "
-                         f"even N, [{nmin}, {nmax}] has {len(n_values)}")
-    need = len(fitting.RATIO_BASIS) + fitting.DROP_FIRST_EXCITED + 1
-    labels = ising.enumerate_low_states(ising.solve_chain(n_values[-1]), kmax)
-    for k, (_, exc) in enumerate(labels[1:], 1):
-        have = sum(n >= exc[-1] for n in n_values)
-        if have < need and ising.overlap_allowed(exc):
-            raise UsageError(f"the <B|{k}> ratio fit needs at least {need} even N >= "
-                             f"{exc[-1]}, [{nmin}, {nmax}] has {have}")
-    records = ising.ising_overlap_table(n_values, kmax)
+    labels = ising.table_labels(n_values, kmax)
+    try:
+        ising.check_fit_points(n_values, labels)
+    except fitting.FitError as exc:
+        raise UsageError(f"{exc} in [{nmin}, {nmax}]") from None
+    records = ising.ising_overlap_table(n_values, kmax, labels)
     summary = ising.ising_fit_summary(records)
     csv_rows = [(r.n_sites, r.k, str(r.h_label), repr(r.overlap)) for r in records]
     _emit_table(args, csv_rows, ("N", "k", "h_label", "overlap"), summary, "fit")
@@ -398,7 +390,7 @@ def main(argv=None) -> int:
         print(f"rectcft: structural check failed: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError, ArithmeticError, ArpackError,
-            looplattice.ArpackShortfallError) as exc:
+            looplattice.ShortfallError) as exc:
         print(f"rectcft: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .fitting import ABSOLUTE_BASIS, DROP_FIRST_EXCITED, RATIO_BASIS, extract_overlap, fit
+from .fitting import ABSOLUTE_BASIS, DROP_FIRST_EXCITED, RATIO_BASIS, FitError, extract_overlap, fit
 
 
 @dataclass
@@ -152,15 +152,32 @@ def _overlap_kernel(sol: FreeFermionSolution, m: int):
     return float(np.log(np.abs(u)).sum()), np.eye(m) + sol.phi_plus[:m] @ x
 
 
-def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
+def table_labels(n_values, kmax: int) -> list[tuple]:
+    """The excitation sets that `ising_overlap_table` labels k = 0..kmax:
+    the kmax+1 lowest at the largest N."""
+    return [exc for _, exc in enumerate_low_states(solve_chain(max(n_values)), kmax)]
+
+
+def check_fit_points(n_values, labels) -> None:
+    """FitError unless each fit of `ising_fit_summary` gets more points than
+    terms: the ground state's on all N, an allowed excited state's on the N
+    >= its top mode less the DROP_FIRST_EXCITED smallest."""
+    for k, exc in enumerate(labels):
+        top = exc[-1] if exc else 2
+        need = len(RATIO_BASIS) + DROP_FIRST_EXCITED + 1 if k else len(ABSOLUTE_BASIS) + 1
+        have = sum(n >= top for n in n_values)
+        if have < need and overlap_allowed(exc):
+            name = f"<B|{k}> ratio" if k else "ground-state"
+            raise FitError(f"the {name} fit needs at least {need} even N >= {top}, got {have}")
+
+
+def ising_overlap_table(n_values, kmax: int, labels=None) -> list[OverlapRecord]:
     """Overlap records for all N in `n_values` and the kmax+1 lowest states.
 
-    States are labeled by excitation content: the kmax+1 lowest sets at the
-    largest N define k = 0..kmax, and the same sets are tracked at every
-    smaller N (skipped where a mode index exceeds N).  This realizes the
-    ordering of the asymptotic spectrum and keeps each fit on one physical
-    state; near-degenerate pairs (the two h = 4 states) are split by their
-    exact energy sums.
+    States are labelled by `table_labels` (unless given `labels`, its result)
+    and tracked at every smaller N, skipped where a mode index exceeds N.  This
+    keeps each fit on one physical state; near-degenerate pairs (the two
+    h = 4 states) are split by their exact energy sums.
 
     Each N costs one LU: exciting S adds a rank-|S| term to M0, so
     det((1 + G_S)/2) = det M0 * det A[S,S] (matrix determinant lemma), one
@@ -170,13 +187,11 @@ def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
     ArithmeticError.
     """
     n_values = sorted(n_values, reverse=True)
-    sol = solve_chain(n_values[0])
-    labels = [exc for _, exc in enumerate_low_states(sol, kmax)]
+    labels = labels or table_labels(n_values, kmax)
     modes = max((exc[-1] for exc in labels if exc), default=0)
     records = []
-    for n in n_values:  # largest N first, so the labels' chain is reused, not kept
-        if n != sol.n_sites:
-            sol = solve_chain(n)
+    for n in n_values:  # largest N first, while the records are few
+        sol = solve_chain(n)
         logdet0, a = _overlap_kernel(sol, min(modes, n))
         for k, exc in enumerate(labels):
             if exc and exc[-1] > n:

@@ -22,7 +22,8 @@ Two diagonalization paths, cross-checked in the tests:
            eigenvector w is proportional to G v, and the constant follows from
            one computable row of G: loop norms and overlaps without G;
   dense:   the smaller bases (N <= 10 for kmax <= 20, N <= 12 up to the kmax
-           cap of 40): full nonsymmetric eig + per-cluster Gram projection.
+           cap of 40), and up to N = 16 whatever ARPACK cannot settle: full
+           nonsymmetric eig + per-cluster Gram projection.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ class DegenerateNormError(ArithmeticError):
     pass
 
 
-class ArpackShortfallError(RuntimeError):
+class ShortfallError(RuntimeError):
     """Fewer physical states than requested: among the computed ARPACK
     eigenvalues, or in the whole basis on the dense route (a limit of the
     request, not a broken exact invariant)."""
@@ -238,6 +239,7 @@ class SpectrumEntry:
 
 
 NULL_TOL = 1e-8
+DENSE_FALLBACK_LIMIT = 16  # Catalan(8) = 1430 states: ~3 s and ~130 MiB dense
 
 
 def eigenvalue_clusters(energies):
@@ -271,7 +273,7 @@ def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]
     The loop form has a radical at these roots of unity, so each cluster of
     eig's eigenvalues is projected onto the Gram-positive subspace (which
     also covers a positive-definite G).  Fewer physical states than
-    requested raise ArpackShortfallError, as on the sparse route."""
+    requested raise ShortfallError, as on the sparse route."""
     g = gram(n_sites, beta)
     scale = g.max()
     picked = []  # (energy, loop-normalized vector)
@@ -290,8 +292,8 @@ def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]
         picked += [(float(energies[i:j].mean()), block @ u[:, t] / math.sqrt(lam[t]))
                    for t in range(len(lam)) if lam[t] > NULL_TOL * scale]
     if len(picked) < count + 1:
-        raise ArpackShortfallError(f"only {len(picked)} of the {count + 1} requested "
-                                   f"physical states exist at N={n_sites}")
+        raise ShortfallError(f"only {len(picked)} of the {count + 1} requested "
+                             f"physical states exist at N={n_sites}")
     return _with_overlaps(n_sites, beta, link_basis(n_sites).partners, picked[:count + 1])
 
 
@@ -310,7 +312,7 @@ def spectrum_sparse(n_sites: int, beta: float, count: int) -> list[SpectrumEntry
     states give const ~ 0 and are skipped.  A degenerate eigenvalue among
     the pairs used raises, since position alone cannot pair its vectors;
     so does a request with too few physical states among the computed
-    eigenvalues (ArpackShortfallError)."""
+    eigenvalues (ShortfallError)."""
     partners, a, diag = sparse_structure(n_sites)
     h = -(a + sp.diags(beta * diag)).tocsc()
     k_req, ncv = arnoldi_size(count)
@@ -345,16 +347,23 @@ def spectrum_sparse(n_sites: int, beta: float, count: int) -> list[SpectrumEntry
             continue  # Gram-null state
         picked.append((float(wr[t]), v / math.sqrt(norm_sq)))
     if len(picked) < count + 1:
-        raise ArpackShortfallError(
+        raise ShortfallError(
             f"only {len(picked)} of the {count + 1} requested physical states are among "
             f"the {k_req} lowest ARPACK eigenvalues at N={n_sites}")
     return _with_overlaps(n_sites, beta, partners, picked)
 
 
 def spectrum(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
-    """ARPACK wherever it can run (k + 1 < ncv <= dim), else dense."""
+    """ARPACK wherever it can run (k + 1 < ncv <= dim), else dense.  Up to
+    N = DENSE_FALLBACK_LIMIT the dense route also answers what ARPACK cannot
+    settle: too few physical states among its eigenvalues (a large kmax), a
+    degenerate pair, or no convergence."""
     if len(link_basis(n_sites).partners) > arnoldi_size(count)[1]:
-        return spectrum_sparse(n_sites, beta, count)
+        try:
+            return spectrum_sparse(n_sites, beta, count)
+        except (ShortfallError, DegenerateNormError, spl.ArpackError):
+            if n_sites > DENSE_FALLBACK_LIMIT:
+                raise
     return spectrum_dense(n_sites, beta, count)
 
 

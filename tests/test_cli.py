@@ -233,6 +233,15 @@ class TestErrorPaths:
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 2
 
+    @pytest.mark.parametrize("argv, rows", [(("--nmin", "12", "--nmax", "16", "--kmax", "20"), 63),
+                                            (("--nmin", "14", "--nmax", "16", "--kmax", "40"), 82)])
+    def test_loop_large_kmax_below_n_18(self, capsys, argv, rows):
+        # up to N = 16 a kmax whose physical states the ARPACK eigenvalues do
+        # not hold is answered from the whole dense basis
+        code, out, _ = run(capsys, "loop", "--p", "3", *argv, "--format", "csv")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + rows
+
     def test_loop_empty_n_range(self, capsys):
         code, _, err = run(capsys, "loop", "--nmin", "20", "--nmax", "10")
         assert code == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rectcft.looplattice import (ArpackShortfallError, DegenerateNormError, adjacent_state,
+from rectcft.looplattice import (DegenerateNormError, ShortfallError, adjacent_state,
                                  enumerate_links, gram, gram_row, hamiltonian, link_basis,
                                  loop_counts, loop_fit_summary, overlap_table, parse_p, spectrum,
                                  spectrum_dense, spectrum_sparse, spl, tl_generator_matrix)
@@ -237,9 +237,26 @@ class TestSpectrum:
         spectrum(12, BETA3, 3)
         assert calls == [132, 132]
 
+    def test_dense_answers_what_arpack_cannot_settle(self, monkeypatch):
+        # at p = 3 and kmax 20, ARPACK's 26 eigenvalues hold 18 physical
+        # states at N = 12 (the basis has 32) and a degenerate pair at
+        # N = 14: the dense route answers both
+        for n, error in ((12, ShortfallError), (14, DegenerateNormError)):
+            with pytest.raises(error, match="ARPACK"):
+                spectrum_sparse(n, BETA3, 20)
+            got, ref = spectrum(n, BETA3, 20), spectrum_dense(n, BETA3, 20)
+            assert [e.energy for e in got] == [e.energy for e in ref]
+
+        def no_convergence(*args, **kwargs):
+            raise spl.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(spl, "eigs", no_convergence)
+        got, ref = spectrum(12, BETA3, 3), spectrum_dense(12, BETA3, 3)
+        assert [e.boundary_overlap for e in got] == [e.boundary_overlap for e in ref]
+
     def test_dense_shortfall_raises(self):
         # N = 4 has two link states in all
-        with pytest.raises(ArpackShortfallError, match="only 2 of the 4 .* at N=4"):
+        with pytest.raises(ShortfallError, match="only 2 of the 4 .* at N=4"):
             spectrum(4, BETA3, 3)
 
     def test_gap_ratios_approach_field_content(self):
