@@ -58,8 +58,6 @@ def _series_plain(series) -> str:
 def _emit(args, payload, csv_rows=None, csv_header=None):
     """Write the result in the requested format to --out or stdout."""
     if args.format == "csv":
-        if csv_rows is None:
-            raise UsageError("this subcommand has no CSV form")
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(csv_header)
@@ -381,6 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # only the lattice tables and the majorana G table have a CSV form
+        if args.format == "csv" and args.command not in ("loop", "ising") and not (
+                args.command == "majorana" and args.g_table):
+            raise UsageError(f"{args.command} has no CSV form")
         args.handler(args)
         return 0
     except UsageError as exc:

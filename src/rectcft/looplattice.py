@@ -16,14 +16,12 @@ every e_i on every row is rewritten on those words and ranked with
 the composed involutions, counted for many pairs at once by pointer
 doubling.
 
-Two diagonalization paths, cross-checked in the tests:
-  sparse:  ARPACK on H and H^T wherever the basis is larger than the Arnoldi
-           space of `arnoldi_size`; for a simple eigenvalue the left
-           eigenvector w is proportional to G v, and the constant follows from
-           one computable row of G: loop norms and overlaps without G;
-  dense:   the smaller bases (N <= 10 for kmax <= 20, N <= 12 up to the kmax
-           cap of 40), and up to N = 16 whatever ARPACK cannot settle: full
-           nonsymmetric eig + per-cluster Gram projection.
+One rule picks the physical states from sorted eigenpairs, right and left
+(`_physical_states`): on each eigenvalue cluster G V = W C, with C fixed by
+Gram rows at a few anchors, so the Gram block follows without G.  ARPACK
+supplies the eigenpairs (H and H^T) while its Arnoldi space fits inside the
+basis, with k doubled while a run finds new physical states but too few,
+and dense eig once it does not; the two are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -225,8 +223,8 @@ class DegenerateNormError(ArithmeticError):
 
 
 class ShortfallError(RuntimeError):
-    """Fewer physical states than requested: among the computed ARPACK
-    eigenvalues, or in the whole basis on the dense route (a limit of the
+    """Fewer physical states than requested: in the whole basis on the dense
+    route, or in ARPACK runs that stopped finding new ones (a limit of the
     request, not a broken exact invariant)."""
 
 
@@ -239,7 +237,6 @@ class SpectrumEntry:
 
 
 NULL_TOL = 1e-8
-DENSE_FALLBACK_LIMIT = 16  # Catalan(8) = 1430 states: ~3 s and ~130 MiB dense
 
 
 def eigenvalue_clusters(energies):
@@ -254,116 +251,111 @@ def eigenvalue_clusters(energies):
         i = j
 
 
-def _with_overlaps(n_sites, beta, partners, picked) -> list[SpectrumEntry]:
-    """Entry k for the k-th (energy, loop-normalized vector), signed so
-    that <B|k> >= 0."""
-    row = gram_row(partners, beta, adjacent_state(n_sites))
+def _physical_states(n_sites, beta, h, energies, right, left, count) -> list[SpectrumEntry]:
+    """The lowest `count`+1 physical states (fewer if there are fewer) among
+    sorted real eigenvalues with right (H V = V E) and left (H^T W = W E)
+    eigenvectors.
+
+    G H = H^T G maps each right eigenspace onto the left one: G V = W C on
+    a cluster.  C follows from the Gram rows at the cluster's anchors, the
+    first pivots of a pivoted QR of W^T (for a simple eigenvalue, the
+    largest component of w), and the Gram block is V^T G V = V^T W C.  Its
+    Gram-null directions are skipped and a negative norm raises.  A
+    degenerate physical cluster is rotated so that B couples only to its
+    first member, whatever basis the solver returned.  A physical state
+    that is no eigenvector of H raises."""
+    partners = link_basis(n_sites).partners
+    boundary = gram_row(partners, beta, adjacent_state(n_sites))
     out = []
-    for k, (e, v) in enumerate(picked):
-        ovl = beta ** (-n_sites / 2) * float(row @ v)
-        if ovl < 0:
-            v, ovl = -v, -ovl
-        out.append(SpectrumEntry(k=k, energy=e, vector=v, boundary_overlap=ovl))
-    return out
+    for i, j in eigenvalue_clusters(energies):
+        if len(out) > count:
+            break
+        v, w = right[:, i:j], left[:, i:j]
+        anchors = sla.qr(w.T, mode="r", pivoting=True)[1][:j - i]
+        rows = np.array([gram_row(partners, beta, partners[a]) for a in anchors])
+        block = (v.T @ w) @ np.linalg.solve(w[anchors], rows @ v)
+        lam, u = np.linalg.eigh((block + block.T) / 2)
+        if lam.min() < -NULL_TOL * rows.max():
+            raise DegenerateNormError(f"negative loop norm {lam.min()} at N={n_sites}")
+        keep = lam > NULL_TOL * rows.max()
+        y = v @ (u[:, keep] / np.sqrt(lam[keep]))
+        b = boundary @ y
+        if len(b) > 1 and b.any():
+            b /= np.linalg.norm(b)
+            y = y @ np.column_stack([b, sla.null_space(b[None])])
+        energy = float(energies[i:j].mean())
+        residual = np.abs(h @ y - energy * y).max(initial=0.0)
+        if residual > 1e-8 * max(1.0, abs(energy)):
+            raise DegenerateNormError(f"eigen-residual {residual:.1e} at E={energy}, "
+                                      f"N={n_sites}: a degenerate cluster mixes eigenvalues")
+        for t in range(y.shape[1]):
+            ovl = beta ** (-n_sites / 2) * float(boundary @ y[:, t])
+            sign = -1.0 if ovl < 0 else 1.0
+            out.append(SpectrumEntry(len(out), energy, sign * y[:, t], sign * ovl))
+    return out[:count + 1]
 
 
 def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
-    """Lowest `count`+1 physical states by full diagonalization.
-
-    The loop form has a radical at these roots of unity, so each cluster of
-    eig's eigenvalues is projected onto the Gram-positive subspace (which
-    also covers a positive-definite G).  Fewer physical states than
-    requested raise ShortfallError, as on the sparse route."""
-    g = gram(n_sites, beta)
-    scale = g.max()
-    picked = []  # (energy, loop-normalized vector)
-    energies, vectors = sla.eig(hamiltonian(n_sites, beta))
+    """Lowest `count`+1 physical states from one `eig` of H, right and left.
+    Fewer in the whole basis than requested raise ShortfallError."""
+    h = hamiltonian(n_sites, beta)
+    energies, left, right = sla.eig(h, left=True)
     if np.abs(energies.imag).max() > 1e-9:
         raise DegenerateNormError("complex eigenvalues in the link-basis H")
     order = np.argsort(energies.real)
-    energies, vectors = energies.real[order], vectors.real[:, order]
-    for i, j in eigenvalue_clusters(energies):
-        if len(picked) > count:
-            break
-        block = vectors[:, i:j]
-        lam, u = np.linalg.eigh(block.T @ g @ block)
-        if lam.min() < -NULL_TOL * scale:
-            raise DegenerateNormError(f"negative loop norm {lam.min()} at N={n_sites}")
-        picked += [(float(energies[i:j].mean()), block @ u[:, t] / math.sqrt(lam[t]))
-                   for t in range(len(lam)) if lam[t] > NULL_TOL * scale]
-    if len(picked) < count + 1:
-        raise ShortfallError(f"only {len(picked)} of the {count + 1} requested "
+    out = _physical_states(n_sites, beta, h, energies.real[order], right.real[:, order],
+                           left.real[:, order], count)
+    if len(out) <= count:
+        raise ShortfallError(f"only {len(out)} of the {count + 1} requested "
                              f"physical states exist at N={n_sites}")
-    return _with_overlaps(n_sites, beta, link_basis(n_sites).partners, picked[:count + 1])
+    return out
 
 
-def arnoldi_size(count: int) -> tuple[int, int]:
-    """(k, ncv) of the ARPACK runs: k leaves spares for Gram-null states."""
-    k = max(count + 6, 10)
-    return k, max(60, 5 * k)
+def _lowest_eigs(m, k, v0):
+    """ARPACK's k lowest eigenpairs of m, sorted and real."""
+    w, v = spl.eigs(m, k=k, which="SR", ncv=max(60, 5 * k), maxiter=20000, tol=0, v0=v0)
+    if np.abs(w.imag).max() > 1e-8:
+        raise DegenerateNormError("complex ARPACK eigenvalues in the link-basis H")
+    order = np.argsort(w.real)
+    return w.real[order], v.real[:, order]
 
 
-def spectrum_sparse(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
-    """Lowest `count`+1 physical states via ARPACK without building G.
-
-    Right and left eigenvectors (H and H^T) are matched by eigenvalue; for a
-    simple physical eigenvalue G v = const * w, with the constant fixed by
-    one row of G evaluated at the left vector's largest component.  Null
-    states give const ~ 0 and are skipped.  A degenerate eigenvalue among
-    the pairs used raises, since position alone cannot pair its vectors;
-    so does a request with too few physical states among the computed
-    eigenvalues (ShortfallError)."""
-    partners, a, diag = sparse_structure(n_sites)
+def spectrum_sparse(n_sites: int, beta: float, count: int, k: int | None = None
+                    ) -> list[SpectrumEntry]:
+    """The lowest physical states, up to `count`+1, among ARPACK's k lowest
+    eigenpairs of H and of H^T (k = max(count + 6, 10) unless given, in an
+    Arnoldi space of max(60, 5k) vectors), without building G.  The last
+    cluster is left out: the runs may hold only part of it, unpaired."""
+    _, a, diag = sparse_structure(n_sites)
     h = -(a + sp.diags(beta * diag)).tocsc()
-    k_req, ncv = arnoldi_size(count)
     # fixed start vector: ARPACK's default is random, which would break the
     # byte-identical-rerun guarantee; the ones vector has a large component
     # along the sign-uniform ground state
     v0 = np.full(h.shape[0], 1.0 / math.sqrt(h.shape[0]))
-    wr, vr = spl.eigs(h, k=k_req, which="SR", ncv=ncv, maxiter=20000, tol=0, v0=v0)
-    wl, vl = spl.eigs(h.T.tocsc(), k=k_req, which="SR", ncv=ncv, maxiter=20000, tol=0, v0=v0)
-    if max(np.abs(wr.imag).max(), np.abs(wl.imag).max()) > 1e-8:
-        raise DegenerateNormError("complex ARPACK eigenvalues in the link-basis H")
-    o1 = np.argsort(wr.real)
-    o2 = np.argsort(wl.real)
-    wr, vr = wr.real[o1], vr[:, o1].real
-    wl, vl = wl.real[o2], vl[:, o2].real
+    (wr, vr), (wl, vl) = (_lowest_eigs(m, k or max(count + 6, 10), v0) for m in (h, h.T.tocsc()))
     if np.abs(wr - wl).max() > 1e-7 * max(1.0, np.abs(wr).max()):
         raise DegenerateNormError("left/right ARPACK spectra disagree")
-    picked = []
-    for t, end in eigenvalue_clusters(wr):
-        if len(picked) > count:
-            break
-        if end - t > 1:
-            raise DegenerateNormError(
-                f"degenerate ARPACK eigenvalue {wr[t]} at N={n_sites}; "
-                "left/right pairing is ambiguous")
-        v, w = vr[:, t], vl[:, t]
-        anchor = int(np.argmax(np.abs(w)))
-        row_anchor = gram_row(partners, beta, partners[anchor])
-        const = float(row_anchor @ v) / w[anchor]
-        norm_sq = const * float(v @ w)
-        if norm_sq <= NULL_TOL * float(np.abs(row_anchor).max()):
-            continue  # Gram-null state
-        picked.append((float(wr[t]), v / math.sqrt(norm_sq)))
-    if len(picked) < count + 1:
-        raise ShortfallError(
-            f"only {len(picked)} of the {count + 1} requested physical states are among "
-            f"the {k_req} lowest ARPACK eigenvalues at N={n_sites}")
-    return _with_overlaps(n_sites, beta, partners, picked)
+    last = list(eigenvalue_clusters(wr))[-1][0]
+    return _physical_states(n_sites, beta, h, wr[:last], vr[:, :last], vl[:, :last], count)
 
 
 def spectrum(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
-    """ARPACK wherever it can run (k + 1 < ncv <= dim), else dense.  Up to
-    N = DENSE_FALLBACK_LIMIT the dense route also answers what ARPACK cannot
-    settle: too few physical states among its eigenvalues (a large kmax), a
-    degenerate pair, or no convergence."""
-    if len(link_basis(n_sites).partners) > arnoldi_size(count)[1]:
-        try:
-            return spectrum_sparse(n_sites, beta, count)
-        except (ShortfallError, DegenerateNormError, spl.ArpackError):
-            if n_sites > DENSE_FALLBACK_LIMIT:
-                raise
+    """Lowest `count`+1 physical states.  ARPACK computes k = max(count + 6,
+    10) eigenpairs while its Arnoldi space fits inside the basis, and k
+    doubles while a run finds more physical states than the run before but
+    too few; a run that finds no new one raises ShortfallError.  Once the
+    Arnoldi space does not fit, dense eig answers."""
+    dim = len(link_basis(n_sites).partners)
+    k, found = max(count + 6, 10), 0
+    while max(60, 5 * k) < dim:
+        out = spectrum_sparse(n_sites, beta, count, k)
+        if len(out) > count:
+            return out
+        if len(out) <= found:
+            raise ShortfallError(
+                f"only {len(out)} of the {count + 1} requested physical states are among "
+                f"the {k} lowest ARPACK eigenvalues at N={n_sites}: this run found no new one")
+        found, k = len(out), 2 * k
     return spectrum_dense(n_sites, beta, count)
 
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from rectcft import ising, looplattice
+from rectcft import cli, ising, looplattice
 from rectcft.cli import build_parser, main
 
 
@@ -236,8 +236,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv, rows", [(("--nmin", "12", "--nmax", "16", "--kmax", "20"), 63),
                                             (("--nmin", "14", "--nmax", "16", "--kmax", "40"), 82)])
     def test_loop_large_kmax_below_n_18(self, capsys, argv, rows):
-        # up to N = 16 a kmax whose physical states the ARPACK eigenvalues do
-        # not hold is answered from the whole dense basis
+        # k doubles while ARPACK finds new physical states; once its Arnoldi
+        # space outgrows the basis (N = 12 at kmax 20), dense eig answers
         code, out, _ = run(capsys, "loop", "--p", "3", *argv, "--format", "csv")
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + rows
@@ -278,8 +278,31 @@ class TestErrorPaths:
         assert err.startswith("rectcft: ")
 
     def test_loop_arpack_shortfall_is_runtime_error(self, capsys):
-        code, _, err = run(capsys, "loop", "--p", "3", "--nmin", "18", "--nmax", "18",
-                           "--kmax", "40")
+        # p = 2 (beta = 1) has one physical state: doubling ARPACK's
+        # eigenvalues finds no second one
+        code, _, err = run(capsys, "loop", "--p", "2", "--nmin", "18", "--nmax", "18",
+                           "--kmax", "1")
         assert code == 1
-        assert "ARPACK" in err and "structural" not in err
+        assert "only 1 of the 2" in err and "structural" not in err
+
+    def test_loop_large_kmax_from_n_18(self, capsys):
+        # 256 physical states at N = 18: k doubles until ARPACK holds 41
+        code, out, _ = run(capsys, "loop", "--p", "3", "--nmin", "18", "--nmax", "18",
+                           "--kmax", "40", "--format", "csv")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 41
+
+    @pytest.mark.parametrize("argv", [("amplitude", "--order", "36"),
+                                      ("majorana", "--amplitude-order", "10"),
+                                      ("boundary-state",)])
+    def test_csv_without_csv_form_is_usage_error(self, capsys, monkeypatch, argv):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the result was computed")
+
+        monkeypatch.setattr(cli.virasoro, "product_amplitude", not_reached)
+        monkeypatch.setattr(cli.virasoro, "boundary_state", not_reached)
+        monkeypatch.setattr(cli.freefield, "fermion_amplitude", not_reached)
+        code, _, err = run(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert f"rectcft: {argv[0]} has no CSV form" in err
 

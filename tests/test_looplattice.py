@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rectcft import looplattice
 from rectcft.looplattice import (DegenerateNormError, ShortfallError, adjacent_state,
                                  enumerate_links, gram, gram_row, hamiltonian, link_basis,
                                  loop_counts, loop_fit_summary, overlap_table, parse_p, spectrum,
@@ -193,6 +194,19 @@ class TestBoundaryState:
             assert v @ g @ v == pytest.approx(BETA3 ** (-n / 2))
 
 
+@pytest.fixture
+def eigs_calls(monkeypatch):
+    """The k of every ARPACK run, in call order."""
+    eigs, calls = spl.eigs, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(spl, "eigs", counting)
+    return calls
+
+
 class TestSpectrum:
     def test_eigenvalues_real_and_sorted(self):
         for p in (3, 4, 5, math.inf):
@@ -237,22 +251,56 @@ class TestSpectrum:
         spectrum(12, BETA3, 3)
         assert calls == [132, 132]
 
-    def test_dense_answers_what_arpack_cannot_settle(self, monkeypatch):
-        # at p = 3 and kmax 20, ARPACK's 26 eigenvalues hold 18 physical
-        # states at N = 12 (the basis has 32) and a degenerate pair at
-        # N = 14: the dense route answers both
-        for n, error in ((12, ShortfallError), (14, DegenerateNormError)):
-            with pytest.raises(error, match="ARPACK"):
-                spectrum_sparse(n, BETA3, 20)
-            got, ref = spectrum(n, BETA3, 20), spectrum_dense(n, BETA3, 20)
-            assert [e.energy for e in got] == [e.energy for e in ref]
+    def test_one_rule_through_degenerate_clusters(self, eigs_calls):
+        # at p = 3, N = 14 and kmax 20, ARPACK's 26 eigenvalues less their
+        # last cluster hold 20 physical states, its 52 every requested one,
+        # two degenerate pairs among them: the sparse route answers alone and
+        # agrees with the dense one row by row
+        got = spectrum(14, BETA3, 20)
+        assert eigs_calls == [26, 26, 52, 52]
+        ref = spectrum_dense(14, BETA3, 20)
+        assert len(got) == len(ref) == 21
+        for a, b in zip(got, ref):
+            assert a.energy == pytest.approx(b.energy, abs=1e-9)
+            assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
+        # B couples only to the first member of a degenerate physical pair,
+        # whatever basis of the pair the solver returned
+        pairs = [k for k in range(1, 20) if abs(got[k].energy - got[k - 1].energy) < 1e-9]
+        assert len(pairs) == 2
+        for k in pairs:
+            assert got[k - 1].boundary_overlap > 1e-3
+            assert abs(got[k].boundary_overlap) < 1e-12
 
-        def no_convergence(*args, **kwargs):
-            raise spl.ArpackNoConvergence("no convergence", [], [])
+    def test_k_doubles_then_dense(self, monkeypatch, eigs_calls):
+        # at N = 12 the 26 eigenvalues of kmax 20 hold 17 of the 21 physical
+        # states below their last cluster; doubled, k = 52 needs an Arnoldi
+        # space larger than the 132 states, so dense eig answers
+        dense = []
+        monkeypatch.setattr(looplattice, "spectrum_dense",
+                            lambda *args: dense.append(args) or spectrum_dense(*args))
+        assert len(spectrum_sparse(12, BETA3, 20)) == 17
+        eigs_calls.clear()
+        got = spectrum(12, BETA3, 20)
+        assert eigs_calls == [26, 26]
+        assert dense == [(12, BETA3, 20)]
+        assert [e.energy for e in got] == [e.energy for e in spectrum_dense(12, BETA3, 20)]
 
-        monkeypatch.setattr(spl, "eigs", no_convergence)
-        got, ref = spectrum(12, BETA3, 3), spectrum_dense(12, BETA3, 3)
-        assert [e.boundary_overlap for e in got] == [e.boundary_overlap for e in ref]
+    def test_cluster_at_arpacks_edge_is_left_out(self):
+        # at N = 14 the 19th eigenvalue is the first of a degenerate pair: 19
+        # ARPACK eigenvalues hold one vector of each of its right and left
+        # eigenspaces, unpaired, so that cluster must not be read
+        ref = spectrum_dense(14, BETA3, 40)
+        got = spectrum_sparse(14, BETA3, 40, k=19)
+        assert got[-1].energy < ref[len(got)].energy - 1e-3
+        for a, b in zip(got, ref):
+            assert a.energy == pytest.approx(b.energy, abs=1e-9)
+            assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
+
+    def test_shortfall_when_doubling_finds_no_new_state(self, eigs_calls):
+        # p = 2 (beta = 1) has one physical state at every N
+        with pytest.raises(ShortfallError, match="only 1 of the 2 .* 20 lowest ARPACK .* N=12"):
+            spectrum(12, 1.0, 1)
+        assert eigs_calls == [10, 10, 20, 20]
 
     def test_dense_shortfall_raises(self):
         # N = 4 has two link states in all
