@@ -62,6 +62,27 @@ class FitResult:
                 "points_used": self.points_used}
 
 
+def points_needed(basis, drop_first: int = 0) -> int:
+    """Fewest (N, y) points `fit` takes on `basis` when it drops the first
+    `drop_first`: one more than the terms, after dropping."""
+    return len(basis) + drop_first + 1
+
+
+def _check_finite(pts, basis) -> None:
+    """FitError naming the first (N, y) point whose y or design row is not
+    finite."""
+    ns, ys = np.array(pts).reshape(-1, 2).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        design = np.column_stack([_design_column(t, ns) for t in basis])
+    finite = np.isfinite(design)
+    bad = np.flatnonzero(~finite.all(axis=1) | ~np.isfinite(ys))
+    if len(bad):
+        i = bad[0]
+        what = "y" if not np.isfinite(ys[i]) else ", ".join(np.array(basis)[~finite[i]])
+        raise FitError(f"point {i + 1} (N={ns[i]:g}, y={ys[i]:g}) cannot be fitted: "
+                       f"{what} not finite")
+
+
 def _solve(ns: np.ndarray, ys: np.ndarray, basis) -> tuple[dict, float]:
     a = np.column_stack([_design_column(t, ns) for t in basis])
     coef, _, rank, _ = np.linalg.lstsq(a, ys, rcond=None)
@@ -75,22 +96,25 @@ def fit(data, basis, drop_first: int = 0, n_windows: int = 4) -> FitResult:
     """Least-squares fit of (N, y) pairs after dropping `drop_first` points.
 
     `basis` is a sequence drawn from {N, logN, 1, 1/N, 1/N^2, 1/N^3} with at
-    least two terms.  The window family drops 0..n_windows-1 further points;
+    least two terms; a point whose y or design row is not finite raises
+    FitError.  The window family drops 0..n_windows-1 further points;
     spreads are max |coefficient - central|.
     """
     basis = tuple(basis)
     if len(basis) < 2:
         raise FitError("need at least two basis terms")
-    pts = sorted((float(n), float(y)) for n, y in data)
-    pts = pts[drop_first:]
-    if len(pts) <= len(basis):
-        raise FitError(f"{len(pts)} points after dropping is too few for {len(basis)} terms")
+    pts = [(float(n), float(y)) for n, y in data]
+    _check_finite(pts, basis)
+    if len(pts) < points_needed(basis, drop_first):
+        raise FitError(f"{max(0, len(pts) - drop_first)} points after dropping is too few "
+                       f"for {len(basis)} terms")
+    pts = sorted(pts)[drop_first:]
     ns = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     central, resid = _solve(ns, ys, basis)
     spread = {t: 0.0 for t in basis}
     for extra in range(1, n_windows):
-        if len(pts) - extra <= len(basis):
+        if len(pts) < points_needed(basis, extra):
             break
         sub, _ = _solve(ns[extra:], ys[extra:], basis)
         for t in basis:

@@ -222,8 +222,8 @@ def g_series(cutoff: int) -> GMatrix:
 
     with u = 1/z1, v = 1/z2.  All arithmetic in Q; the numerator vanishes at
     u = v, so the division is exact (asserted)."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     ord_ = 2 * cutoff + 1  # need total degree m + n <= 2*cutoff - 1, plus margin
     s = _sqrt_one_minus_sq(ord_)
     a: dict = {}

@@ -25,7 +25,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .fitting import ABSOLUTE_BASIS, DROP_FIRST_EXCITED, RATIO_BASIS, FitError, extract_overlap, fit
+from .fitting import (ABSOLUTE_BASIS, DROP_FIRST_EXCITED, RATIO_BASIS, FitError, extract_overlap,
+                      fit, points_needed)
 
 
 @dataclass
@@ -164,7 +165,8 @@ def check_fit_points(n_values, labels) -> None:
     >= its top mode less the DROP_FIRST_EXCITED smallest."""
     for k, exc in enumerate(labels):
         top = exc[-1] if exc else 2
-        need = len(RATIO_BASIS) + DROP_FIRST_EXCITED + 1 if k else len(ABSOLUTE_BASIS) + 1
+        need = (points_needed(RATIO_BASIS, DROP_FIRST_EXCITED) if k
+                else points_needed(ABSOLUTE_BASIS))
         have = sum(n >= top for n in n_values)
         if have < need and overlap_allowed(exc):
             name = f"<B|{k}> ratio" if k else "ground-state"

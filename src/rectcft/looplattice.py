@@ -10,11 +10,13 @@ eigenstates are extracted by projecting Gram-null directions out of each
 
 The beta-independent combinatorics are whole-array numpy work, built once
 per N: the states are one int32 partner array (row k, column x = the
-partner of site x), ranked by their opener bit words; the move table of
+partner of site x), ranked by their opener bit words, and the move table of
 every e_i on every row is rewritten on those words and ranked with
-`searchsorted`; and loop counts between two states are half the cycles of
-the composed involutions, counted for many pairs at once by pointer
-doubling.
+`searchsorted`.  H is built one way, as a sparse matrix read off the move
+table (`sparse_structure`; `hamiltonian` is its dense form).  Loop counts
+are read one way, a Gram row at a time (`gram_row`): the loops between two
+states are half the cycles of the composed involutions, counted for many
+pairs at once by pointer doubling.
 
 One rule picks the physical states from sorted eigenpairs, right and left
 (`_physical_states`): on each eigenvalue cluster G V = W C, with C fixed by
@@ -153,41 +155,25 @@ def _loops(glued: np.ndarray) -> np.ndarray:
     return (low == sites).reshape(rows, n).sum(axis=1) // 2
 
 
-@lru_cache(maxsize=None)
-def loop_counts(n_sites: int) -> np.ndarray:
-    """Loops between every pair of link states (read-only): the upper
-    triangle block by block, mirrored."""
-    partners = link_basis(n_sites).partners
-    d = len(partners)
-    counts = np.empty((d, d), dtype=np.int8)
-    step = max(1, _BATCH // (n_sites * d))
-    for a in range(0, d, step):
-        block = partners[a:a + step]
-        loops = _loops(block[:, partners[a:]].reshape(-1, n_sites)).reshape(len(block), -1)
-        counts[a:a + step, a:] = loops
-        counts[a:, a:a + step] = loops.T
-    counts.flags.writeable = False
-    return counts
-
-
-def _loop_powers(n_sites: int, beta: float) -> np.ndarray:
+def gram_row(partners, beta: float, s0) -> np.ndarray:
+    """Row s0 (a partner row) of the Gram matrix: beta^{loops(s0, s)} for
+    every row s of `partners`."""
+    step = max(1, _BATCH // partners.shape[1])
+    counts = np.concatenate([_loops(s0[partners[r:r + step]])
+                             for r in range(0, len(partners), step)])
     # Python's float ** int, not np.power, which rounds differently
-    return np.array([beta ** m for m in range(n_sites // 2 + 1)])
+    return np.array([beta ** m for m in range(partners.shape[1] // 2 + 1)])[counts]
 
 
 def gram(n_sites: int, beta: float) -> np.ndarray:
-    return _loop_powers(n_sites, beta)[loop_counts(n_sites)]
-
-
-def hamiltonian(n_sites: int, beta: float) -> np.ndarray:
-    """H = -sum_i e_i, accumulated in increasing i."""
-    h = np.zeros((len(link_basis(n_sites).partners),) * 2)
-    for i in range(n_sites - 1):
-        h -= tl_generator_matrix(i, n_sites, beta)
-    return h
+    """The whole Gram matrix, one `gram_row` per link state (for checks:
+    no solver builds it)."""
+    partners = link_basis(n_sites).partners
+    return np.array([gram_row(partners, beta, s) for s in partners])
 
 
 def tl_generator_matrix(i: int, n_sites: int, beta: float) -> np.ndarray:
+    """Dense e_i in the link basis, read off the move table."""
     moves = link_basis(n_sites).moves
     cols = np.arange(len(moves))
     e = np.zeros((len(moves), len(moves)))
@@ -195,27 +181,22 @@ def tl_generator_matrix(i: int, n_sites: int, beta: float) -> np.ndarray:
     return e
 
 
-def sparse_structure(n_sites: int):
-    """(partners, offdiag A, diagonal loop counts); H = -(A + beta*diag).
-
-    beta-independent; read off the cached move table of `link_basis`."""
-    basis = link_basis(n_sites)
-    d, moves = len(basis.partners), basis.moves
+def sparse_structure(n_sites: int, beta: float) -> sp.csc_matrix:
+    """H = -sum_i e_i = -(A + beta*diag(closed loops)) as a CSC matrix, read
+    off the cached move table of `link_basis`: A[moves[k, i], k] counts the
+    generators that take state k to another state."""
+    moves = link_basis(n_sites).moves
+    d = len(moves)
     closed = moves == np.arange(d)[:, None]
     # row-major order: state k outer, generator i inner
     cols, _ = np.nonzero(~closed)
-    rows = moves[~closed]
-    a = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(d, d)).tocsr()
-    return basis.partners, a, closed.sum(axis=1).astype(float)
+    a = sp.coo_matrix((np.ones(len(cols)), (moves[~closed], cols)), shape=(d, d)).tocsr()
+    return -(a + sp.diags(beta * closed.sum(axis=1))).tocsc()
 
 
-def gram_row(partners, beta: float, s0) -> np.ndarray:
-    """Row s0 (a partner row) of the Gram matrix: beta^{loops(s0, s)} for
-    every row s of `partners`."""
-    step = max(1, _BATCH // partners.shape[1])
-    counts = np.concatenate([_loops(s0[partners[r:r + step]])
-                             for r in range(0, len(partners), step)])
-    return _loop_powers(partners.shape[1], beta)[counts]
+def hamiltonian(n_sites: int, beta: float) -> np.ndarray:
+    """Dense H, the `sparse_structure` matrix as an array."""
+    return sparse_structure(n_sites, beta).toarray()
 
 
 class DegenerateNormError(ArithmeticError):
@@ -320,19 +301,17 @@ def _lowest_eigs(m, k, v0):
     return w.real[order], v.real[:, order]
 
 
-def spectrum_sparse(n_sites: int, beta: float, count: int, k: int | None = None
-                    ) -> list[SpectrumEntry]:
+def spectrum_sparse(n_sites: int, beta: float, count: int, k: int) -> list[SpectrumEntry]:
     """The lowest physical states, up to `count`+1, among ARPACK's k lowest
-    eigenpairs of H and of H^T (k = max(count + 6, 10) unless given, in an
-    Arnoldi space of max(60, 5k) vectors), without building G.  The last
-    cluster is left out: the runs may hold only part of it, unpaired."""
-    _, a, diag = sparse_structure(n_sites)
-    h = -(a + sp.diags(beta * diag)).tocsc()
+    eigenpairs of H and of H^T (in an Arnoldi space of max(60, 5k)
+    vectors), without building G.  The last cluster is left out: the runs
+    may hold only part of it, unpaired."""
+    h = sparse_structure(n_sites, beta)
     # fixed start vector: ARPACK's default is random, which would break the
     # byte-identical-rerun guarantee; the ones vector has a large component
     # along the sign-uniform ground state
     v0 = np.full(h.shape[0], 1.0 / math.sqrt(h.shape[0]))
-    (wr, vr), (wl, vl) = (_lowest_eigs(m, k or max(count + 6, 10), v0) for m in (h, h.T.tocsc()))
+    (wr, vr), (wl, vl) = (_lowest_eigs(m, k, v0) for m in (h, h.T.tocsc()))
     if np.abs(wr - wl).max() > 1e-7 * max(1.0, np.abs(wr).max()):
         raise DegenerateNormError("left/right ARPACK spectra disagree")
     last = list(eigenvalue_clusters(wr))[-1][0]

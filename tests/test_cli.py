@@ -65,6 +65,14 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["virasoro_product_equals_coherent"] is True
 
+    @pytest.mark.parametrize("argv", [("amplitude", "--order", "0"),
+                                      ("boson", "--amplitude-order", "0"),
+                                      ("majorana", "--amplitude-order", "0")])
+    def test_order_zero_amplitude(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "plain")
+        assert code == 0
+        assert out.startswith("1 + ...\n")
+
     def test_fit_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
         rows = ["N,y"] + [f"{n},{2*n + 1}" for n in range(4, 30, 2)]
@@ -195,6 +203,19 @@ class TestErrorPaths:
         code, _, err = run(capsys, "fit", "--data", str(path), "--basis", "N,1")
         assert code == 1
         assert err.startswith(f"rectcft: {path}: ") and row in err
+
+    @pytest.mark.parametrize("first, bad", [
+        ("8,1.0\n10,nan", "point 2 (N=10, y=nan) cannot be fitted: y not finite"),
+        ("8,1.0\n10,inf", "point 2 (N=10, y=inf) cannot be fitted: y not finite"),
+        ("0,1.0\n10,1.1", "point 1 (N=0, y=1) cannot be fitted: logN, 1/N, 1/N^2 not finite"),
+    ])
+    def test_fit_non_finite_point_is_runtime_error(self, capfd, tmp_path, first, bad):
+        # fd-level capture: LAPACK writes its DLASCL complaints past sys.stderr
+        path = tmp_path / "data.csv"
+        path.write_text("N,y\n" + first + "".join(f"\n{n},1.{n}" for n in range(12, 22, 2)))
+        code, out, err = run(capfd, "fit", "--data", str(path))
+        assert code == 1
+        assert out == "" and err == f"rectcft: {bad}\n"
 
     @pytest.mark.parametrize("argv", [("--nmin", "2", "--nmax", "2", "--kmax", "3"),
                                       ("--nmin", "1000", "--nmax", "1000"),

@@ -52,6 +52,15 @@ class TestFit:
         with pytest.raises(FitError):
             fit([(2, 1.0), (4, 2.0)], ("N", "logN", "1"))
 
+    def test_non_finite_point(self):
+        # points are named in input order: N = 0 would sort first
+        data = synth(range(4, 20, 2)) + [(0, 1.0), (6, math.nan)]
+        with pytest.raises(FitError, match=r"^point 9 \(N=0, y=1\) cannot be fitted: "
+                                           r"logN, 1/N not finite$"):
+            fit(data, ("N", "logN", "1", "1/N"))
+        with pytest.raises(FitError, match=r"^point 10 \(N=6, y=nan\) .*: y not finite$"):
+            fit(data, ("N", "1"))
+
     def test_window_spread_nonnegative(self):
         rng = random.Random(1)
         data = [(n, 2 * n + rng.gauss(0, 1e-3)) for n in range(4, 40, 2)]

@@ -6,7 +6,7 @@ import pytest
 from rectcft import looplattice
 from rectcft.looplattice import (DegenerateNormError, ShortfallError, adjacent_state,
                                  enumerate_links, gram, gram_row, hamiltonian, link_basis,
-                                 loop_counts, loop_fit_summary, overlap_table, parse_p, spectrum,
+                                 loop_fit_summary, overlap_table, parse_p, spectrum,
                                  spectrum_dense, spectrum_sparse, spl, tl_generator_matrix)
 from reference import apply_tl, boundary_link_state, loops_between
 
@@ -40,8 +40,6 @@ class TestLinkStates:
             basis.partners[0, 0] = 1
         with pytest.raises(ValueError):
             enumerate_links(4)[0, 0] = 1
-        with pytest.raises(ValueError):
-            loop_counts(4)[0, 0] = 0
 
     def test_planarity(self):
         for s in enumerate_links(8):
@@ -84,11 +82,12 @@ class TestAgainstScalarReferences:
                     assert basis.moves[k, i] == rank[t]
                     assert (basis.moves[k, i] == k) == closed
 
-    def test_loop_counts_against_loops_between(self):
+    def test_gram_against_loops_between(self):
         for n in range(2, 13, 2):
             rows = link_basis(n).partners.tolist()
-            expect = [[loops_between(s, t) for t in rows] for s in rows]
-            assert loop_counts(n).tolist() == expect
+            loops = [[loops_between(s, t) for t in rows] for s in rows]
+            for beta in (BETA3, 2.0):
+                assert gram(n, beta).tolist() == [[beta ** m for m in r] for r in loops]
 
     def test_gram_row_at_random_anchors(self):
         partners = link_basis(18).partners
@@ -152,6 +151,16 @@ class TestGram:
 
 
 class TestHamiltonian:
+    def test_sum_of_generator_matrices(self):
+        # the one sparse build against -sum_i e_i of the dense e_i; they may
+        # differ only in how the diagonal beta * (closed loops) is rounded
+        for p in (2, 3, 4, 5, 6, math.inf):
+            beta = parse_p(p).beta
+            for n in range(2, 15, 2):
+                h = hamiltonian(n, beta)
+                expect = -sum(tl_generator_matrix(i, n, beta) for i in range(n - 1))
+                assert np.abs(h - expect).max() <= 4 * np.spacing(np.abs(h).max())
+
     def test_n2(self):
         assert hamiltonian(2, 1.7) == pytest.approx(np.array([[-1.7]]))
 
@@ -230,7 +239,7 @@ class TestSpectrum:
             beta = parse_p(p).beta
             for n in (12, 14, 16):
                 d = spectrum_dense(n, beta, 3)
-                s = spectrum_sparse(n, beta, 3)
+                s = spectrum_sparse(n, beta, 3, 10)
                 assert len(d) == len(s) == 4
                 for a, b in zip(d, s):
                     assert a.energy == pytest.approx(b.energy, abs=1e-9)
@@ -278,7 +287,7 @@ class TestSpectrum:
         dense = []
         monkeypatch.setattr(looplattice, "spectrum_dense",
                             lambda *args: dense.append(args) or spectrum_dense(*args))
-        assert len(spectrum_sparse(12, BETA3, 20)) == 17
+        assert len(spectrum_sparse(12, BETA3, 20, 26)) == 17
         eigs_calls.clear()
         got = spectrum(12, BETA3, 20)
         assert eigs_calls == [26, 26]
@@ -333,7 +342,7 @@ class TestSpectrum:
 
         monkeypatch.setattr(spl, "eigs", doubled_ground)
         with pytest.raises(DegenerateNormError, match="degenerate"):
-            spectrum_sparse(10, BETA3, 2)
+            spectrum_sparse(10, BETA3, 2, 10)
 
     def test_h3_state_decouples(self):
         for n in (10, 12, 14):
