@@ -133,24 +133,18 @@ class CPoly:
         return cpoly(other) + (-self)
 
     def __mul__(self, other):
-        if type(other) is CPoly:
-            b, den = other.nums, self.den * other.den
-        else:  # a scalar scales the numerators and the denominator directly
-            other = _as_fraction(other)
-            b, den = (other.numerator,) if other else (), self.den * other.denominator
-        a = self.nums
+        other = cpoly(other)
+        a, b = self.nums, other.nums
         if not a or not b:
             return CZERO
         if len(b) > len(a):
             a, b = b, a
-        if len(b) == 1:  # most products in the Verma action have a constant side
-            out = [x * b[0] for x in a]
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            for j, y in enumerate(b):
-                if y:
-                    for i, x in enumerate(a, j):
-                        out[i] += x * y
+        out = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(b):
+            if y:
+                for i, x in enumerate(a, j):
+                    out[i] += x * y
+        den = self.den * other.den
         return _new(out, den, math.gcd(den, *out))
 
     __rmul__ = __mul__
