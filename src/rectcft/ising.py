@@ -1,24 +1,34 @@
 """Critical transverse-field Ising chain with free/free boundaries.
 
 The chain H = -(1/2)(sum sigma^z_i + sum sigma^x_i sigma^x_{i+1}) is solved
-by the exact single-particle data
+by the exact single-particle data (Lieb, Schultz and Mattis), with
+theta_k = (2k-1) pi / (2N+1),
 
-    Lambda_k  = 2 sin((2k-1) pi / (2(2N+1))),      k = 1..N
-    phi+_ki   = (-)^i   (2/sqrt(2N+1)) cos((2k-1) pi (i-1/2) / (2N+1))
-    phi-_ki   = (-)^{i+1}(2/sqrt(2N+1)) sin((2k-1) pi i / (2N+1)),
+    Lambda_k  = 2 sin(theta_k / 2),                     k = 1..N
+    phi+_ki   = (-)^i   (2/sqrt(2N+1)) cos(theta_k (i-1/2))
+    phi-_ki   = (-)^{i+1}(2/sqrt(2N+1)) sin(theta_k i),
 
 and the squared overlap of any eigenstate with the all-up product state is
 the determinant det((1 + G)/2) built from the correlation kernel
 G_ij = -sum_k s_k phi-_ki phi+_kj, where s_k = -1 on excited modes.
-One LU of M0 = (1 + G0)/2 per N gives -log det M0 (so N = 500 needs no
-extended precision) and each state's det M0 * minor of a small kernel.
-A 2^N brute-force reference (N <= 12) validates the pipeline.
+`correlation_matrix`, `overlap_sq` and `neg_log_overlap` compute it so, in
+site space.  The overlap table works in mode space instead, where the
+orthogonal O = phi+ phi-^T has a closed form (`mode_matrix`): with
+s_k = sin(theta_k / 2), c_k = cos(theta_k / 2) and t_k = (-)^k s_k,
+
+    O_kl = -(2/(2N+1)) c_k c_l (-)^l / (t_k + t_l),     k != l
+    O_kk = -(1/(2N+1)) (1/s_k + 2N s_k),
+
+a Cauchy matrix (Cauchy 1841) plus a diagonal.  Since phi- is orthogonal,
+det M0 = det((1 - O)/2) for the ground state's M0 = (1 + G0)/2, and one LU
+of it per N gives -log det M0 (so N = 500 needs no extended precision) and
+the Cayley transform A = (1 + O)(1 - O)^-1 that each state's small minor
+is read from.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,25 +46,39 @@ class FreeFermionSolution:
     phi_plus: np.ndarray       # phi+[k-1, i-1]
     phi_minus: np.ndarray
 
-    def orthogonality_residual(self) -> float:
-        n = self.n_sites
-        rp = np.abs(self.phi_plus @ self.phi_plus.T - np.eye(n)).max()
-        rm = np.abs(self.phi_minus @ self.phi_minus.T - np.eye(n)).max()
-        return max(rp, rm)
+
+def _mode_angles(n_sites: int) -> np.ndarray:
+    """theta_k = (2k-1) pi / (2N+1) for k = 1..N."""
+    return (2 * np.arange(1, n_sites + 1) - 1) * np.pi / (2 * n_sites + 1)
+
+
+def mode_energies(n_sites: int) -> np.ndarray:
+    """Lambda_k = 2 sin(theta_k / 2), ascending."""
+    return 2.0 * np.sin(_mode_angles(n_sites) / 2)
 
 
 def solve_chain(n_sites: int) -> FreeFermionSolution:
     if n_sites < 1:
         raise ValueError("need at least one site")
     n = n_sites
-    k = np.arange(1, n + 1)
     i = np.arange(1, n + 1)
-    lam = 2.0 * np.sin((2 * k - 1) * np.pi / (2 * (2 * n + 1)))
-    theta = np.outer((2 * k - 1) * np.pi / (2 * n + 1), i)
-    phip = ((-1.0) ** i)[None, :] * (2 / np.sqrt(2 * n + 1)) * np.cos(
-        np.outer((2 * k - 1) * np.pi / (2 * n + 1), i - 0.5))
-    phim = ((-1.0) ** (i + 1))[None, :] * (2 / np.sqrt(2 * n + 1)) * np.sin(theta)
-    return FreeFermionSolution(n, lam, phip, phim)
+    theta = _mode_angles(n)
+    phip = ((-1.0) ** i)[None, :] * (2 / np.sqrt(2 * n + 1)) * np.cos(np.outer(theta, i - 0.5))
+    phim = ((-1.0) ** (i + 1))[None, :] * (2 / np.sqrt(2 * n + 1)) * np.sin(np.outer(theta, i))
+    return FreeFermionSolution(n, mode_energies(n), phip, phim)
+
+
+def mode_matrix(n_sites: int) -> np.ndarray:
+    """O = phi+ phi-^T from its closed form (module docstring), with no
+    N x N trigonometry or matmul."""
+    n = n_sites
+    half = _mode_angles(n) / 2
+    s, c = np.sin(half), np.cos(half)
+    eps = (-1.0) ** np.arange(1, n + 1)
+    t = eps * s
+    o = np.outer(c, c * eps) / np.add.outer(t, t) * (-2 / (2 * n + 1))
+    np.fill_diagonal(o, -(1 / s + 2 * n * s) / (2 * n + 1))
+    return o
 
 
 def correlation_matrix(sol: FreeFermionSolution, excitation=()) -> np.ndarray:
@@ -116,8 +140,8 @@ def overlap_allowed(excitation) -> bool:
     """The selection rule: <B|S> = 0 exactly unless S has as many odd as
     even mode indices.
 
-    With M0 = (1 + G0)/2 and K = phi+ M0^-1 phi-^T, the kernel is
-    K = -1 + A with A antisymmetric and A_ab = 0 whenever a + b is even, so
+    A = (1 + O)(1 - O)^-1 is the Cayley transform of the orthogonal O, so it
+    is antisymmetric, and A_ab = 0 whenever a + b is even, so
     det((1 + G_S)/2) = det M0 * Pf(A_SS)^2; a Pfaffian of a bipartite
     antisymmetric matrix vanishes unless its two sides have equal size.
     This covers every parity-odd S and even ones such as (1, 3)."""
@@ -143,14 +167,15 @@ class OverlapRecord:
                            # for forbidden states
 
 
-def _overlap_kernel(sol: FreeFermionSolution, m: int):
-    """log det M0 (raising unless det M0 > 0) and A = 1 + phi+ M0^-1 phi-^T on modes 1..m."""
-    lu, piv = scipy.linalg.lu_factor((np.eye(sol.n_sites) + correlation_matrix(sol)) / 2)
+def _overlap_kernel(n_sites: int, m: int):
+    """log det M0 (raising unless det M0 > 0) and A = 2 (1 - O)^-1 - 1 on
+    modes 1..m, from one LU of M0 = (1 - O)/2 in mode space."""
+    lu, piv = scipy.linalg.lu_factor((np.eye(n_sites) - mode_matrix(n_sites)) / 2)
     u = np.diag(lu)
     if not np.prod(np.sign(u)) * (-1) ** np.count_nonzero(piv != np.arange(len(u))) > 0:
-        raise ArithmeticError(f"det((1 + G0)/2) is not positive at N={sol.n_sites}")
-    x = scipy.linalg.lu_solve((lu, piv), sol.phi_minus[:m].T)
-    return float(np.log(np.abs(u)).sum()), np.eye(m) + sol.phi_plus[:m] @ x
+        raise ArithmeticError(f"det((1 - O)/2) is not positive at N={n_sites}")
+    x = scipy.linalg.lu_solve((lu, piv), np.eye(n_sites, m))
+    return float(np.log(np.abs(u)).sum()), x[:m] - np.eye(m)
 
 
 def table_labels(n_values, kmax: int) -> list[tuple]:
@@ -181,20 +206,23 @@ def ising_overlap_table(n_values, kmax: int, labels=None) -> list[OverlapRecord]
     keeps each fit on one physical state; near-degenerate pairs (the two
     h = 4 states) are split by their exact energy sums.
 
-    Each N costs one LU: exciting S adds a rank-|S| term to M0, so
-    det((1 + G_S)/2) = det M0 * det A[S,S] (matrix determinant lemma), one
-    small principal minor per state.  States forbidden by `overlap_allowed`
-    are reported as exact 0, with det M0 * minor kept in `overlap_det` as
-    the numeric check; an allowed state whose minor is not positive raises
-    ArithmeticError.
+    Each N costs one LU of M0 = (1 - O)/2, built from the closed-form mode
+    matrix O = phi+ phi-^T (`mode_matrix`); no N x N site-space matrix is
+    built.  Exciting S adds a rank-|S| term to M0, so det((1 + G_S)/2) =
+    det M0 * det A[S,S] (matrix determinant lemma) with the Cayley transform
+    A = (1 + O)(1 - O)^-1 = 2 (1 - O)^-1 - 1: one small principal minor per
+    state.  States forbidden by `overlap_allowed` are reported as exact 0,
+    with det M0 * minor kept in `overlap_det` as the numeric check; an
+    allowed state whose minor is not positive raises ArithmeticError.
     """
     n_values = sorted(n_values, reverse=True)
     labels = labels or table_labels(n_values, kmax)
     modes = max((exc[-1] for exc in labels if exc), default=0)
+    h_labels = [conformal_label(exc) for exc in labels]
     records = []
     for n in n_values:  # largest N first, while the records are few
-        sol = solve_chain(n)
-        logdet0, a = _overlap_kernel(sol, min(modes, n))
+        lam = mode_energies(n)
+        logdet0, a = _overlap_kernel(n, min(modes, n))
         for k, exc in enumerate(labels):
             if exc and exc[-1] > n:
                 continue
@@ -210,8 +238,8 @@ def ising_overlap_table(n_values, kmax: int, labels=None) -> list[OverlapRecord]
                 nlo, ovl, det = np.inf, 0.0, _squared_overlap(np.exp(logdet0) * minor, n)
             records.append(OverlapRecord(
                 n_sites=n, k=k, excitation=exc,
-                energy_above_ground=float(sum(sol.energies[j] for j in s)),
-                h_label=conformal_label(exc), parity=len(exc) % 2,
+                energy_above_ground=float(sum(lam[j] for j in s)),
+                h_label=h_labels[k], parity=len(exc) % 2,
                 overlap=ovl, neg_log_overlap=nlo, overlap_det=det))
     return sorted(records, key=lambda r: r.n_sites)
 
@@ -253,50 +281,3 @@ def ising_fit_summary(records, drop_first_excited: int = DROP_FIRST_EXCITED) -> 
                                   "a2_spread": rfit.window_spread["1"],
                                   "parity_forbidden": False}
     return summary
-
-
-# ---------------------------------------------------------------------------
-# brute-force reference (small N)
-# ---------------------------------------------------------------------------
-
-
-def brute_force_reference(n_sites: int):
-    """Dense 2^N diagonalization of the spin Hamiltonian, with overlaps of
-    every eigenstate against the all-up product state.
-
-    Returns (energies ascending, |<up...up|E_j>|^2 in the same order).
-    Only for n_sites <= 12."""
-    if n_sites > 12:
-        raise ValueError("brute force limited to 12 sites")
-    n = n_sites
-    dim = 2 ** n
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-    def site_op(op, pos):
-        out = np.array([[1.0]])
-        for j in range(n):
-            out = np.kron(out, op if j == pos else np.eye(2))
-        return out
-
-    h = np.zeros((dim, dim))
-    for i in range(n):
-        h -= 0.5 * site_op(sz, i)
-    for i in range(n - 1):
-        h -= 0.5 * site_op(sx, i) @ site_op(sx, i + 1)
-    energies, vectors = np.linalg.eigh(h)
-    up = np.zeros(dim)
-    up[0] = 1.0  # |up...up> is index 0 in the kron ordering
-    return energies, (vectors.T @ up) ** 2
-
-
-def many_body_spectrum(sol: FreeFermionSolution):
-    """All 2^N energies sum_{k in S} Lambda_k - (1/2) sum Lambda, ascending."""
-    lam = sol.energies
-    base = -0.5 * lam.sum()
-    out = []
-    for r in range(sol.n_sites + 1):
-        for s in itertools.combinations(range(1, sol.n_sites + 1), r):
-            out.append((base + sum(lam[k - 1] for k in s), s))
-    out.sort()
-    return out

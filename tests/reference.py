@@ -6,14 +6,19 @@
   `virasoro.product_amplitude` is checked, and the closed form of P_2.
 - Scalar references for the vectorised loop-model code.  Each works on one
   link state at a time, given as a tuple (or row) of partner indices, the
-  way the link basis was first written."""
+  way the link basis was first written.
+- The Ising chain's 2^N brute-force diagonalization (N <= 12), the 2^N
+  free-fermion spectrum it is compared with, and the orthogonality of the
+  single-particle modes."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
+from rectcft.ising import FreeFermionSolution
 from rectcft.looplattice import adjacent_state, link_basis
 from rectcft.series import CZERO, CPoly, Series, series_pow_scalar
 from rectcft.virasoro import VermaVector, apply_mode
@@ -146,3 +151,55 @@ def boundary_link_state(n_sites: int, beta: float) -> np.ndarray:
     v = np.zeros(len(partners))
     v[(partners == adjacent_state(n_sites)).all(axis=1)] = beta ** (-n_sites / 2)
     return v
+
+
+# ------------------------------------------------------------ Ising chain
+
+
+def orthogonality_residual(sol: FreeFermionSolution) -> float:
+    n = sol.n_sites
+    rp = np.abs(sol.phi_plus @ sol.phi_plus.T - np.eye(n)).max()
+    rm = np.abs(sol.phi_minus @ sol.phi_minus.T - np.eye(n)).max()
+    return max(rp, rm)
+
+
+def brute_force_reference(n_sites: int):
+    """Dense 2^N diagonalization of the spin Hamiltonian, with overlaps of
+    every eigenstate against the all-up product state.
+
+    Returns (energies ascending, |<up...up|E_j>|^2 in the same order).
+    Only for n_sites <= 12."""
+    if n_sites > 12:
+        raise ValueError("brute force limited to 12 sites")
+    n = n_sites
+    dim = 2 ** n
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def site_op(op, pos):
+        out = np.array([[1.0]])
+        for j in range(n):
+            out = np.kron(out, op if j == pos else np.eye(2))
+        return out
+
+    h = np.zeros((dim, dim))
+    for i in range(n):
+        h -= 0.5 * site_op(sz, i)
+    for i in range(n - 1):
+        h -= 0.5 * site_op(sx, i) @ site_op(sx, i + 1)
+    energies, vectors = np.linalg.eigh(h)
+    up = np.zeros(dim)
+    up[0] = 1.0  # |up...up> is index 0 in the kron ordering
+    return energies, (vectors.T @ up) ** 2
+
+
+def many_body_spectrum(sol: FreeFermionSolution):
+    """All 2^N energies sum_{k in S} Lambda_k - (1/2) sum Lambda, ascending."""
+    lam = sol.energies
+    base = -0.5 * lam.sum()
+    out = []
+    for r in range(sol.n_sites + 1):
+        for s in itertools.combinations(range(1, sol.n_sites + 1), r):
+            out.append((base + sum(lam[k - 1] for k in s), s))
+    out.sort()
+    return out

@@ -14,7 +14,8 @@ import pytest
 
 from rectcft.series import C, cpoly, eta_inverse_power, partition_numbers
 from rectcft import freefield, ising, looplattice, slitmaps, virasoro
-from reference import amplitude, p2_closed_form, shapovalov
+from reference import (amplitude, brute_force_reference, many_body_spectrum, p2_closed_form,
+                       shapovalov)
 
 
 def report(n, label, ok=True):
@@ -145,8 +146,8 @@ def test_criterion_8_ising_brute_force(ising_summary):
     ok = True
     for n in (2, 3, 4):
         sol = ising.solve_chain(n)
-        dense_e, dense_ov = ising.brute_force_reference(n)
-        levels = ising.many_body_spectrum(sol)
+        dense_e, dense_ov = brute_force_reference(n)
+        levels = many_body_spectrum(sol)
         ok = ok and np.abs(np.array([e for e, _ in levels]) - dense_e).max() < 1e-10
         ok = ok and all(abs(ising.overlap_sq(sol, exc) - dense_ov[i]) < 1e-10
                         for i, (_, exc) in enumerate(levels))

@@ -7,10 +7,10 @@ import pytest
 
 from rectcft import ising
 from rectcft.cli import main
-from rectcft.ising import (brute_force_reference, conformal_label, correlation_matrix,
-                           enumerate_low_states, ising_fit_summary, ising_overlap_table,
-                           many_body_spectrum, neg_log_overlap, overlap_allowed, overlap_sq,
-                           solve_chain)
+from rectcft.ising import (conformal_label, correlation_matrix, enumerate_low_states,
+                           ising_fit_summary, ising_overlap_table, mode_matrix, neg_log_overlap,
+                           overlap_allowed, overlap_sq, solve_chain)
+from reference import brute_force_reference, many_body_spectrum, orthogonality_residual
 
 
 class TestSolveChain:
@@ -20,7 +20,7 @@ class TestSolveChain:
         assert sol.energies[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonality_large(self):
-        assert solve_chain(500).orthogonality_residual() < 1e-12
+        assert orthogonality_residual(solve_chain(500)) < 1e-12
 
     def test_spectrum_against_brute_force(self):
         for n in (2, 3, 4):
@@ -127,29 +127,72 @@ class TestOverlapKernel:
                 ref = overlap_sq(sol, r.excitation)
                 assert abs(r.overlap_det - ref) <= 1e-15, (r.n_sites, r.excitation)
 
-    def test_one_correlation_matrix_per_n(self, monkeypatch):
-        calls = []
-        original = ising.correlation_matrix
+    def test_table_at_cli_cap(self):
+        n = 1000  # the largest N that `ising --nmax` accepts
+        sol = solve_chain(n)
+        for r in ising_overlap_table([n], 10):
+            if overlap_allowed(r.excitation):
+                ref = neg_log_overlap(sol, r.excitation)
+                assert abs(r.neg_log_overlap - ref) <= 1e-12, r.excitation
+            else:
+                assert r.overlap == 0.0
+                ref = overlap_sq(sol, r.excitation)
+                assert abs(r.overlap_det - ref) <= 1e-15, r.excitation
 
-        def counted(sol, excitation=()):
-            calls.append(sol.n_sites)
-            return original(sol, excitation)
+    def test_one_mode_factorisation_per_n(self, monkeypatch):
+        calls = {"correlation_matrix": [], "mode_matrix": [], "lu_factor": []}
 
-        monkeypatch.setattr(ising, "correlation_matrix", counted)
+        def counted(module, name, size):
+            original = getattr(module, name)
+
+            def wrapper(arg, *rest, **kw):
+                calls[name].append(size(arg))
+                return original(arg, *rest, **kw)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(ising, "correlation_matrix", lambda sol: sol.n_sites)
+        counted(ising, "mode_matrix", int)
+        counted(ising.scipy.linalg, "lu_factor", len)
         ising_overlap_table(range(2, 41, 2), 10)
-        assert sorted(calls) == list(range(2, 41, 2))
+        assert calls["correlation_matrix"] == []
+        assert sorted(calls["mode_matrix"]) == list(range(2, 41, 2))
+        assert sorted(calls["lu_factor"]) == list(range(2, 41, 2))
 
     def test_nonpositive_det_m0_raises(self, monkeypatch, capsys):
-        # M0 = diag(-1, 1, ..., 1): det M0 = -1 at every N
-        def flipped(sol, excitation=()):
-            return np.diag([-3.0] + [1.0] * (sol.n_sites - 1))
+        # 1 - O = diag(-1, 1, ..., 1): det M0 = det((1 - O)/2) < 0 at every N
+        def flipped(n_sites):
+            return np.diag([2.0] + [0.0] * (n_sites - 1))
 
-        monkeypatch.setattr(ising, "correlation_matrix", flipped)
+        monkeypatch.setattr(ising, "mode_matrix", flipped)
         with pytest.raises(ArithmeticError):
             ising_overlap_table(range(2, 11, 2), 3)
         # 8 even N: enough for the <B|3> ratio fit, so the table is reached
         assert main(["ising", "--nmax", "16", "--kmax", "3"]) == 1
         assert capsys.readouterr().err.startswith("rectcft: ")
+
+
+class TestModeMatrix:
+    """The closed-form O = phi+ phi-^T that the overlap table factorises."""
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 7, 40, 101, 500, 1000))
+    def test_matches_site_space_product(self, n):
+        sol = solve_chain(n)
+        assert np.abs(mode_matrix(n) - sol.phi_plus @ sol.phi_minus.T).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 7, 40, 101))
+    def test_det_m0(self, n):
+        m0 = (np.eye(n) + correlation_matrix(solve_chain(n))) / 2
+        det = np.linalg.det((np.eye(n) - mode_matrix(n)) / 2)
+        assert det == pytest.approx(np.linalg.det(m0), rel=1e-12)
+
+    def test_cayley_transform_structure(self):
+        # what `overlap_allowed` relies on: A antisymmetric, A_ab = 0 for a + b even
+        n = 40
+        o = mode_matrix(n)
+        a = (np.eye(n) + o) @ np.linalg.inv(np.eye(n) - o)
+        assert np.abs(a + a.T).max() <= 1e-12
+        idx = np.arange(1, n + 1)
+        assert np.abs(a[np.add.outer(idx, idx) % 2 == 0]).max() <= 1e-12
 
 
 class TestEnumeration:
