@@ -28,22 +28,30 @@ from .series import GradedVector, Series, exp_truncated
 from .virasoro import slit_product
 
 
-def mode_sum(mode, words, v: GradedVector, keep) -> GradedVector:
-    """sum_w w * mode(j1, mode(j2, ... v)) over the (w, (j1, j2, ...)) in
-    `words`: the last mode acts first, a word stops at its first zero
-    partial product, and only levels <= `keep` are kept."""
+def mode_sum(act, words, v: GradedVector, keep) -> GradedVector:
+    """sum_w w * X_{j1} X_{j2} ... v over the (w, (j1, j2, ...)) in `words`,
+    folded over each basis key of v with the monomial action `act(j, key)`:
+    X_j on one basis state is (integer factor, key), or None for zero.
+
+    The last mode acts first, a word stops at its first zero, and only
+    levels <= `keep` are kept, tested once on the final key.  That keeps
+    the terms a cutoff after every mode would keep as long as each word
+    acts with its annihilator (if any) first: then no partial product
+    rises above both its start and its end."""
     level = v.level
     acc: dict = {}
     for w, word in words:
-        u = v
-        for j in reversed(word):
-            u = mode(j, u)
-            if u.is_zero():
-                break
-        else:
-            for key, co in u.terms.items():
+        for start, co in v.terms.items():
+            key, f = start, 1
+            for j in reversed(word):
+                hit = act(j, key)
+                if hit is None:
+                    break
+                s, key = hit
+                f *= s
+            else:
                 if level(key) <= keep:
-                    acc[key] = acc.get(key, 0) + co * w
+                    acc[key] = acc.get(key, 0) + co * w * f
     return type(v)(acc, v.cutoff)
 
 
@@ -52,6 +60,18 @@ def level_operator(v: GradedVector) -> GradedVector:
     dropped, prefactors are carried by the amplitudes)."""
     level = v.level
     return type(v)({key: co * level(key) for key, co in v.terms.items()}, v.cutoff)
+
+
+def _amplitude(v: GradedVector, norm_sq, order: int) -> Series:
+    """<v|qhat^{L_0}|v> over a basis orthogonal with <key|key> = norm_sq(key):
+    co^2 * norm_sq binned by level in one pass, integer levels <= order."""
+    level = v.level
+    coeffs = [Fraction(0)] * (order + 1)
+    for key, co in v.terms.items():
+        lev = level(key)
+        if lev.denominator == 1 and lev <= order:
+            coeffs[int(lev)] += co * co * norm_sq(key)
+    return Series("qhat", tuple(coeffs), order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -67,27 +87,20 @@ def boson_vacuum(cutoff: int) -> BosonVector:
     return BosonVector({(): Fraction(1)}, cutoff)
 
 
-def boson_mode(m: int, v: BosonVector) -> BosonVector:
-    """a_m on v: creation for m < 0, annihilation (k * multiplicity) for m > 0,
-    zero for m = 0 (no momentum sectors)."""
-    if m == 0:
-        return BosonVector({}, v.cutoff)
-    out: dict = {}
+def _boson_act(m: int, lam):
+    """a_m on a_{-lam}|0>: creation for m < 0, annihilation (m times the
+    multiplicity of m) for m > 0, zero for m = 0 (no momentum sectors)."""
     if m < 0:
-        k = -m
-        for lam, co in v.terms.items():
-            if sum(lam) + k > v.cutoff:
-                continue
-            mu = tuple(sorted(lam + (k,), reverse=True))
-            out[mu] = out.get(mu, Fraction(0)) + co
-    else:
-        for lam, co in v.terms.items():
-            if m not in lam:
-                continue
-            i = lam.index(m)
-            mu = lam[:i] + lam[i + 1:]
-            out[mu] = out.get(mu, Fraction(0)) + co * m * lam.count(m)
-    return BosonVector(out, v.cutoff)
+        return 1, tuple(sorted(lam + (-m,), reverse=True))
+    if m == 0 or m not in lam:
+        return None
+    i = lam.index(m)
+    return m * lam.count(m), lam[:i] + lam[i + 1:]
+
+
+def boson_mode(m: int, v: BosonVector) -> BosonVector:
+    """a_m on v, truncated at v.cutoff."""
+    return mode_sum(_boson_act, [(1, (m,))], v, v.cutoff)
 
 
 def boson_boundary_state(cutoff: int) -> BosonVector:
@@ -95,7 +108,7 @@ def boson_boundary_state(cutoff: int) -> BosonVector:
     words = [(Fraction(-1, 2 * n), (-n, -n)) for n in range(1, cutoff // 2 + 1)]
     # the form raises the level by at least 2, so a zero term ends the sum
     # before the cap of `cutoff` applications
-    return exp_truncated(lambda term: mode_sum(boson_mode, words, term, cutoff),
+    return exp_truncated(lambda term: mode_sum(_boson_act, words, term, cutoff),
                          boson_vacuum(cutoff), 1, cutoff)
 
 
@@ -103,7 +116,7 @@ def boson_gluing_check(v: BosonVector, m: int) -> BosonVector:
     """(a_m + a_{-m}) v; vanishes at levels <= cutoff - m on the boundary state."""
     if m <= 0:
         raise ValueError("m must be positive")
-    return mode_sum(boson_mode, [(1, (m,)), (1, (-m,))], v, v.cutoff - m)
+    return mode_sum(_boson_act, [(1, (m,)), (1, (-m,))], v, v.cutoff - m)
 
 
 def boson_virasoro(n: int, v: BosonVector) -> BosonVector:
@@ -116,7 +129,7 @@ def boson_virasoro(n: int, v: BosonVector) -> BosonVector:
         return level_operator(v)
     words = [(Fraction(1, 2) if 2 * k == n else 1, (n - k, k))
              for k in range(-(-n // 2), v.cutoff + min(n, 0) + 1) if k and k != n]
-    return mode_sum(boson_mode, words, v, v.cutoff)
+    return mode_sum(_boson_act, words, v, v.cutoff)
 
 
 def boson_norm_sq(lam) -> Fraction:
@@ -128,19 +141,9 @@ def boson_norm_sq(lam) -> Fraction:
     return out
 
 
-def boson_inner(u: BosonVector, v: BosonVector) -> Fraction:
-    return sum((u.terms[lam] * v.terms[lam] * boson_norm_sq(lam)
-                for lam in u.terms.keys() & v.terms.keys()), Fraction(0))
-
-
 def boson_amplitude(order: int) -> Series:
     """<B|qhat^{L_0}|B> (prefactor qhat^{-1/24} carried separately)."""
-    b = boson_boundary_state(order)
-    coeffs = []
-    for n in range(order + 1):
-        comp = b.level_component(n)
-        coeffs.append(boson_inner(comp, comp))
-    return Series("qhat", tuple(coeffs), order=order)
+    return _amplitude(boson_boundary_state(order), boson_norm_sq, order)
 
 
 def boson_product_formula(order: int) -> Series:
@@ -285,31 +288,27 @@ def fermion_vacuum(cutoff: int) -> FermionVector:
     return FermionVector({(): Fraction(1)}, cutoff)
 
 
-def fermion_mode(r2: int, v: FermionVector) -> FermionVector:
-    """psi_r with r = r2/2 (r2 odd).  r < 0 creates mode m = (-r2-1)/2,
-    r > 0 annihilates mode m = (r2-1)/2, with the anticommutation sign."""
-    if r2 % 2 == 0:
-        raise ValueError("fermion mode index must be half-odd (r2 odd)")
-    out: dict = {}
+def _fermion_act(r2: int, modes):
+    """psi_{r2/2} on a basis monomial: r2 < 0 creates mode m = (-r2-1)/2,
+    r2 > 0 annihilates mode m = (r2-1)/2, with the anticommutation sign."""
     if r2 < 0:
         m = (-r2 - 1) // 2
-        for modes, co in v.terms.items():
-            if m in modes:
-                continue
-            if fermion_level(modes) + m + Fraction(1, 2) > v.cutoff:
-                continue
-            pos = sum(1 for x in modes if x > m)
-            t = modes[:pos] + (m,) + modes[pos:]
-            out[t] = out.get(t, Fraction(0)) + co * (-1) ** pos
-    else:
-        m = (r2 - 1) // 2
-        for modes, co in v.terms.items():
-            if m not in modes:
-                continue
-            pos = modes.index(m)
-            t = modes[:pos] + modes[pos + 1:]
-            out[t] = out.get(t, Fraction(0)) + co * (-1) ** pos
-    return FermionVector(out, v.cutoff)
+        if m in modes:
+            return None
+        pos = sum(1 for x in modes if x > m)
+        return (-1) ** pos, modes[:pos] + (m,) + modes[pos:]
+    m = (r2 - 1) // 2
+    if m not in modes:
+        return None
+    pos = modes.index(m)
+    return (-1) ** pos, modes[:pos] + modes[pos + 1:]
+
+
+def fermion_mode(r2: int, v: FermionVector) -> FermionVector:
+    """psi_r on v with r = r2/2 (r2 odd), truncated at v.cutoff."""
+    if r2 % 2 == 0:
+        raise ValueError("fermion mode index must be half-odd (r2 odd)")
+    return mode_sum(_fermion_act, [(1, (r2,))], v, v.cutoff)
 
 
 def fermion_boundary_state(cutoff: int, g: GMatrix) -> FermionVector:
@@ -324,7 +323,7 @@ def fermion_boundary_state(cutoff: int, g: GMatrix) -> FermionVector:
              for m, n, gmn in g.pairs() if m + n + 1 <= cutoff]
     # each pair raises the level by m + n + 1 >= 2, so a zero term ends the
     # sum before the cap of `cutoff` applications
-    return exp_truncated(lambda vec: mode_sum(fermion_mode, words, vec, cutoff),
+    return exp_truncated(lambda vec: mode_sum(_fermion_act, words, vec, cutoff),
                          fermion_vacuum(cutoff), 1, cutoff)
 
 
@@ -333,7 +332,7 @@ def fermion_annihilation_check(v: FermionVector, m: int, g: GMatrix) -> FermionV
     truncation is faithful (<= cutoff - m - 1/2)."""
     words = [(1, (2 * m + 1,))] + [(-gmn, (-(2 * n + 1),))
                                    for n in range(g.cutoff + 1) if (gmn := g[m, n])]
-    return mode_sum(fermion_mode, words, v, v.cutoff - m - Fraction(1, 2))
+    return mode_sum(_fermion_act, words, v, v.cutoff - m - Fraction(1, 2))
 
 
 def fermion_virasoro(n: int, v: FermionVector) -> FermionVector:
@@ -347,16 +346,10 @@ def fermion_virasoro(n: int, v: FermionVector) -> FermionVector:
         return level_operator(v)
     words = [(Fraction(k2 - n, 2), (2 * n - k2, k2))
              for k2 in range(n + 1 + n % 2, 2 * (v.cutoff + min(n, 0)), 2)]
-    return mode_sum(fermion_mode, words, v, v.cutoff)
+    return mode_sum(_fermion_act, words, v, v.cutoff)
 
 
 def fermion_amplitude(order: int, g: GMatrix | None = None) -> Series:
     """<B|qhat^{L_0}|B> (prefactor qhat^{-1/48} carried separately)."""
     g = g if g is not None else g_series(order)
-    b = fermion_boundary_state(order, g)
-    coeffs = [Fraction(0)] * (order + 1)
-    for modes, co in b.terms.items():
-        lev = fermion_level(modes)
-        if lev.denominator == 1 and lev <= order:
-            coeffs[int(lev)] += co * co
-    return Series("qhat", tuple(coeffs), order=order)
+    return _amplitude(fermion_boundary_state(order, g), lambda modes: 1, order)

@@ -113,14 +113,13 @@ def neg_log_overlap(sol: FreeFermionSolution, excitation=()) -> float:
     return -0.5 * logdet
 
 
-def enumerate_low_states(sol: FreeFermionSolution, kmax: int):
+def enumerate_low_states(energies, kmax: int):
     """The kmax+1 lowest excitation sets by energy sum, empty set first.
 
-    Best-first expansion over subsets of the (ascending) single-particle
-    energies; each nonempty subset is generated once via the usual
-    grow/replace moves on its largest index."""
-    lam = sol.energies
-    n = sol.n_sites
+    Best-first expansion over subsets of the ascending single-particle
+    `energies` (`mode_energies(n)`); each nonempty subset is generated once
+    via the usual grow/replace moves on its largest index."""
+    lam, n = energies, len(energies)
     out = [(0.0, ())]
     heap = []
     if n >= 1:
@@ -181,7 +180,7 @@ def _overlap_kernel(n_sites: int, m: int):
 def table_labels(n_values, kmax: int) -> list[tuple]:
     """The excitation sets that `ising_overlap_table` labels k = 0..kmax:
     the kmax+1 lowest at the largest N."""
-    return [exc for _, exc in enumerate_low_states(solve_chain(max(n_values)), kmax)]
+    return [exc for _, exc in enumerate_low_states(mode_energies(max(n_values)), kmax)]
 
 
 def check_fit_points(n_values, labels) -> None:

@@ -262,7 +262,7 @@ class Series:
             return False
         lo = min(self.offset, other.offset)
         hi = max(self.order, other.order)
-        return all(cpoly(self[n]) == cpoly(other[n]) for n in range(lo, hi + 1))
+        return all(self[n] == other[n] for n in range(lo, hi + 1))
 
     def _check(self, other: "Series"):
         if self.var != other.var:
@@ -336,7 +336,7 @@ class Series:
         terms = []
         for n in range(self.offset, self.order + 1):
             c = self[n]
-            if c.is_zero() if isinstance(c, CPoly) else c == 0:
+            if not c:
                 continue
             cs = f"({c})" if isinstance(c, CPoly) and not c.is_constant() else str(c)
             if n == 0:
@@ -366,13 +366,9 @@ def series_one(var: str, order: int) -> Series:
     return Series(var, (Fraction(1),), order=order)
 
 
-def _is_zero(c) -> bool:
-    return c.is_zero() if isinstance(c, CPoly) else c == 0
-
-
 def series_exp(a: Series) -> Series:
     """exp of a series with zero constant term (offset must be >= 0)."""
-    if a.offset < 0 or not _is_zero(a[0]):
+    if a.offset < 0 or a[0]:
         raise SeriesError("series_exp needs zero constant term")
     order = a.order
     # e' = a' e  =>  (n+1) e_{n+1} = sum_k (k+1) a_{k+1} e_{n-k}
@@ -382,7 +378,7 @@ def series_exp(a: Series) -> Series:
         acc = None
         for k in range(n + 1):
             ak = a[k + 1]
-            if _is_zero(ak):
+            if not ak:
                 continue
             v = (k + 1) * (ak * e[n - k])
             acc = v if acc is None else acc + v
@@ -401,7 +397,7 @@ def series_log(a: Series) -> Series:
         acc = a[n]
         for k in range(1, n):
             lk, ank = l[k], a[n - k]
-            if _is_zero(lk) or _is_zero(ank):
+            if not lk or not ank:
                 continue
             acc = acc - Fraction(k, n) * (lk * ank)
         l[n] = acc
@@ -489,10 +485,11 @@ def eta_inverse_power(exponent, var: str = "q", order: int = DEFAULT_ORDER) -> E
 class GradedVector:
     """Finite combination of basis states, truncated at level `cutoff`.
 
-    `terms` maps a basis key (a tuple of mode labels) to its coefficient;
-    zero coefficients are dropped on construction.  A realization subclasses
-    this with its coefficient ring (`ring` coerces a coefficient) and the
-    level of a key (`level`), and supplies its mode action separately.
+    `terms` maps a basis key (a tuple of mode labels) to its coefficient,
+    already in the realization's ring; zero coefficients are dropped on
+    construction.  A realization subclasses this with its ring (`ring(0)` is
+    the coefficient of a missing key) and the level of a key (`level`), and
+    supplies its mode action separately.
     """
 
     terms: dict
@@ -502,8 +499,7 @@ class GradedVector:
     level = staticmethod(sum)
 
     def __post_init__(self):
-        ring = self.ring
-        self.terms = {key: c for key, co in self.terms.items() if (c := ring(co))}
+        self.terms = {key: co for key, co in self.terms.items() if co}
 
     def __eq__(self, other):
         return isinstance(other, type(self)) and self.terms == other.terms

@@ -63,12 +63,6 @@ class VermaVector(GradedVector):
 
     ring = staticmethod(cpoly)
 
-    def __post_init__(self):
-        super().__post_init__()
-        for lam in self.terms:
-            if sum(lam) > self.cutoff:
-                raise ValueError(f"partition {lam} above cutoff {self.cutoff}")
-
     def max_level(self) -> int:
         return max((sum(lam) for lam in self.terms), default=0)
 
@@ -86,9 +80,9 @@ def apply_mode(n: int, v: VermaVector) -> VermaVector:
     """L_n applied to v; levels above v.cutoff are dropped."""
     out: dict = {}
     for lam, co in v.terms.items():
+        if sum(lam) - n > v.cutoff:  # every term of act(n, lam) is at |lam| - n
+            continue
         for mu, co2 in act(n, lam).items():
-            if sum(mu) > v.cutoff:
-                continue
             w = co * co2
             acc = out.get(mu)
             out[mu] = w if acc is None else acc + w

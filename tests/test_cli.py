@@ -154,7 +154,8 @@ class TestDeterminism:
 
 class TestExactBytes:
     """SHA-256 of exact `--out` files: a change to the exact core (the Q[c]
-    ring above all) must leave these bytes as they are."""
+    ring and the free-field mode action above all) must leave these bytes
+    as they are."""
 
     @pytest.mark.parametrize("argv, digest", [
         (("amplitude", "--order", "24"),
@@ -169,6 +170,16 @@ class TestExactBytes:
          "43b8872afc20ad388e29fe4a35897c12d6a8c5f26a4eebd73500692c841ac77e"),
         (("gluing-check", "--nmax", "6", "--level", "12"),
          "c1de62434491c06137bdaf93ef063ec0ef0bcc7dfd3546831043380630bb7620"),
+        (("boson", "--amplitude-order", "30"),
+         "7f5d373f3811c59de6b8e60004e890572ec31987b3fc12c24935be093e449c49"),
+        (("boson", "--amplitude-order", "16", "--format", "plain"),
+         "42398b6d797e6c73d7b9fc7abc91e6fec9c098f2f6dc3cce0665577ce1e34f3a"),
+        (("majorana", "--amplitude-order", "20"),
+         "f5abe0916a1ce55e6e8a05f2fb0ae7171c2cedbeefe6b3f4ba7b377e7cc17636"),
+        (("majorana", "--g-table", "8", "8", "--format", "csv"),
+         "c789df4ab29bc7e674209a16a33955223b32a5cf501a1f2c7becb63d35cbd81d"),
+        (("majorana", "--compare-virasoro", "--level", "12"),
+         "7c6d19a5e4d7e1aa27022ab92485c0b37e85065ca66992945c43b2695925a6eb"),
     ])
     def test_output_digest(self, capsys, tmp_path, argv, digest):
         out = tmp_path / "out"

@@ -7,7 +7,7 @@ import pytest
 
 from rectcft import freefield
 from rectcft.freefield import (BosonVector, FermionVector, boson_amplitude,
-                               boson_boundary_state, boson_gluing_check, boson_inner,
+                               boson_boundary_state, boson_gluing_check,
                                boson_mode, boson_norm_sq, boson_product_formula,
                                boson_vacuum, boson_virasoro, fermion_amplitude,
                                fermion_annihilation_check, fermion_boundary_state,
@@ -19,7 +19,7 @@ from rectcft.series import eta_inverse_power
 
 
 class Counting:
-    """Wraps a mode function and counts its applications."""
+    """Wraps a monomial action and counts its applications."""
 
     def __init__(self, op):
         self.op = op
@@ -85,17 +85,42 @@ def random_vectors(cutoff, seed):
 
 
 class TestModeSum:
+    def test_boson_monomial_action(self):
+        assert freefield._boson_act(-2, (3, 1)) == (1, (3, 2, 1))
+        assert freefield._boson_act(2, (2, 2, 1)) == (4, (2, 1))  # 2 * multiplicity
+        assert freefield._boson_act(3, (2, 1)) is None
+        assert freefield._boson_act(0, (1,)) is None
+
+    def test_fermion_monomial_action(self):
+        assert freefield._fermion_act(-3, (2, 0)) == (-1, (2, 1, 0))
+        assert freefield._fermion_act(-5, (2, 0)) is None  # Pauli
+        assert freefield._fermion_act(1, (2, 0)) == (-1, (2,))
+        assert freefield._fermion_act(3, (2, 0)) is None
+
     def test_last_mode_acts_first_and_keep_filters(self):
+        act = freefield._boson_act
         words = [(1, (1, -1)), (3, (-3,))]
         # a_1 a_{-1}|0> = |0> (a_{-1} a_1|0> would be 0), plus 3 a_{-3}|0>
-        assert mode_sum(boson_mode, words, boson_vacuum(6), 6).terms == {(): 1, (3,): 3}
-        assert mode_sum(boson_mode, words, boson_vacuum(6), 2).terms == {(): 1}
+        assert mode_sum(act, words, boson_vacuum(6), 6).terms == {(): 1, (3,): 3}
+        assert mode_sum(act, words, boson_vacuum(6), 2).terms == {(): 1}
 
     def test_word_stops_at_first_zero(self):
-        count = Counting(boson_mode)
+        count = Counting(freefield._boson_act)
         out = mode_sum(count, [(1, (-1, 2)), (F(1, 2), (-1, -1))], boson_vacuum(4), 4)
         assert count.calls == 1 + 2  # a_2|0> = 0 ends the first word
         assert out.terms == {(1, 1): F(1, 2)}
+
+    def test_word_stops_per_key(self):
+        # a_{-1} a_2 on |0> + a_{-2}|0>: the vacuum stops after one step
+        count = Counting(freefield._boson_act)
+        v = BosonVector({(): F(1), (2,): F(3)}, 4)
+        out = mode_sum(count, [(1, (-1, 2))], v, 4)
+        assert count.calls == 1 + 2
+        assert out.terms == {(1,): F(6)}
+
+    def test_odd_r2_only(self):
+        with pytest.raises(ValueError):
+            fermion_mode(2, fermion_vacuum(4))
 
     def test_level_operator(self):
         v = FermionVector({(): F(2), (1, 0): F(1), (2,): F(3)}, 4)
@@ -114,18 +139,22 @@ class TestVirasoroAgainstLiftedReference:
                 assert fermion_virasoro(n, vf) == lifted_fermion_virasoro(n, vf), (cutoff, n)
 
     def test_mode_calls_of_level8_products(self, monkeypatch):
-        # the lifted reference made 334 boson and 316 fermion mode calls here
-        boson = Counting(freefield.boson_mode)
-        fermion = Counting(freefield.fermion_mode)
-        monkeypatch.setattr(freefield, "boson_mode", boson)
-        monkeypatch.setattr(freefield, "fermion_mode", fermion)
+        boson = Counting(freefield._boson_act)
+        fermion = Counting(freefield._fermion_act)
+        monkeypatch.setattr(freefield, "_boson_act", boson)
+        monkeypatch.setattr(freefield, "_fermion_act", fermion)
         bprod = virasoro_product_state(boson_virasoro, boson_vacuum(8), 8, 3)
         fprod = virasoro_product_state(fermion_virasoro, fermion_vacuum(8), 8, 3)
-        assert boson.calls < 334
-        assert fermion.calls < 316
+        made = boson.calls, fermion.calls
+        boson.calls = fermion.calls = 0
+        blift = virasoro_product_state(lifted_boson_virasoro, boson_vacuum(8), 8, 3)
+        flift = virasoro_product_state(lifted_fermion_virasoro, fermion_vacuum(8), 8, 3)
+        # 431 and 325 here, against 1970 and 1782 for the lifted reference
+        assert made[0] < boson.calls / 3
+        assert made[1] < fermion.calls / 3
         monkeypatch.undo()
-        assert bprod == boson_boundary_state(8)
-        assert fprod == fermion_boundary_state(8, g_series(8))
+        assert bprod == blift == boson_boundary_state(8)
+        assert fprod == flift == fermion_boundary_state(8, g_series(8))
 
 
 # ------------------------------------------------------------------- boson
@@ -227,8 +256,6 @@ class TestBosonAmplitude:
     def test_norms(self):
         assert boson_norm_sq((1, 1)) == 2
         assert boson_norm_sq((3, 2, 2)) == 3 * 4 * 2
-        u = BosonVector({(2, 1): F(2)}, 3)
-        assert boson_inner(u, u) == 8
 
 
 # ----------------------------------------------------------------- fermion

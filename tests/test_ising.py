@@ -198,7 +198,7 @@ class TestModeMatrix:
 class TestEnumeration:
     def test_lowest_states(self):
         sol = solve_chain(100)
-        states = [exc for _, exc in enumerate_low_states(sol, 10)]
+        states = [exc for _, exc in enumerate_low_states(sol.energies, 10)]
         assert states[0] == ()
         assert states[1] == (1,)
         assert states[3] == (1, 2)
@@ -207,12 +207,12 @@ class TestEnumeration:
 
     def test_energies_ascending(self):
         sol = solve_chain(60)
-        energies = [e for e, _ in enumerate_low_states(sol, 15)]
+        energies = [e for e, _ in enumerate_low_states(sol.energies, 15)]
         assert energies == sorted(energies)
 
     def test_matches_exhaustive(self):
         sol = solve_chain(8)
-        low = enumerate_low_states(sol, 12)
+        low = enumerate_low_states(sol.energies, 12)
         full = many_body_spectrum(sol)
         base = -0.5 * sol.energies.sum()
         for (e1, s1), (e2, s2) in zip(low, full):

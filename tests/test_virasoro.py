@@ -2,6 +2,9 @@ import math
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from rectcft import virasoro
 from rectcft.series import C, CONE, CZERO, cpoly, eta_inverse_power, partition_numbers
 from rectcft.virasoro import (GluingParams, VermaVector, act, apply_mode, boundary_state,
                               finitized_state, gluing_residual, homogeneous_gluing,
@@ -162,6 +165,29 @@ class TestBoundaryState:
 
     def test_finitized_saturates(self):
         assert finitized_state(7, 10).terms == boundary_state(10).terms
+
+
+class TestCutoff:
+    """`apply_mode` drops terms above the cutoff where it makes them, so no
+    vector re-checks its partitions: every vector it makes, and every
+    state built from them, stays at level <= cutoff."""
+
+    @pytest.mark.parametrize("cutoff", range(13))
+    def test_max_level_within_cutoff(self, cutoff, monkeypatch):
+        made = []
+
+        def checked(n, v):
+            out = apply_mode(n, v)
+            made.append(out.max_level() <= v.cutoff)
+            return out
+
+        monkeypatch.setattr(virasoro, "apply_mode", checked)
+        b = boundary_state(cutoff)
+        states = [b] + [finitized_state(n, cutoff) for n in range(1, 4)]
+        states += [gluing_residual(b, homogeneous_gluing(n)) for n in range(1, cutoff + 2)]
+        product_amplitude(None, cutoff)  # its level components pass through `checked`
+        assert made and all(made)
+        assert all(v.max_level() <= cutoff for v in states)
 
 
 # ---------------------------------------------------------------- gluing
