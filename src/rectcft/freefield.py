@@ -34,24 +34,32 @@ def mode_sum(act, words, v: GradedVector, keep) -> GradedVector:
     X_j on one basis state is (integer factor, key), or None for zero.
 
     The last mode acts first, a word stops at its first zero, and only
-    levels <= `keep` are kept, tested once on the final key.  That keeps
-    the terms a cutoff after every mode would keep as long as each word
-    acts with its annihilator (if any) first: then no partial product
-    rises above both its start and its end."""
-    level = v.level
+    levels <= `keep` are kept.  The level of a result is known before
+    acting: X_j shifts the integer grade of a key (`v.grade`, which is
+    `v.grade_per_level` times its level) by -j, so a word is acted only on
+    the keys it takes to grade <= grade_per_level * keep.  That keeps the
+    terms a cutoff after every mode would keep as long as each word acts
+    with its annihilator (if any) first: then no partial product rises
+    above both its start and its end."""
+    grade = v.grade
+    top = math.floor(v.grade_per_level * keep)
+    starts = [(key, co, grade(key)) for key, co in v.terms.items()]
     acc: dict = {}
     for w, word in words:
-        for start, co in v.terms.items():
+        reach = top + sum(word)
+        word = word[::-1]
+        for start, co, g in starts:
+            if g > reach:
+                continue
             key, f = start, 1
-            for j in reversed(word):
+            for j in word:
                 hit = act(j, key)
                 if hit is None:
                     break
                 s, key = hit
                 f *= s
             else:
-                if level(key) <= keep:
-                    acc[key] = acc.get(key, 0) + co * w * f
+                acc[key] = acc.get(key, 0) + co * w * f
     return type(v)(acc, v.cutoff)
 
 
@@ -65,12 +73,12 @@ def level_operator(v: GradedVector) -> GradedVector:
 def _amplitude(v: GradedVector, norm_sq, order: int) -> Series:
     """<v|qhat^{L_0}|v> over a basis orthogonal with <key|key> = norm_sq(key):
     co^2 * norm_sq binned by level in one pass, integer levels <= order."""
-    level = v.level
+    grade, per = v.grade, v.grade_per_level
     coeffs = [Fraction(0)] * (order + 1)
     for key, co in v.terms.items():
-        lev = level(key)
-        if lev.denominator == 1 and lev <= order:
-            coeffs[int(lev)] += co * co * norm_sq(key)
+        lev, rest = divmod(grade(key), per)
+        if not rest and lev <= order:
+            coeffs[lev] += co * co * norm_sq(key)
     return Series("qhat", tuple(coeffs), order=order)
 
 
@@ -80,7 +88,11 @@ def _amplitude(v: GradedVector, norm_sq, order: int) -> Series:
 
 
 class BosonVector(GradedVector):
-    """Combination of a_{-l1}...a_{-lk}|0> indexed by partitions (parts >= 1)."""
+    """Combination of a_{-l1}...a_{-lk}|0> indexed by partitions (parts >= 1).
+    The integer grade of a key (see `mode_sum`) is its level."""
+
+    grade = staticmethod(sum)
+    grade_per_level = 1
 
 
 def boson_vacuum(cutoff: int) -> BosonVector:
@@ -132,12 +144,12 @@ def boson_virasoro(n: int, v: BosonVector) -> BosonVector:
     return mode_sum(_boson_act, words, v, v.cutoff)
 
 
-def boson_norm_sq(lam) -> Fraction:
+def boson_norm_sq(lam) -> int:
     """<a_{-lam}0 | a_{-lam}0> = prod_j j^{m_j} m_j! over multiplicities m_j."""
-    out = Fraction(1)
+    out = 1
     for j in set(lam):
         m = lam.count(j)
-        out *= Fraction(j) ** m * math.factorial(m)
+        out *= j ** m * math.factorial(m)
     return out
 
 
@@ -236,9 +248,10 @@ def g_series(cutoff: int) -> GMatrix:
         for j in range(ord_ + 1):
             if not s[j]:
                 continue
+            sij = s[i] * s[j]
             for k in range(0, ord_ + 1 - max(i, j)):
                 key = (i + k, j + k)
-                a[key] = a.get(key, Fraction(0)) + s[i] * s[j]
+                a[key] = a.get(key, 0) + sij
     a[(0, 0)] = a.get((0, 0), Fraction(0)) - 1
     # B = A/(u-v): A_{i,j} = B_{i-1,j} - B_{i,j-1}, solved along diagonals
     b: dict = {}
@@ -279,9 +292,15 @@ def fermion_level(modes) -> Fraction:
 class FermionVector(GradedVector):
     """Combination of psi_{-m1-1/2}...psi_{-mk-1/2}|O> over strictly
     decreasing mode tuples; level = sum(m_i + 1/2).  The cutoff is an
-    integer level (states used here have integer level)."""
+    integer level (states used here have integer level).  The integer
+    grade of a key (see `mode_sum`) is twice its level, 2 sum(m_i) + k."""
 
     level = staticmethod(fermion_level)
+    grade_per_level = 2
+
+    @staticmethod
+    def grade(modes) -> int:
+        return 2 * sum(modes) + len(modes)
 
 
 def fermion_vacuum(cutoff: int) -> FermionVector:

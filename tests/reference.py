@@ -7,6 +7,10 @@
 - Scalar references for the vectorised loop-model code.  Each works on one
   link state at a time, given as a tuple (or row) of partner indices, the
   way the link basis was first written.
+- The free-field mode-word sum that acts every word on every key and
+  tests the level once, on the final key, against which
+  `freefield.mode_sum` (which acts only where the result is kept) is
+  checked.
 - The Ising chain's 2^N brute-force diagonalization (N <= 12), the 2^N
   free-fermion spectrum it is compared with, and the orthogonality of the
   single-particle modes."""
@@ -151,6 +155,29 @@ def boundary_link_state(n_sites: int, beta: float) -> np.ndarray:
     v = np.zeros(len(partners))
     v[(partners == adjacent_state(n_sites)).all(axis=1)] = beta ** (-n_sites / 2)
     return v
+
+
+# ------------------------------------------------------------ free fields
+
+
+def mode_sum(act, words, v, keep):
+    """`freefield.mode_sum` with every word acted on every key of v, each
+    final key then kept if its level is <= `keep`."""
+    level = v.level
+    acc: dict = {}
+    for w, word in words:
+        for start, co in v.terms.items():
+            key, f = start, 1
+            for j in reversed(word):
+                hit = act(j, key)
+                if hit is None:
+                    break
+                s, key = hit
+                f *= s
+            else:
+                if level(key) <= keep:
+                    acc[key] = acc.get(key, 0) + co * w * f
+    return type(v)(acc, v.cutoff)
 
 
 # ------------------------------------------------------------ Ising chain

@@ -1,10 +1,15 @@
+import hashlib
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference
 from rectcft import freefield
 from rectcft.freefield import (BosonVector, FermionVector, boson_amplitude,
                                boson_boundary_state, boson_gluing_check,
@@ -127,6 +132,66 @@ class TestModeSum:
         assert level_operator(v).terms == {(1, 0): F(2), (2,): F(15, 2)}
 
 
+def mode_words(creators, annihilators, rng):
+    """Words whose annihilator acts first (last in the tuple), last, or not
+    at all, and three-mode words that often die part-way, with random
+    weights."""
+    words = ([(c, a) for c in creators for a in annihilators]
+             + [(a, c) for c in creators for a in annihilators]
+             + [(c,) for c in creators] + [(a,) for a in annihilators]
+             + [(c, d) for c in creators for d in creators]
+             + [tuple(rng.choice(creators + annihilators) for _ in range(3))
+                for _ in range(40)])
+    return [(F(rng.randint(-3, 3) or 1, rng.randint(1, 3)), word) for word in words]
+
+
+class TestModeSumAgainstReference:
+    """`mode_sum` acts a word only on the keys it takes to a level within
+    `keep`; the reference acts every pair and tests the final key."""
+
+    @staticmethod
+    def check(act, words, v, keep):
+        new, ref = Counting(act), Counting(act)
+        out = mode_sum(new, words, v, keep)
+        assert list(out.terms.items()) == list(
+            reference.mode_sum(ref, words, v, keep).terms.items()), keep
+        assert new.calls <= ref.calls
+        return new.calls, ref.calls
+
+    @pytest.mark.parametrize("cutoff", [3, 6])
+    def test_same_terms_in_same_order(self, cutoff):
+        rng = random.Random(cutoff)
+        saved = 0
+        for seed in range(2):
+            vb, vf = random_vectors(cutoff, seed)
+            top = cutoff + 1
+            words = mode_words(list(range(-top, 0)), list(range(0, top + 1)), rng)
+            for keep in (-1, 0, cutoff // 2, cutoff - 1, cutoff, cutoff + 2):
+                new, ref = self.check(freefield._boson_act, words, vb, keep)
+                saved += ref - new
+            words = mode_words(list(range(-2 * top - 1, 0, 2)),
+                               list(range(1, 2 * top + 2, 2)), rng)
+            for keep2 in (-1, 0, 1, cutoff, 2 * cutoff - 1, 2 * cutoff, 2 * cutoff + 3):
+                new, ref = self.check(freefield._fermion_act, words, vf, F(keep2, 2))
+                saved += ref - new
+        assert saved > 0
+
+    def test_mode_calls_of_coherent_states(self, monkeypatch):
+        g = g_series(20)
+        bref, fref = boson_boundary_state(24), fermion_boundary_state(20, g)
+        boson = Counting(freefield._boson_act)
+        fermion = Counting(freefield._fermion_act)
+        monkeypatch.setattr(freefield, "_boson_act", boson)
+        monkeypatch.setattr(freefield, "_fermion_act", fermion)
+        bstate, fstate = boson_boundary_state(24), fermion_boundary_state(20, g)
+        monkeypatch.undo()
+        # acting every (word, key) pair made 6528 and 14310 calls
+        assert (boson.calls, fermion.calls) == (1236, 1363)
+        # the level test grades by the vector, whatever wraps the action
+        assert list(bstate.terms.items()) == list(bref.terms.items())
+        assert list(fstate.terms.items()) == list(fref.terms.items())
+
+
 class TestVirasoroAgainstLiftedReference:
     @pytest.mark.parametrize("cutoff", [0, 1, 4, 7])
     def test_term_for_term(self, cutoff):
@@ -155,6 +220,22 @@ class TestVirasoroAgainstLiftedReference:
         monkeypatch.undo()
         assert bprod == blift == boson_boundary_state(8)
         assert fprod == flift == fermion_boundary_state(8, g_series(8))
+
+
+def test_freefield_workload_series_match_benchmark_digest(monkeypatch):
+    """The exact series of the benchmark's `freefield` workload, in its
+    canonical encoding, against its recorded SHA-256 (read, not run)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = {"boson_amplitude": boson_amplitude(48),
+           "boson_product_formula": boson_product_formula(48),
+           "g_series": g_series(32),
+           "fermion_amplitude": fermion_amplitude(32)}
+    digest = hashlib.sha256(workloads.freefield_exact_json(out)).hexdigest()
+    assert digest == workloads.DIGESTS["full"]["freefield.exact"]
 
 
 # ------------------------------------------------------------------- boson
