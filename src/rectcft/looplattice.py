@@ -18,12 +18,22 @@ are read one way, a Gram row at a time (`gram_row`): the loops between two
 states are half the cycles of the composed involutions, counted for many
 pairs at once by pointer doubling.
 
-One rule picks the physical states from sorted eigenpairs, right and left
-(`_physical_states`): on each eigenvalue cluster G V = W C, with C fixed by
-Gram rows at a few anchors, so the Gram block follows without G.  ARPACK
-supplies the eigenpairs (H and H^T) while its Arnoldi space fits inside the
-basis, with k doubled while a run finds new physical states but too few,
+The reflection x -> N-1-x maps the basis onto itself (`LinkBasis.reflection`,
+the bit-reversed closer words ranked like the moves); it commutes with H
+and G and fixes B.  So every solve runs in the even and odd reflection
+sectors, each about half the basis: H and H^T on the orbit vectors
+s +- Rs, read off the move table (`reflection_sector`).  B has no odd
+part, so an odd state's overlap is a structural 0.0, not a fit to roundoff.
+
+One rule picks the physical states from one sector's sorted eigenpairs,
+right and left, embedded back into link space (`_physical_states`): on
+each eigenvalue cluster G V = W C, with C fixed by Gram rows at a few
+anchors, so the Gram block follows without G.  ARPACK supplies each
+sector's eigenpairs (its H and H^T) while its Arnoldi space fits inside the
+sector, with k doubled while a run finds new physical states but too few,
 and dense eig once it does not; the two are cross-checked in the tests.
+The sectors' states are merged in energy order, even first inside a
+degenerate cluster, and relabelled.
 """
 
 from __future__ import annotations
@@ -100,12 +110,14 @@ def adjacent_state(n_sites: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinkBasis:
-    """The partner array of `enumerate_links` and moves[k, i] = the row of
-    e_i applied to row k (a closed loop iff moves[k, i] == k).  Cached and
-    shared: both arrays are read-only."""
+    """The partner array of `enumerate_links`, moves[k, i] = the row of e_i
+    applied to row k (a closed loop iff moves[k, i] == k) and reflection[k]
+    = the row of the mirror image of row k under x -> N-1-x.  Cached and
+    shared: the arrays are read-only."""
 
     partners: np.ndarray
     moves: np.ndarray
+    reflection: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -117,13 +129,17 @@ def link_basis(n_sites: int) -> LinkBasis:
     (i, i+1) and joins the former partners a, b of i and i+1; applied to
     every row at once, it rewrites those four bits and the result is ranked
     by `searchsorted`.  On a closed loop (a = i+1, b = i) the rewrite gives
-    the word back, so the row stays."""
+    the word back, so the row stays.  A site opens in the mirror image
+    exactly when its mirror site closes, so the mirrored opener word is the
+    bit-reversed closer word, ranked the same way."""
     partners = enumerate_links(n_sites)
     word = np.uint32 if n_sites <= 32 else np.uint64
     one = word(1)
     words = np.zeros(len(partners), dtype=word)
+    mirrored = np.zeros_like(words)
     for x in range(n_sites):
         words |= (partners[:, x] > x).astype(word) << x
+        mirrored |= (partners[:, x] < x).astype(word) << (n_sites - 1 - x)
     rank = np.argsort(words)
     ranked = words[rank]
     moves = np.empty((len(partners), n_sites - 1), dtype=np.int32)
@@ -131,8 +147,9 @@ def link_basis(n_sites: int) -> LinkBasis:
         a, b = partners[:, i].astype(word), partners[:, i + 1].astype(word)
         kept = words & ~((one << i) | (one << (i + 1)) | (one << a) | (one << b))
         moves[:, i] = rank[np.searchsorted(ranked, kept | (one << i) | (one << np.minimum(a, b)))]
-    moves.flags.writeable = False
-    return LinkBasis(partners, moves)
+    reflection = rank[np.searchsorted(ranked, mirrored)].astype(np.int32)
+    moves.flags.writeable = reflection.flags.writeable = False
+    return LinkBasis(partners, moves, reflection)
 
 
 _BATCH = 1 << 14  # glued partner entries per pointer-doubling batch (cache-sized)
@@ -199,6 +216,44 @@ def hamiltonian(n_sites: int, beta: float) -> np.ndarray:
     return sparse_structure(n_sites, beta).toarray()
 
 
+def reflection_sector(n_sites: int, beta: float, parity: int):
+    """H and H^T in the reflection sector of `parity` (+1 even, -1 odd), and
+    the sparse embedding of the sector into link space.
+
+    The reflection R (x -> N-1-x) commutes with H.  The sector has one
+    vector s + parity*Rs per orbit {s, Rs}, at its lower row s <= Rs (the
+    odd sector has none on a fixed state s = Rs); a sector vector's
+    coordinates are its link components at those rows.  Column s of the
+    sector's H is H s + parity*R H s read there: a move of s to m adds
+    [m <= Rm] + parity*[m >= Rm] to m's orbit, or only [m <= Rm] when s is
+    fixed.  With the orbit sizes D, the sector of H^T is D^-1 M^T D for the
+    sector M of H, not M^T (they differ on the even sector only)."""
+    basis = link_basis(n_sites)
+    mirror = basis.reflection
+    rows = np.arange(len(mirror))
+    lower, upper = rows <= mirror, rows >= mirror
+    reps = np.flatnonzero(lower if parity > 0 else rows < mirror)
+    dim = len(reps)
+    paired = reps != mirror[reps]
+    coord = np.zeros(len(mirror), dtype=np.int64)
+    coord[reps] = coord[mirror[reps]] = np.arange(dim)
+    embed = sp.csr_matrix(
+        (np.r_[np.ones(dim), np.full(paired.sum(), float(parity))],
+         (np.r_[reps, mirror[reps[paired]]], np.r_[np.arange(dim), np.flatnonzero(paired)])),
+        shape=(len(mirror), dim))
+    moves = basis.moves[reps]
+    closed = moves == reps[:, None]
+    cols, _ = np.nonzero(~closed)
+    to = moves[~closed]
+    weight = lower[to] + parity * (upper[to] & paired[cols])
+    hit = weight != 0
+    a = sp.coo_matrix((weight[hit].astype(float), (coord[to[hit]], cols[hit])),
+                      shape=(dim, dim)).tocsr()
+    h = -(a + sp.diags(beta * closed.sum(axis=1))).tocsc()
+    size = 1.0 + paired
+    return h, (sp.diags(1 / size) @ h.T @ sp.diags(size)).tocsr(), embed
+
+
 class DegenerateNormError(ArithmeticError):
     pass
 
@@ -214,7 +269,8 @@ class SpectrumEntry:
     k: int
     energy: float
     vector: np.ndarray      # loop-normalized: v^T G v = 1
-    boundary_overlap: float  # <B|k>, sign fixed >= 0
+    boundary_overlap: float  # <B|k>, sign fixed >= 0; exactly 0.0 on an odd state
+    parity: int             # reflection sector: +1 even, -1 odd
 
 
 NULL_TOL = 1e-8
@@ -232,10 +288,12 @@ def eigenvalue_clusters(energies):
         i = j
 
 
-def _physical_states(n_sites, beta, h, energies, right, left, count) -> list[SpectrumEntry]:
+def _physical_states(n_sites, beta, h, energies, right, left, count, boundary,
+                     parity) -> list[SpectrumEntry]:
     """The lowest `count`+1 physical states (fewer if there are fewer) among
     sorted real eigenvalues with right (H V = V E) and left (H^T W = W E)
-    eigenvectors.
+    eigenvectors, all in one reflection sector of `parity`; `boundary` is
+    the sector's part of the Gram row of B (zero in the odd sector).
 
     G H = H^T G maps each right eigenspace onto the left one: G V = W C on
     a cluster.  C follows from the Gram rows at the cluster's anchors, the
@@ -246,7 +304,6 @@ def _physical_states(n_sites, beta, h, energies, right, left, count) -> list[Spe
     first member, whatever basis the solver returned.  A physical state
     that is no eigenvector of H raises."""
     partners = link_basis(n_sites).partners
-    boundary = gram_row(partners, beta, adjacent_state(n_sites))
     out = []
     for i, j in eigenvalue_clusters(energies):
         if len(out) > count:
@@ -272,70 +329,127 @@ def _physical_states(n_sites, beta, h, energies, right, left, count) -> list[Spe
         for t in range(y.shape[1]):
             ovl = beta ** (-n_sites / 2) * float(boundary @ y[:, t])
             sign = -1.0 if ovl < 0 else 1.0
-            out.append(SpectrumEntry(len(out), energy, sign * y[:, t], sign * ovl))
+            out.append(SpectrumEntry(len(out), energy, sign * y[:, t], sign * ovl, parity))
     return out[:count + 1]
 
 
-def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
-    """Lowest `count`+1 physical states from one `eig` of H, right and left.
-    Fewer in the whole basis than requested raise ShortfallError."""
-    h = hamiltonian(n_sites, beta)
-    energies, left, right = sla.eig(h, left=True)
-    if np.abs(energies.imag).max() > 1e-9:
-        raise DegenerateNormError("complex eigenvalues in the link-basis H")
-    order = np.argsort(energies.real)
-    out = _physical_states(n_sites, beta, h, energies.real[order], right.real[:, order],
-                           left.real[:, order], count)
+def _eigenpairs(m, k):
+    """Sorted real eigenpairs of the sparse m: ARPACK's k lowest, in an
+    Arnoldi space of 5k vectors, or all of them from dense eig when k is
+    None."""
+    if k is None:
+        w, v = sla.eig(m.toarray())
+        if np.abs(w.imag).max() > 1e-9:
+            raise DegenerateNormError("complex eigenvalues in the link-basis H")
+    else:
+        # fixed start vector: ARPACK's default is random, which would break
+        # the byte-identical-rerun guarantee; the ones vector has a large
+        # component along the sign-uniform lowest state
+        v0 = np.full(m.shape[0], 1.0 / math.sqrt(m.shape[0]))
+        w, v = spl.eigs(m, k=k, which="SR", ncv=5 * k, maxiter=20000, tol=0, v0=v0)
+        if np.abs(w.imag).max() > 1e-8:
+            raise DegenerateNormError("complex ARPACK eigenvalues in the link-basis H")
+    order = np.argsort(w.real)
+    return w.real[order], v.real[:, order]
+
+
+def _sector_states(n_sites, beta, h, boundary, parity, count, k, below=math.inf):
+    """One reflection sector's lowest physical states, up to `count`+1 and
+    from clusters that start below `below`, and the energy below which
+    they are all of the sector's: ARPACK's k lowest eigenpairs of the
+    sector's H and H^T less their last cluster (which the runs may hold
+    only part of, unpaired), or every eigenpair from dense eig when k is
+    None or 5k does not fit inside the sector."""
+    op, op_t, embed = reflection_sector(n_sites, beta, parity)
+    if op.shape[0] == 0:  # N = 2, 4: every state is its own mirror image
+        return [], math.inf
+    if k is not None and 5 * k >= op.shape[0]:
+        k = None
+    (wr, vr), (wl, vl) = (_eigenpairs(m, k) for m in (op, op_t))
+    if np.abs(wr - wl).max() > 1e-7 * max(1.0, np.abs(wr).max()):
+        raise DegenerateNormError("left/right spectra disagree")
+    starts = [i for i, _ in eigenvalue_clusters(wr)]
+    top, stop = math.inf, len(wr)
+    if k is not None:
+        top, stop = wr[starts[-1]], starts[-1]
+    stop = next((i for i in starts if i < stop and wr[i] >= below), stop)
+    # B is reflection-even: it has no part in the odd sector
+    part = boundary if parity > 0 else np.zeros_like(boundary)
+    return _physical_states(n_sites, beta, h, wr[:stop], embed @ vr[:, :stop],
+                            embed @ vl[:, :stop], count, part, parity), top
+
+
+def _spectrum(n_sites, beta, count, k, boundary) -> list[SpectrumEntry]:
+    """The lowest `count`+1 physical states of both reflection sectors (fewer
+    if the sectors hold fewer), in global energy order below the lower of
+    the two sectors' edges.  The cluster that reaches that edge is left
+    out, and inside a cluster even states come first: B couples to the
+    first member of a degenerate pair.  No odd state from the energy of the
+    (`count`+1)-th even one on can be among them, so the odd sector's
+    clusters stop there."""
+    if boundary is None:
+        boundary = gram_row(link_basis(n_sites).partners, beta, adjacent_state(n_sites))
+    h = sparse_structure(n_sites, beta)  # for the eigen-residuals in link space
+    even, top = _sector_states(n_sites, beta, h, boundary, 1, count, k)
+    below = even[count].energy if len(even) > count else math.inf
+    odd, odd_top = _sector_states(n_sites, beta, h, boundary, -1, count, k, below)
+    top = min(top, odd_top)
+    states = sorted((s for s in even + odd if s.energy < top), key=lambda s: s.energy)
+    out = []
+    for i, j in eigenvalue_clusters([s.energy for s in states] + [top]):
+        if j > len(states):
+            break
+        out += sorted(states[i:j], key=lambda s: -s.parity)
+    for label, state in enumerate(out):
+        state.k = label
+    return out[:count + 1]
+
+
+def spectrum_dense(n_sites: int, beta: float, count: int, boundary=None) -> list[SpectrumEntry]:
+    """Lowest `count`+1 physical states from dense eig of each reflection
+    sector's H and H^T.  Fewer in the whole basis than requested raise
+    ShortfallError.  `boundary` is the Gram row of B, computed when not
+    given."""
+    out = _spectrum(n_sites, beta, count, None, boundary)
     if len(out) <= count:
         raise ShortfallError(f"only {len(out)} of the {count + 1} requested "
                              f"physical states exist at N={n_sites}")
     return out
 
 
-def _lowest_eigs(m, k, v0):
-    """ARPACK's k lowest eigenpairs of m, sorted and real."""
-    w, v = spl.eigs(m, k=k, which="SR", ncv=max(60, 5 * k), maxiter=20000, tol=0, v0=v0)
-    if np.abs(w.imag).max() > 1e-8:
-        raise DegenerateNormError("complex ARPACK eigenvalues in the link-basis H")
-    order = np.argsort(w.real)
-    return w.real[order], v.real[:, order]
-
-
-def spectrum_sparse(n_sites: int, beta: float, count: int, k: int) -> list[SpectrumEntry]:
+def spectrum_sparse(n_sites: int, beta: float, count: int, k: int,
+                    boundary=None) -> list[SpectrumEntry]:
     """The lowest physical states, up to `count`+1, among ARPACK's k lowest
-    eigenpairs of H and of H^T (in an Arnoldi space of max(60, 5k)
-    vectors), without building G.  The last cluster is left out: the runs
-    may hold only part of it, unpaired."""
-    h = sparse_structure(n_sites, beta)
-    # fixed start vector: ARPACK's default is random, which would break the
-    # byte-identical-rerun guarantee; the ones vector has a large component
-    # along the sign-uniform ground state
-    v0 = np.full(h.shape[0], 1.0 / math.sqrt(h.shape[0]))
-    (wr, vr), (wl, vl) = (_lowest_eigs(m, k, v0) for m in (h, h.T.tocsc()))
-    if np.abs(wr - wl).max() > 1e-7 * max(1.0, np.abs(wr).max()):
-        raise DegenerateNormError("left/right ARPACK spectra disagree")
-    last = list(eigenvalue_clusters(wr))[-1][0]
-    return _physical_states(n_sites, beta, h, wr[:last], vr[:, :last], vl[:, :last], count)
+    eigenpairs of H and of H^T in each reflection sector (in an Arnoldi
+    space of 5k vectors; dense eig for a sector it does not fit), without
+    building G.  `boundary` is the Gram row of B, computed when not given."""
+    return _spectrum(n_sites, beta, count, k, boundary)
 
 
 def spectrum(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
-    """Lowest `count`+1 physical states.  ARPACK computes k = max(count + 6,
-    10) eigenpairs while its Arnoldi space fits inside the basis, and k
-    doubles while a run finds more physical states than the run before but
-    too few; a run that finds no new one raises ShortfallError.  Once the
-    Arnoldi space does not fit, dense eig answers."""
-    dim = len(link_basis(n_sites).partners)
-    k, found = max(count + 6, 10), 0
-    while max(60, 5 * k) < dim:
-        out = spectrum_sparse(n_sites, beta, count, k)
+    """Lowest `count`+1 physical states, solved in the even and odd
+    reflection sectors.  Each sector's ARPACK runs compute k = max(count +
+    6, 10) // 2 + 1 eigenpairs while their Arnoldi space 5k fits inside the
+    sector, and k doubles while a run finds more physical states than the
+    run before but too few; a run that finds no new one raises
+    ShortfallError.  Once the Arnoldi space fits neither sector, dense eig
+    answers.  The Gram row of B is computed once."""
+    basis = link_basis(n_sites)
+    boundary = gram_row(basis.partners, beta, adjacent_state(n_sites))
+    # the even sector, one vector per orbit, is the larger one
+    orbits = np.count_nonzero(np.arange(len(basis.reflection)) <= basis.reflection)
+    k, found = max(count + 6, 10) // 2 + 1, 0
+    while 5 * k < orbits:
+        out = spectrum_sparse(n_sites, beta, count, k, boundary)
         if len(out) > count:
             return out
         if len(out) <= found:
             raise ShortfallError(
                 f"only {len(out)} of the {count + 1} requested physical states are among "
-                f"the {k} lowest ARPACK eigenvalues at N={n_sites}: this run found no new one")
+                f"the {k} lowest eigenvalues of each reflection sector at N={n_sites}: "
+                f"this run found no new one")
         found, k = len(out), 2 * k
-    return spectrum_dense(n_sites, beta, count)
+    return spectrum_dense(n_sites, beta, count, boundary)
 
 
 @dataclass

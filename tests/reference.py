@@ -6,7 +6,9 @@
   `virasoro.product_amplitude` is checked, and the closed form of P_2.
 - Scalar references for the vectorised loop-model code.  Each works on one
   link state at a time, given as a tuple (or row) of partner indices, the
-  way the link basis was first written.
+  way the link basis was first written.  And the loop spectrum from one
+  dense eig of the whole link-basis H, with no reflection sectors, against
+  which the sector solve is checked.
 - The free-field mode-word sum that acts every word on every key and
   tests the level once, on the final key, against which
   `freefield.mode_sum` (which acts only where the result is kept) is
@@ -21,9 +23,11 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg as sla
 
 from rectcft.ising import FreeFermionSolution
-from rectcft.looplattice import adjacent_state, link_basis
+from rectcft.looplattice import (_physical_states, adjacent_state, gram_row, hamiltonian,
+                                 link_basis)
 from rectcft.series import CZERO, CPoly, Series, series_pow_scalar
 from rectcft.virasoro import VermaVector, apply_mode
 
@@ -155,6 +159,18 @@ def boundary_link_state(n_sites: int, beta: float) -> np.ndarray:
     v = np.zeros(len(partners))
     v[(partners == adjacent_state(n_sites)).all(axis=1)] = beta ** (-n_sites / 2)
     return v
+
+
+def full_space_spectrum(n_sites: int, beta: float, count: int):
+    """The lowest `count`+1 physical states (fewer if there are fewer) from
+    one dense eig of the whole H, right and left, through the package's
+    physical-state rule; parity 0 marks that no sector was used."""
+    h = hamiltonian(n_sites, beta)
+    energies, left, right = sla.eig(h, left=True)
+    order = np.argsort(energies.real)
+    boundary = gram_row(link_basis(n_sites).partners, beta, adjacent_state(n_sites))
+    return _physical_states(n_sites, beta, h, energies.real[order], right.real[:, order],
+                            left.real[:, order], count, boundary, 0)
 
 
 # ------------------------------------------------------------ free fields

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from rectcft import looplattice
 from rectcft.looplattice import (DegenerateNormError, ShortfallError, adjacent_state,
                                  enumerate_links, gram, gram_row, hamiltonian, link_basis,
-                                 loop_fit_summary, overlap_table, parse_p, spectrum,
-                                 spectrum_dense, spectrum_sparse, spl, tl_generator_matrix)
-from reference import apply_tl, boundary_link_state, loops_between
+                                 loop_fit_summary, overlap_table, parse_p, reflection_sector,
+                                 sparse_structure, spectrum, spectrum_dense, spectrum_sparse,
+                                 spl, tl_generator_matrix)
+from reference import apply_tl, boundary_link_state, full_space_spectrum, loops_between
 
 BETA3 = 2 * math.cos(math.pi / 4)  # p = 3
 
@@ -97,6 +99,72 @@ class TestAgainstScalarReferences:
             for beta in (BETA3, 2.0):
                 row = gram_row(partners, beta, partners[anchor])
                 assert row.tolist() == [beta ** m for m in loops]
+
+
+class TestReflection:
+    """x -> N-1-x on the link basis: an involution that commutes with every
+    e_i (e_i goes to e_{N-2-i}) and fixes B."""
+
+    def test_involution_and_mirror_image(self):
+        for n in range(2, 17, 2):
+            basis = link_basis(n)
+            r = basis.reflection
+            assert np.array_equal(r[r], np.arange(len(r)))
+            # the mirror image of partner row s is x -> N-1-s[N-1-x]
+            assert np.array_equal(basis.partners[r], n - 1 - basis.partners[:, ::-1])
+        with pytest.raises(ValueError):
+            link_basis(6).reflection[0] = 1
+
+    def test_commutes_with_moves(self):
+        for n in range(2, 17, 2):
+            basis = link_basis(n)
+            r, moves = basis.reflection, basis.moves
+            for i in range(n - 1):
+                assert np.array_equal(moves[r, n - 2 - i], r[moves[:, i]])
+
+    def test_fixes_the_boundary_state(self):
+        for n in range(2, 19, 2):
+            basis = link_basis(n)
+            assert basis.partners[0].tolist() == adjacent_state(n).tolist()
+            assert basis.reflection[0] == 0
+            for beta in (BETA3, 2.0):
+                row = gram_row(basis.partners, beta, adjacent_state(n))
+                assert row[basis.reflection].tolist() == row.tolist()
+
+    def test_fixed_state_count(self):
+        # a fixed matching is fixed by its left half: C(N/2, floor(N/4))
+        fixed = {n: int(np.count_nonzero(link_basis(n).reflection == np.arange(catalan(n // 2))))
+                 for n in range(2, 25, 2)}
+        assert fixed == {n: math.comb(n // 2, n // 4) for n in fixed}
+        assert (fixed[20], fixed[22], fixed[24]) == (252, 462, 924)
+
+    def test_sector_operators_restrict_h(self):
+        # H E = E M and H^T E = E M_T on each sector's embedding E, exactly
+        for n in range(2, 15, 2):
+            for beta in (BETA3, parse_p(5).beta, 2.0):
+                h = sparse_structure(n, beta)
+                dims = []
+                for parity in (1, -1):
+                    op, op_t, embed = reflection_sector(n, beta, parity)
+                    dims.append(op.shape[0])
+                    assert np.array_equal((h @ embed).toarray(), (embed @ op).toarray())
+                    assert np.array_equal((h.T @ embed).toarray(), (embed @ op_t).toarray())
+                    # a sector vector's link components are 1 and the parity
+                    assert set(embed.data) <= {1.0, float(parity)}
+                fixed = math.comb(n // 2, n // 4)
+                assert dims == [(catalan(n // 2) + fixed) // 2, (catalan(n // 2) - fixed) // 2]
+        # N = 2 and 4: every state is fixed, the odd sector is empty
+        assert reflection_sector(4, BETA3, -1)[0].shape == (0, 0)
+
+    def test_sector_energies_match_full_eig(self):
+        for p in (3, 4, 5, 6, math.inf):
+            beta = parse_p(p).beta
+            for n in range(2, 13, 2):
+                full = np.sort(sla.eigvals(hamiltonian(n, beta)).real)
+                sectors = np.sort(np.concatenate(
+                    [sla.eigvals(reflection_sector(n, beta, parity)[0].toarray()).real
+                     for parity in (1, -1)]))
+                assert np.abs(full - sectors).max() < 1e-9 * max(1.0, np.abs(full).max())
 
 
 class TestTLAction:
@@ -246,8 +314,10 @@ class TestSpectrum:
                     assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
 
     def test_arpack_wherever_its_krylov_space_fits(self, monkeypatch):
-        # ARPACK needs k + 1 < ncv <= dim: at kmax 3 the Arnoldi space has 60
-        # vectors, so Catalan(6) = 132 goes sparse and Catalan(5) = 42 dense
+        # ARPACK needs k + 1 < ncv <= dim: at kmax 3 each reflection sector's
+        # Arnoldi space has 5 * 6 = 30 vectors, so the sectors of Catalan(6) =
+        # 132 states (76 even, 56 odd) go sparse, H then H^T in each, and those
+        # of Catalan(5) = 42 (26, 16) dense
         eigs, calls = spl.eigs, []
 
         def counting(*args, **kwargs):
@@ -258,63 +328,107 @@ class TestSpectrum:
         spectrum(10, BETA3, 3)
         assert calls == []
         spectrum(12, BETA3, 3)
-        assert calls == [132, 132]
+        assert calls == [76, 76, 56, 56]
 
     def test_one_rule_through_degenerate_clusters(self, eigs_calls):
-        # at p = 3, N = 14 and kmax 20, ARPACK's 26 eigenvalues less their
-        # last cluster hold 20 physical states, its 52 every requested one,
-        # two degenerate pairs among them: the sparse route answers alone and
-        # agrees with the dense one row by row
+        # at p = 3, N = 14 and kmax 20, ARPACK's 14 eigenvalues per sector
+        # less their last cluster hold too few physical states, its 28 every
+        # requested one, two degenerate pairs among them: the sparse route
+        # answers alone and agrees row by row with the dense one and with one
+        # eig of the whole H
         got = spectrum(14, BETA3, 20)
-        assert eigs_calls == [26, 26, 52, 52]
-        ref = spectrum_dense(14, BETA3, 20)
-        assert len(got) == len(ref) == 21
-        for a, b in zip(got, ref):
-            assert a.energy == pytest.approx(b.energy, abs=1e-9)
-            assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
+        assert eigs_calls == [14, 14, 14, 14, 28, 28, 28, 28]
+        assert len(spectrum_sparse(14, BETA3, 20, 14)) < 21
+        for ref in (spectrum_dense(14, BETA3, 20), full_space_spectrum(14, BETA3, 20)):
+            assert len(got) == len(ref) == 21
+            for a, b in zip(got, ref):
+                assert a.energy == pytest.approx(b.energy, abs=1e-9)
+                assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
         # B couples only to the first member of a degenerate physical pair,
         # whatever basis of the pair the solver returned
         pairs = [k for k in range(1, 20) if abs(got[k].energy - got[k - 1].energy) < 1e-9]
         assert len(pairs) == 2
         for k in pairs:
             assert got[k - 1].boundary_overlap > 1e-3
-            assert abs(got[k].boundary_overlap) < 1e-12
+            assert got[k].boundary_overlap == 0.0
+            # both pairs straddle the sectors: the even member comes first
+            assert (got[k - 1].parity, got[k].parity) == (1, -1)
+
+    def test_sectors_keep_full_space_rows(self):
+        # the sector solve against one eig of the whole H, row by row: the
+        # same energies and overlaps in the same order, degenerate clusters
+        # across the sectors included
+        for p in (3, 4, 5, 6, math.inf):
+            beta = parse_p(p).beta
+            for n in range(2, 13, 2):
+                count = min(8, len(full_space_spectrum(n, beta, 8)) - 1)
+                got, ref = spectrum(n, beta, count), full_space_spectrum(n, beta, count)
+                assert len(got) == len(ref) == count + 1
+                for a, b in zip(got, ref):
+                    assert a.energy == pytest.approx(b.energy, abs=1e-9)
+                    assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
+
+    def test_odd_states_are_structural_zeros(self):
+        # B is reflection-even: an odd state's overlap is reported as 0.0, not
+        # computed, and the witness |G_B . y| of its link vector is roundoff
+        for p in (3, math.inf):
+            beta = parse_p(p).beta
+            for n in range(10, 17, 2):
+                partners = link_basis(n).partners
+                row = gram_row(partners, beta, adjacent_state(n))
+                odd = [e for e in spectrum(n, beta, 10) if e.parity < 0]
+                assert odd
+                for e in odd:
+                    assert e.boundary_overlap == 0.0
+                    assert abs(row @ e.vector) <= 1e-12
+                    assert np.array_equal(e.vector[link_basis(n).reflection], -e.vector)
 
     def test_k_doubles_then_dense(self, monkeypatch, eigs_calls):
-        # at N = 12 the 26 eigenvalues of kmax 20 hold 17 of the 21 physical
-        # states below their last cluster; doubled, k = 52 needs an Arnoldi
-        # space larger than the 132 states, so dense eig answers
+        # at N = 12 the 14 eigenvalues per sector of kmax 20 (ARPACK on the
+        # 76 even states, dense eig on the 56 odd ones, which its 70-vector
+        # Arnoldi space does not fit) hold 16 of the 21 physical states below
+        # the even sector's last cluster; doubled, k = 28 fits neither sector,
+        # so dense eig answers
         dense = []
         monkeypatch.setattr(looplattice, "spectrum_dense",
-                            lambda *args: dense.append(args) or spectrum_dense(*args))
-        assert len(spectrum_sparse(12, BETA3, 20, 26)) == 17
+                            lambda *args: dense.append(args[:3]) or spectrum_dense(*args))
+        assert len(spectrum_sparse(12, BETA3, 20, 14)) == 16
         eigs_calls.clear()
         got = spectrum(12, BETA3, 20)
-        assert eigs_calls == [26, 26]
+        assert eigs_calls == [14, 14]
         assert dense == [(12, BETA3, 20)]
         assert [e.energy for e in got] == [e.energy for e in spectrum_dense(12, BETA3, 20)]
 
     def test_cluster_at_arpacks_edge_is_left_out(self):
-        # at N = 14 the 19th eigenvalue is the first of a degenerate pair: 19
-        # ARPACK eigenvalues hold one vector of each of its right and left
-        # eigenspaces, unpaired, so that cluster must not be read
+        # at N = 14 the even sector's 23rd eigenvalue is the first of a
+        # degenerate pair (and an odd state shares its energy): 23 ARPACK
+        # eigenvalues hold one vector of each of its right and left
+        # eigenspaces, unpaired, so that cluster must not be read, in either
+        # sector
         ref = spectrum_dense(14, BETA3, 40)
-        got = spectrum_sparse(14, BETA3, 40, k=19)
+        got = spectrum_sparse(14, BETA3, 40, k=23)
+        assert len(got) == 24
+        assert [e.parity for e in ref[len(got):len(got) + 3]] == [1, 1, -1]
         assert got[-1].energy < ref[len(got)].energy - 1e-3
         for a, b in zip(got, ref):
             assert a.energy == pytest.approx(b.energy, abs=1e-9)
             assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
 
     def test_shortfall_when_doubling_finds_no_new_state(self, eigs_calls):
-        # p = 2 (beta = 1) has one physical state at every N
-        with pytest.raises(ShortfallError, match="only 1 of the 2 .* 20 lowest ARPACK .* N=12"):
+        # p = 2 (beta = 1) has one physical state at every N; the doubled run
+        # is ARPACK on the even sector and dense eig on the odd one
+        with pytest.raises(ShortfallError,
+                           match="only 1 of the 2 .* 12 lowest eigenvalues .* sector at N=12"):
             spectrum(12, 1.0, 1)
-        assert eigs_calls == [10, 10, 20, 20]
+        assert eigs_calls == [6, 6, 6, 6, 12, 12]
 
     def test_dense_shortfall_raises(self):
-        # N = 4 has two link states in all
+        # N = 4 has two link states in all, both in the even sector
         with pytest.raises(ShortfallError, match="only 2 of the 4 .* at N=4"):
             spectrum(4, BETA3, 3)
+        # at p = 3, N = 12 both sectors go dense at kmax 40 and hold too few
+        with pytest.raises(ShortfallError, match="only .* of the 41 .* at N=12"):
+            spectrum(12, BETA3, 40)
 
     def test_gap_ratios_approach_field_content(self):
         # scaled gaps carry a nonuniversal velocity; their ratios approach
@@ -342,12 +456,14 @@ class TestSpectrum:
 
         monkeypatch.setattr(spl, "eigs", doubled_ground)
         with pytest.raises(DegenerateNormError, match="degenerate"):
-            spectrum_sparse(10, BETA3, 2, 10)
+            spectrum_sparse(12, BETA3, 2, 6)
 
     def test_h3_state_decouples(self):
+        # the h = 3 state is reflection-odd: its overlap is a structural zero
         for n in (10, 12, 14):
             entries = spectrum(n, BETA3, 2)
-            assert abs(entries[2].boundary_overlap) < 1e-10
+            assert entries[2].parity == -1
+            assert entries[2].boundary_overlap == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -361,7 +477,7 @@ class TestOverlapTableAndFits:
         s = loop_fit_summary(table_p3, drop_first_excited=1)
         assert s["a1"] == pytest.approx(-0.0625, abs=5e-3)
         assert s["overlaps"][1]["value"] == pytest.approx(0.5, abs=2e-2)
-        assert s["overlaps"][2]["max_abs_for_n_ge_10"] < 1e-10
+        assert s["overlaps"][2]["max_abs_for_n_ge_10"] == 0.0
 
     def test_parse_p(self):
         assert parse_p("inf").beta == 2.0
