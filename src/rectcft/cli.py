@@ -260,8 +260,9 @@ def _loop_weight(text):
         weight = looplattice.parse_p(text)
     except ValueError:
         weight = None
-    if weight is None or not weight.p >= 2:
-        raise UsageError(f"--p {text!r}: expected a number >= 2 or inf")
+    # the solver's height basis exists for integer p only
+    if weight is None or not weight.p >= 2 or not (weight.p.is_integer() or math.isinf(weight.p)):
+        raise UsageError(f"--p {text!r}: expected an integer >= 2 or inf")
     return weight
 
 

@@ -1,39 +1,28 @@
 """Temperley-Lieb dense loop model on N strands with free boundaries.
 
-Link states are non-crossing perfect matchings of N sites (the j = 0
-sector, Catalan(N/2) of them).  The Hamiltonian H = -sum_i e_i acts in the
-link basis; the loop bilinear form <s1|s2> = beta^{#loops} makes H
-self-adjoint, G H = H^T G.  At the root-of-unity weights used here the
-Gram form is positive semidefinite with a nontrivial radical, so physical
-eigenstates are extracted by projecting Gram-null directions out of each
-(near-)degenerate eigenvalue cluster.
+The loop form <s1|s2> = beta^{#loops} on link states makes H = -sum_i e_i
+self-adjoint.  At beta = 2cos(pi/(p+1)) the link module modulo the form's
+radical is the A_p RSOS representation (Pasquier-Saleur), where H is real
+symmetric and the loop form is the dot product; the solver works there.
 
-The beta-independent combinatorics are whole-array numpy work, built once
-per N: the states are one int32 partner array (row k, column x = the
-partner of site x), ranked by their opener bit words, and the move table of
-every e_i on every row is rewritten on those words and ranked with
-`searchsorted`.  H is built one way, as a sparse matrix read off the move
-table (`sparse_structure`; `hamiltonian` is its dense form).  Loop counts
-are read one way, a Gram row at a time (`gram_row`): the loops between two
-states are half the cycles of the composed involutions, counted for many
-pairs at once by pointer doubling.
+Its basis is the Dyck words of length N (bit x set iff step x goes up, the
+opener bit of a link state) of height <= p - 1, heights a_x in 1..p; at
+p = inf, every Dyck word.  One sorted word table per N, with its heights,
+is shared by every p (`dyck_words`), and rows are ranked by `searchsorted`.
+e_i acts where steps i and i+1 differ: with a = a_i = a_{i+2}, b = a_{i+1}
+and S_a = sin(pi a/(p+1)) (a at p = inf), it puts S_b/S_a on the diagonal
+and sqrt(S_b S_b')/S_a on the word with the two steps swapped, b' = 2a - b,
+when 1 <= b' <= p.  B = (12)(34)... is the word 1010...10, of loop norm^2
+beta^{N/2}, so <B|k> = beta^{-N/4} |u_k[B]| for a unit eigenvector u_k.
 
-The reflection x -> N-1-x maps the basis onto itself (`LinkBasis.reflection`,
-the bit-reversed closer words ranked like the moves); it commutes with H
-and G and fixes B.  So every solve runs in the even and odd reflection
-sectors, each about half the basis: H and H^T on the orbit vectors
-s +- Rs, read off the move table (`reflection_sector`).  B has no odd
-part, so an odd state's overlap is a structural 0.0, not a fit to roundoff.
-
-One rule picks the physical states from one sector's sorted eigenpairs,
-right and left, embedded back into link space (`_physical_states`): on
-each eigenvalue cluster G V = W C, with C fixed by Gram rows at a few
-anchors, so the Gram block follows without G.  ARPACK supplies each
-sector's eigenpairs (its H and H^T) while its Arnoldi space fits inside the
-sector, with k doubled while a run finds new physical states but too few,
-and dense eig once it does not; the two are cross-checked in the tests.
-The sectors' states are merged in energy order, even first inside a
-degenerate cluster, and relabelled.
+The reflection x -> N-1-x (the bit-reversed complement of a word) commutes
+with H and fixes B, so every solve runs in the even sector, (s + Rs)/sqrt(2)
+per pair and the fixed s, and the odd one, (s - Rs)/sqrt(2): `eigsh` where
+its Lanczos space fits, dense `eigh` otherwise.  Their states are merged in
+energy order, even first inside a degenerate cluster, which is rotated so
+that B couples only to its first member.  An odd state's overlap is a
+structural 0.0.  The link basis and its Gram form stay for the checks of
+the TL relations; no solver builds them.
 """
 
 from __future__ import annotations
@@ -103,21 +92,14 @@ def enumerate_links(n_sites: int) -> np.ndarray:
     return tables[-1]
 
 
-def adjacent_state(n_sites: int) -> np.ndarray:
-    """(12)(34)...: every site paired with its neighbor (row 0 of the basis)."""
-    return np.arange(n_sites, dtype=np.int32) ^ 1
-
-
 @dataclass(frozen=True)
 class LinkBasis:
-    """The partner array of `enumerate_links`, moves[k, i] = the row of e_i
-    applied to row k (a closed loop iff moves[k, i] == k) and reflection[k]
-    = the row of the mirror image of row k under x -> N-1-x.  Cached and
+    """The partner array of `enumerate_links` and moves[k, i] = the row of
+    e_i applied to row k (a closed loop iff moves[k, i] == k).  Cached and
     shared: the arrays are read-only."""
 
     partners: np.ndarray
     moves: np.ndarray
-    reflection: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -129,17 +111,13 @@ def link_basis(n_sites: int) -> LinkBasis:
     (i, i+1) and joins the former partners a, b of i and i+1; applied to
     every row at once, it rewrites those four bits and the result is ranked
     by `searchsorted`.  On a closed loop (a = i+1, b = i) the rewrite gives
-    the word back, so the row stays.  A site opens in the mirror image
-    exactly when its mirror site closes, so the mirrored opener word is the
-    bit-reversed closer word, ranked the same way."""
+    the word back, so the row stays."""
     partners = enumerate_links(n_sites)
     word = np.uint32 if n_sites <= 32 else np.uint64
     one = word(1)
     words = np.zeros(len(partners), dtype=word)
-    mirrored = np.zeros_like(words)
     for x in range(n_sites):
         words |= (partners[:, x] > x).astype(word) << x
-        mirrored |= (partners[:, x] < x).astype(word) << (n_sites - 1 - x)
     rank = np.argsort(words)
     ranked = words[rank]
     moves = np.empty((len(partners), n_sites - 1), dtype=np.int32)
@@ -147,9 +125,8 @@ def link_basis(n_sites: int) -> LinkBasis:
         a, b = partners[:, i].astype(word), partners[:, i + 1].astype(word)
         kept = words & ~((one << i) | (one << (i + 1)) | (one << a) | (one << b))
         moves[:, i] = rank[np.searchsorted(ranked, kept | (one << i) | (one << np.minimum(a, b)))]
-    reflection = rank[np.searchsorted(ranked, mirrored)].astype(np.int32)
-    moves.flags.writeable = reflection.flags.writeable = False
-    return LinkBasis(partners, moves, reflection)
+    moves.flags.writeable = False
+    return LinkBasis(partners, moves)
 
 
 _BATCH = 1 << 14  # glued partner entries per pointer-doubling batch (cache-sized)
@@ -216,64 +193,132 @@ def hamiltonian(n_sites: int, beta: float) -> np.ndarray:
     return sparse_structure(n_sites, beta).toarray()
 
 
-def reflection_sector(n_sites: int, beta: float, parity: int):
-    """H and H^T in the reflection sector of `parity` (+1 even, -1 odd), and
-    the sparse embedding of the sector into link space.
+def rsos_p(beta: float) -> float:
+    """The integer p >= 2 with beta = 2cos(pi/(p+1)), or inf at beta = 2;
+    any other beta has no height basis and raises ValueError."""
+    if beta == 2.0:
+        return math.inf
+    p = round(math.pi / math.acos(beta / 2)) - 1 if 0 < beta < 2 else 0
+    if p < 2 or abs(2 * math.cos(math.pi / (p + 1)) - beta) > 1e-12:
+        raise ValueError(f"beta = {beta} is not 2cos(pi/(p+1)) for an integer p >= 2")
+    return float(p)
 
-    The reflection R (x -> N-1-x) commutes with H.  The sector has one
-    vector s + parity*Rs per orbit {s, Rs}, at its lower row s <= Rs (the
-    odd sector has none on a fixed state s = Rs); a sector vector's
-    coordinates are its link components at those rows.  Column s of the
-    sector's H is H s + parity*R H s read there: a move of s to m adds
-    [m <= Rm] + parity*[m >= Rm] to m's orbit, or only [m <= Rm] when s is
-    fixed.  With the orbit sizes D, the sector of H^T is D^-1 M^T D for the
-    sector M of H, not M^T (they differ on the even sector only)."""
-    basis = link_basis(n_sites)
+
+@dataclass(frozen=True)
+class RSOSBasis:
+    """The A_p height paths as sorted Dyck words and their heights
+    (a_x = heights[k, x] + 1); reflection[k] is the row of row k's mirror
+    image and `boundary` the row of B, the word 1010...10."""
+
+    p: float
+    words: np.ndarray
+    heights: np.ndarray
+    reflection: np.ndarray
+    boundary: int
+
+
+@lru_cache(maxsize=None)
+def dyck_words(n_sites: int) -> RSOSBasis:
+    """Every Dyck word of length N, the p = inf basis: one read-only table
+    per N, whose rows every finite p filters.  The paths grow a step at a
+    time, up while they can still return to 0 and down while above it."""
+    if n_sites % 2:
+        raise ValueError("need an even number of sites")
+    word = np.uint32 if n_sites <= 32 else np.uint64
+    words, height = np.zeros(1, dtype=word), np.zeros(1, dtype=np.int8)
+    for x in range(n_sites):
+        up, down = height < n_sites - 1 - x, height > 0
+        words = np.concatenate([words[up] | word(1 << x), words[down]])
+        height = np.concatenate([height[up] + 1, height[down] - 1])
+    words.sort()
+    heights = np.zeros((len(words), n_sites + 1), dtype=np.int8)
+    mirrored = np.zeros_like(words)
+    for x in range(n_sites):
+        up = (words >> word(x)) & word(1)
+        heights[:, x + 1] = heights[:, x] + np.where(up, 1, -1)
+        mirrored |= (word(1) - up) << word(n_sites - 1 - x)
+    reflection = np.searchsorted(words, mirrored)
+    for table in (words, heights, reflection):
+        table.flags.writeable = False
+    b = np.searchsorted(words, sum(1 << x for x in range(0, n_sites, 2)))
+    return RSOSBasis(math.inf, words, heights, reflection, int(b))
+
+
+def rsos_basis(n_sites: int, p: float) -> RSOSBasis:
+    """The rows of `dyck_words` whose height stays <= p - 1, in its order."""
+    table = dyck_words(n_sites)
+    if math.isinf(p):
+        return table
+    keep = table.heights.max(axis=1) < p
+    words = table.words[keep]
+    return RSOSBasis(p, words, table.heights[keep],
+                     np.searchsorted(words, table.words[table.reflection[keep]]),
+                     int(np.searchsorted(words, table.words[table.boundary])))
+
+
+def rsos_generators(basis: RSOSBasis, cols=None):
+    """Every nonzero entry of every e_i in the columns `cols` (all when
+    None), as arrays (i, row, col, value).  The swap weight is the same
+    float both ways, so H is exactly symmetric."""
+    cols = np.arange(len(basis.words)) if cols is None else cols
+    h = basis.heights[cols]
+    up = h[:, 1:] > h[:, :-1]
+    c, i = np.nonzero(up[:, :-1] != up[:, 1:])
+    a, b = h[c, i].astype(np.intp) + 1, h[c, i + 1].astype(np.intp) + 1
+    flip = 2 * a - b
+    heights = np.arange(int(h.max(initial=0)) + 3)
+    s = heights.astype(float) if math.isinf(basis.p) else np.sin(np.pi * heights / (basis.p + 1))
+    ok = (flip >= 1) & (flip <= basis.p)
+    word = basis.words.dtype.type
+    swapped = basis.words[cols[c[ok]]] ^ (word(3) << i[ok].astype(word))
+    return (np.r_[i, i[ok]], np.r_[cols[c], np.searchsorted(basis.words, swapped)],
+            np.r_[cols[c], cols[c[ok]]],
+            np.r_[s[b] / s[a], np.sqrt(s[b[ok]] * s[flip[ok]]) / s[a[ok]]])
+
+
+def rsos_hamiltonian(basis: RSOSBasis) -> sp.csr_matrix:
+    """H = -sum_i e_i in the height basis."""
+    _, rows, cols, values = rsos_generators(basis)
+    d = len(basis.words)
+    return -sp.coo_matrix((values, (rows, cols)), shape=(d, d)).tocsr()
+
+
+def reflection_sector(basis: RSOSBasis, parity: int):
+    """H on the sector of `parity` (+1 even, -1 odd), and its rows reps: the
+    sector's coordinate j is the unit vector (s + parity*Rs)/sqrt(2) for
+    s = reps[j] < Rs, or the fixed row s = Rs (even sector only).  An entry
+    H[m, t] at t in reps adds to m's orbit, times the parity when m > Rm and
+    sqrt(|orbit of t| / |orbit of m|); an off-diagonal sector entry is one
+    or two such terms, so the sector is exactly symmetric too."""
     mirror = basis.reflection
     rows = np.arange(len(mirror))
-    lower, upper = rows <= mirror, rows >= mirror
-    reps = np.flatnonzero(lower if parity > 0 else rows < mirror)
-    dim = len(reps)
-    paired = reps != mirror[reps]
-    coord = np.zeros(len(mirror), dtype=np.int64)
-    coord[reps] = coord[mirror[reps]] = np.arange(dim)
-    embed = sp.csr_matrix(
-        (np.r_[np.ones(dim), np.full(paired.sum(), float(parity))],
-         (np.r_[reps, mirror[reps[paired]]], np.r_[np.arange(dim), np.flatnonzero(paired)])),
-        shape=(len(mirror), dim))
-    moves = basis.moves[reps]
-    closed = moves == reps[:, None]
-    cols, _ = np.nonzero(~closed)
-    to = moves[~closed]
-    weight = lower[to] + parity * (upper[to] & paired[cols])
-    hit = weight != 0
-    a = sp.coo_matrix((weight[hit].astype(float), (coord[to[hit]], cols[hit])),
-                      shape=(dim, dim)).tocsr()
-    h = -(a + sp.diags(beta * closed.sum(axis=1))).tocsc()
-    size = 1.0 + paired
-    return h, (sp.diags(1 / size) @ h.T @ sp.diags(size)).tocsr(), embed
+    reps = np.flatnonzero(rows <= mirror if parity > 0 else rows < mirror)
+    coord = np.full(len(mirror), -1)
+    coord[reps] = coord[mirror[reps]] = np.arange(len(reps))
+    _, to, col, value = rsos_generators(basis, reps)
+    hit = coord[to] >= 0  # the odd sector has no fixed row
+    to, col = to[hit], col[hit]
+    size = np.where(rows == mirror, 1.0, 2.0)
+    value = value[hit] * np.where(to > mirror[to], parity, 1) * np.sqrt(size[col] / size[to])
+    return -sp.coo_matrix((value, (coord[to], coord[col])), shape=(len(reps),) * 2).tocsr(), reps
 
 
 class DegenerateNormError(ArithmeticError):
-    pass
+    """A reported state is no eigenvector of H."""
 
 
 class ShortfallError(RuntimeError):
-    """Fewer physical states than requested: in the whole basis on the dense
-    route, or in ARPACK runs that stopped finding new ones (a limit of the
-    request, not a broken exact invariant)."""
+    """Fewer physical states than requested in the whole basis (a limit of
+    the request, not a broken exact invariant)."""
 
 
 @dataclass
 class SpectrumEntry:
     k: int
     energy: float
-    vector: np.ndarray      # loop-normalized: v^T G v = 1
-    boundary_overlap: float  # <B|k>, sign fixed >= 0; exactly 0.0 on an odd state
+    vector: np.ndarray      # unit vector in the height basis, vector[B] >= 0
+    boundary_overlap: float  # <B|k> >= 0; exactly 0.0 on an odd state
     parity: int             # reflection sector: +1 even, -1 odd
-
-
-NULL_TOL = 1e-8
 
 
 def eigenvalue_clusters(energies):
@@ -288,168 +333,110 @@ def eigenvalue_clusters(energies):
         i = j
 
 
-def _physical_states(n_sites, beta, h, energies, right, left, count, boundary,
-                     parity) -> list[SpectrumEntry]:
-    """The lowest `count`+1 physical states (fewer if there are fewer) among
-    sorted real eigenvalues with right (H V = V E) and left (H^T W = W E)
-    eigenvectors, all in one reflection sector of `parity`; `boundary` is
-    the sector's part of the Gram row of B (zero in the odd sector).
-
-    G H = H^T G maps each right eigenspace onto the left one: G V = W C on
-    a cluster.  C follows from the Gram rows at the cluster's anchors, the
-    first pivots of a pivoted QR of W^T (for a simple eigenvalue, the
-    largest component of w), and the Gram block is V^T G V = V^T W C.  Its
-    Gram-null directions are skipped and a negative norm raises.  A
-    degenerate physical cluster is rotated so that B couples only to its
-    first member, whatever basis the solver returned.  A physical state
-    that is no eigenvector of H raises."""
-    partners = link_basis(n_sites).partners
+def _sector_states(basis, beta, parity, sector, k):
+    """The lowest states of the `reflection_sector` of `parity`, and the
+    energy below which they are all of the sector's: eigsh's k lowest
+    eigenpairs, in a Lanczos space of 5k vectors, less their last cluster
+    (which it may hold only part of); or every eigenpair from dense eigh
+    when k is None or 5k does not fit inside the sector.  A degenerate
+    cluster is rotated so that B couples only to its first member, whatever
+    basis the solver returned; a state whose eigen-residual exceeds
+    1e-8 * max(1, |E|) raises."""
+    op, reps = sector
+    n_sites, dim = basis.heights.shape[1] - 1, len(reps)
+    if dim == 0:  # N = 2, 4: every state is its own mirror image
+        return [], math.inf
+    if k is not None and 5 * k < dim:
+        # fixed start vector: ARPACK's default is random, which would break
+        # the byte-identical-rerun guarantee
+        v0 = np.full(dim, 1.0 / math.sqrt(dim))
+        energies, vectors = spl.eigsh(op, k=k, which="SA", ncv=5 * k, maxiter=20000, tol=0,
+                                      v0=v0)
+        order = np.argsort(energies)
+        energies, vectors = energies[order], vectors[:, order]
+        stop = list(eigenvalue_clusters(energies))[-1][0]
+        top = energies[stop]
+    else:
+        energies, vectors = np.linalg.eigh(op.toarray())
+        stop, top = dim, math.inf
+    # B is a fixed row: a coordinate of the even sector, with no odd part
+    at = int(np.searchsorted(reps, basis.boundary)) if parity > 0 else None
+    mirror = basis.reflection[reps]
+    norm = np.sqrt(np.where(reps == mirror, 1.0, 2.0))
     out = []
-    for i, j in eigenvalue_clusters(energies):
-        if len(out) > count:
-            break
-        v, w = right[:, i:j], left[:, i:j]
-        anchors = sla.qr(w.T, mode="r", pivoting=True)[1][:j - i]
-        rows = np.array([gram_row(partners, beta, partners[a]) for a in anchors])
-        block = (v.T @ w) @ np.linalg.solve(w[anchors], rows @ v)
-        lam, u = np.linalg.eigh((block + block.T) / 2)
-        if lam.min() < -NULL_TOL * rows.max():
-            raise DegenerateNormError(f"negative loop norm {lam.min()} at N={n_sites}")
-        keep = lam > NULL_TOL * rows.max()
-        y = v @ (u[:, keep] / np.sqrt(lam[keep]))
-        b = boundary @ y
-        if len(b) > 1 and b.any():
-            b /= np.linalg.norm(b)
+    for i, j in eigenvalue_clusters(energies[:stop]):
+        y = vectors[:, i:j]
+        if at is not None and j - i > 1 and y[at].any():
+            b = y[at] / np.linalg.norm(y[at])
             y = y @ np.column_stack([b, sla.null_space(b[None])])
         energy = float(energies[i:j].mean())
-        residual = np.abs(h @ y - energy * y).max(initial=0.0)
+        residual = np.abs(op @ y - energy * y).max()
         if residual > 1e-8 * max(1.0, abs(energy)):
             raise DegenerateNormError(f"eigen-residual {residual:.1e} at E={energy}, "
                                       f"N={n_sites}: a degenerate cluster mixes eigenvalues")
         for t in range(y.shape[1]):
-            ovl = beta ** (-n_sites / 2) * float(boundary @ y[:, t])
-            sign = -1.0 if ovl < 0 else 1.0
-            out.append(SpectrumEntry(len(out), energy, sign * y[:, t], sign * ovl, parity))
-    return out[:count + 1]
+            sign = -1.0 if at is not None and y[at, t] < 0 else 1.0
+            u = np.zeros(len(basis.words))
+            u[mirror] = parity * sign * y[:, t] / norm
+            u[reps] = sign * y[:, t] / norm
+            ovl = 0.0 if at is None else beta ** (-n_sites / 4) * abs(float(y[at, t]))
+            out.append(SpectrumEntry(0, energy, u, ovl, parity))
+    return out, top
 
 
-def _eigenpairs(m, k):
-    """Sorted real eigenpairs of the sparse m: ARPACK's k lowest, in an
-    Arnoldi space of 5k vectors, or all of them from dense eig when k is
-    None."""
-    if k is None:
-        w, v = sla.eig(m.toarray())
-        if np.abs(w.imag).max() > 1e-9:
-            raise DegenerateNormError("complex eigenvalues in the link-basis H")
-    else:
-        # fixed start vector: ARPACK's default is random, which would break
-        # the byte-identical-rerun guarantee; the ones vector has a large
-        # component along the sign-uniform lowest state
-        v0 = np.full(m.shape[0], 1.0 / math.sqrt(m.shape[0]))
-        w, v = spl.eigs(m, k=k, which="SR", ncv=5 * k, maxiter=20000, tol=0, v0=v0)
-        if np.abs(w.imag).max() > 1e-8:
-            raise DegenerateNormError("complex ARPACK eigenvalues in the link-basis H")
-    order = np.argsort(w.real)
-    return w.real[order], v.real[:, order]
-
-
-def _sector_states(n_sites, beta, h, boundary, parity, count, k, below=math.inf):
-    """One reflection sector's lowest physical states, up to `count`+1 and
-    from clusters that start below `below`, and the energy below which
-    they are all of the sector's: ARPACK's k lowest eigenpairs of the
-    sector's H and H^T less their last cluster (which the runs may hold
-    only part of, unpaired), or every eigenpair from dense eig when k is
-    None or 5k does not fit inside the sector."""
-    op, op_t, embed = reflection_sector(n_sites, beta, parity)
-    if op.shape[0] == 0:  # N = 2, 4: every state is its own mirror image
-        return [], math.inf
-    if k is not None and 5 * k >= op.shape[0]:
-        k = None
-    (wr, vr), (wl, vl) = (_eigenpairs(m, k) for m in (op, op_t))
-    if np.abs(wr - wl).max() > 1e-7 * max(1.0, np.abs(wr).max()):
-        raise DegenerateNormError("left/right spectra disagree")
-    starts = [i for i, _ in eigenvalue_clusters(wr)]
-    top, stop = math.inf, len(wr)
-    if k is not None:
-        top, stop = wr[starts[-1]], starts[-1]
-    stop = next((i for i in starts if i < stop and wr[i] >= below), stop)
-    # B is reflection-even: it has no part in the odd sector
-    part = boundary if parity > 0 else np.zeros_like(boundary)
-    return _physical_states(n_sites, beta, h, wr[:stop], embed @ vr[:, :stop],
-                            embed @ vl[:, :stop], count, part, parity), top
-
-
-def _spectrum(n_sites, beta, count, k, boundary) -> list[SpectrumEntry]:
-    """The lowest `count`+1 physical states of both reflection sectors (fewer
-    if the sectors hold fewer), in global energy order below the lower of
-    the two sectors' edges.  The cluster that reaches that edge is left
-    out, and inside a cluster even states come first: B couples to the
-    first member of a degenerate pair.  No odd state from the energy of the
-    (`count`+1)-th even one on can be among them, so the odd sector's
-    clusters stop there."""
-    if boundary is None:
-        boundary = gram_row(link_basis(n_sites).partners, beta, adjacent_state(n_sites))
-    h = sparse_structure(n_sites, beta)  # for the eigen-residuals in link space
-    even, top = _sector_states(n_sites, beta, h, boundary, 1, count, k)
-    below = even[count].energy if len(even) > count else math.inf
-    odd, odd_top = _sector_states(n_sites, beta, h, boundary, -1, count, k, below)
-    top = min(top, odd_top)
-    states = sorted((s for s in even + odd if s.energy < top), key=lambda s: s.energy)
-    out = []
-    for i, j in eigenvalue_clusters([s.energy for s in states] + [top]):
-        if j > len(states):
+def _spectrum(n_sites, beta, count, k) -> list[SpectrumEntry]:
+    """The lowest `count`+1 states of both reflection sectors in global
+    energy order below the lower of the two sectors' edges, from eigsh's k
+    per sector or, when k is None, dense eigh.  The cluster that reaches
+    that edge is left out, and inside a cluster even states come first: B
+    couples to the first member of a degenerate pair.  While the list is
+    short, the sector whose edge cut it runs again with k doubled; fewer
+    states in the whole basis than requested raise ShortfallError."""
+    basis = rsos_basis(n_sites, rsos_p(beta))
+    sectors = {parity: reflection_sector(basis, parity) for parity in (1, -1)}
+    ks = dict.fromkeys(sectors, k)
+    runs = {parity: _sector_states(basis, beta, parity, sectors[parity], k)
+            for parity in sectors}
+    while True:
+        top = min(edge for _, edge in runs.values())
+        states = sorted((s for run, _ in runs.values() for s in run if s.energy < top),
+                        key=lambda s: s.energy)
+        out = []
+        for i, j in eigenvalue_clusters([s.energy for s in states] + [top]):
+            if j > len(states):
+                break
+            out += sorted(states[i:j], key=lambda s: -s.parity)
+        if len(out) > count or top == math.inf:
             break
-        out += sorted(states[i:j], key=lambda s: -s.parity)
+        parity = min(runs, key=lambda q: runs[q][1])
+        ks[parity] *= 2
+        runs[parity] = _sector_states(basis, beta, parity, sectors[parity], ks[parity])
+    if len(out) <= count:
+        raise ShortfallError(f"only {len(out)} of the {count + 1} requested "
+                             f"physical states exist at N={n_sites}")
     for label, state in enumerate(out):
         state.k = label
     return out[:count + 1]
 
 
-def spectrum_dense(n_sites: int, beta: float, count: int, boundary=None) -> list[SpectrumEntry]:
-    """Lowest `count`+1 physical states from dense eig of each reflection
-    sector's H and H^T.  Fewer in the whole basis than requested raise
-    ShortfallError.  `boundary` is the Gram row of B, computed when not
-    given."""
-    out = _spectrum(n_sites, beta, count, None, boundary)
-    if len(out) <= count:
-        raise ShortfallError(f"only {len(out)} of the {count + 1} requested "
-                             f"physical states exist at N={n_sites}")
-    return out
+def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
+    """The lowest `count`+1 states from dense eigh of each reflection sector."""
+    return _spectrum(n_sites, beta, count, None)
 
 
-def spectrum_sparse(n_sites: int, beta: float, count: int, k: int,
-                    boundary=None) -> list[SpectrumEntry]:
-    """The lowest physical states, up to `count`+1, among ARPACK's k lowest
-    eigenpairs of H and of H^T in each reflection sector (in an Arnoldi
-    space of 5k vectors; dense eig for a sector it does not fit), without
-    building G.  `boundary` is the Gram row of B, computed when not given."""
-    return _spectrum(n_sites, beta, count, k, boundary)
+def spectrum_sparse(n_sites: int, beta: float, count: int, k: int) -> list[SpectrumEntry]:
+    """The lowest `count`+1 states from eigsh's k lowest eigenpairs of each
+    reflection sector, k doubling in a sector whose edge cuts the list and
+    dense eigh for a sector that 5k does not fit."""
+    return _spectrum(n_sites, beta, count, k)
 
 
 def spectrum(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
-    """Lowest `count`+1 physical states, solved in the even and odd
-    reflection sectors.  Each sector's ARPACK runs compute k = max(count +
-    6, 10) // 2 + 1 eigenpairs while their Arnoldi space 5k fits inside the
-    sector, and k doubles while a run finds more physical states than the
-    run before but too few; a run that finds no new one raises
-    ShortfallError.  Once the Arnoldi space fits neither sector, dense eig
-    answers.  The Gram row of B is computed once."""
-    basis = link_basis(n_sites)
-    boundary = gram_row(basis.partners, beta, adjacent_state(n_sites))
-    # the even sector, one vector per orbit, is the larger one
-    orbits = np.count_nonzero(np.arange(len(basis.reflection)) <= basis.reflection)
-    k, found = max(count + 6, 10) // 2 + 1, 0
-    while 5 * k < orbits:
-        out = spectrum_sparse(n_sites, beta, count, k, boundary)
-        if len(out) > count:
-            return out
-        if len(out) <= found:
-            raise ShortfallError(
-                f"only {len(out)} of the {count + 1} requested physical states are among "
-                f"the {k} lowest eigenvalues of each reflection sector at N={n_sites}: "
-                f"this run found no new one")
-        found, k = len(out), 2 * k
-    return spectrum_dense(n_sites, beta, count, boundary)
+    """The lowest `count`+1 states in the A_p height basis of
+    beta = 2cos(pi/(p+1)): eigsh with k = count + 2 per reflection sector,
+    so that each sector holds count + 1 states below its edge unless that
+    edge is degenerate."""
+    return spectrum_sparse(n_sites, beta, count, count + 2)
 
 
 @dataclass

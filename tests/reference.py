@@ -6,9 +6,10 @@
   `virasoro.product_amplitude` is checked, and the closed form of P_2.
 - Scalar references for the vectorised loop-model code.  Each works on one
   link state at a time, given as a tuple (or row) of partner indices, the
-  way the link basis was first written.  And the loop spectrum from one
-  dense eig of the whole link-basis H, with no reflection sectors, against
-  which the sector solve is checked.
+  way the link basis was first written.  And the link route to the loop
+  spectrum, against which the RSOS height-basis solve is checked: the
+  physical states picked from the Gram radical of the link basis, from
+  one dense eig of the whole H or of each of its reflection sectors.
 - The free-field mode-word sum that acts every word on every key and
   tests the level once, on the final key, against which
   `freefield.mode_sum` (which acts only where the result is kept) is
@@ -24,10 +25,11 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from rectcft.ising import FreeFermionSolution
-from rectcft.looplattice import (_physical_states, adjacent_state, gram_row, hamiltonian,
-                                 link_basis)
+from rectcft.looplattice import (DegenerateNormError, SpectrumEntry, eigenvalue_clusters,
+                                 gram_row, hamiltonian, link_basis)
 from rectcft.series import CZERO, CPoly, Series, series_pow_scalar
 from rectcft.virasoro import VermaVector, apply_mode
 
@@ -153,6 +155,24 @@ def loops_between(s1, s2) -> int:
     return count
 
 
+def adjacent_state(n_sites: int) -> np.ndarray:
+    """(12)(34)...: every site paired with its neighbor (row 0 of the link basis)."""
+    return np.arange(n_sites, dtype=np.int32) ^ 1
+
+
+def link_reflection(n_sites: int) -> np.ndarray:
+    """The row of the mirror image under x -> N-1-x of each link-basis row.
+    A site opens in the mirror image exactly when its mirror site closes,
+    so the mirrored opener word is the bit-reversed closer word, ranked
+    like the rows' own opener words."""
+    partners = link_basis(n_sites).partners
+    sites = np.arange(n_sites, dtype=np.uint64)
+    words = ((partners > sites).astype(np.uint64) << sites).sum(axis=1)
+    mirrored = ((partners < sites).astype(np.uint64) << (n_sites - 1 - sites)).sum(axis=1)
+    rank = np.argsort(words)
+    return rank[np.searchsorted(words[rank], mirrored)]
+
+
 def boundary_link_state(n_sites: int, beta: float) -> np.ndarray:
     """beta^{-N/2} on the all-adjacent-arcs pattern, as a link-basis vector."""
     partners = link_basis(n_sites).partners
@@ -161,16 +181,131 @@ def boundary_link_state(n_sites: int, beta: float) -> np.ndarray:
     return v
 
 
+NULL_TOL = 1e-8
+
+
+def _physical_states(n_sites, beta, h, energies, right, left, count, boundary,
+                     parity) -> list[SpectrumEntry]:
+    """The lowest `count`+1 physical states (fewer if there are fewer) among
+    sorted real eigenvalues of the link-basis H with right (H V = V E) and
+    left (H^T W = W E) eigenvectors, all of one parity; `boundary` is the
+    Gram row of B in the same coordinates (zero in the odd sector).
+
+    G H = H^T G maps each right eigenspace onto the left one: G V = W C on
+    a cluster.  C follows from the Gram rows at the cluster's anchors, the
+    first pivots of a pivoted QR of W^T, and the Gram block is
+    V^T G V = V^T W C.  Its Gram-null directions are skipped and a negative
+    norm raises.  A degenerate physical cluster is rotated so that B
+    couples only to its first member.  The vectors are loop-normalized
+    link vectors, v^T G v = 1."""
+    partners = link_basis(n_sites).partners
+    out = []
+    for i, j in eigenvalue_clusters(energies):
+        if len(out) > count:
+            break
+        v, w = right[:, i:j], left[:, i:j]
+        anchors = sla.qr(w.T, mode="r", pivoting=True)[1][:j - i]
+        rows = np.array([gram_row(partners, beta, partners[a]) for a in anchors])
+        block = (v.T @ w) @ np.linalg.solve(w[anchors], rows @ v)
+        lam, u = np.linalg.eigh((block + block.T) / 2)
+        if lam.min() < -NULL_TOL * rows.max():
+            raise DegenerateNormError(f"negative loop norm {lam.min()} at N={n_sites}")
+        keep = lam > NULL_TOL * rows.max()
+        y = v @ (u[:, keep] / np.sqrt(lam[keep]))
+        b = boundary @ y
+        if len(b) > 1 and b.any():
+            b /= np.linalg.norm(b)
+            y = y @ np.column_stack([b, sla.null_space(b[None])])
+        energy = float(energies[i:j].mean())
+        residual = np.abs(h @ y - energy * y).max(initial=0.0)
+        if residual > 1e-8 * max(1.0, abs(energy)):
+            raise DegenerateNormError(f"eigen-residual {residual:.1e} at E={energy}")
+        for t in range(y.shape[1]):
+            ovl = beta ** (-n_sites / 2) * float(boundary @ y[:, t])
+            sign = -1.0 if ovl < 0 else 1.0
+            out.append(SpectrumEntry(len(out), energy, sign * y[:, t], sign * ovl, parity))
+    return out[:count + 1]
+
+
+def _eigenpairs(m):
+    """Sorted real eigenvalues of the nonsymmetric dense m, with right
+    (m V = V E) and left (m^T W = W E) eigenvectors, from one dense eig."""
+    w, left, right = sla.eig(m, left=True)
+    if np.abs(w.imag).max(initial=0.0) > 1e-9:
+        raise DegenerateNormError("complex eigenvalues in the link-basis H")
+    order = np.argsort(w.real)
+    return w.real[order], right.real[:, order], left.real[:, order]
+
+
 def full_space_spectrum(n_sites: int, beta: float, count: int):
     """The lowest `count`+1 physical states (fewer if there are fewer) from
-    one dense eig of the whole H, right and left, through the package's
-    physical-state rule; parity 0 marks that no sector was used."""
+    one dense eig of the whole link-basis H, right and left, through the
+    Gram-radical rule; parity 0 marks that no sector was used."""
     h = hamiltonian(n_sites, beta)
-    energies, left, right = sla.eig(h, left=True)
-    order = np.argsort(energies.real)
     boundary = gram_row(link_basis(n_sites).partners, beta, adjacent_state(n_sites))
-    return _physical_states(n_sites, beta, h, energies.real[order], right.real[:, order],
-                            left.real[:, order], count, boundary, 0)
+    return _physical_states(n_sites, beta, h, *_eigenpairs(h), count, boundary, 0)
+
+
+def link_reflection_sector(n_sites: int, beta: float, parity: int):
+    """H of the link basis in the reflection sector of `parity` (+1 even,
+    -1 odd) and the sparse embedding E of the sector into link space:
+    H E = E M.
+
+    The sector has one vector s + parity*Rs per orbit {s, Rs}, at its lower
+    row s <= Rs (the odd sector has none on a fixed state s = Rs); a sector
+    vector's coordinates are its link components at those rows.  Column s
+    of the sector's H is H s + parity*R H s read there: a move of s to m
+    adds [m <= Rm] + parity*[m >= Rm] to m's orbit, or only [m <= Rm] when
+    s is fixed.  M is not symmetric: with the orbit sizes D (the column
+    sums of |E|), H^T E D^-1 = E D^-1 M^T, so E D^-1 carries the left
+    eigenvectors of M to those of H."""
+    basis = link_basis(n_sites)
+    mirror = link_reflection(n_sites)
+    rows = np.arange(len(mirror))
+    lower, upper = rows <= mirror, rows >= mirror
+    reps = np.flatnonzero(lower if parity > 0 else rows < mirror)
+    dim = len(reps)
+    paired = reps != mirror[reps]
+    coord = np.zeros(len(mirror), dtype=np.int64)
+    coord[reps] = coord[mirror[reps]] = np.arange(dim)
+    embed = sp.csr_matrix(
+        (np.r_[np.ones(dim), np.full(paired.sum(), float(parity))],
+         (np.r_[reps, mirror[reps[paired]]], np.r_[np.arange(dim), np.flatnonzero(paired)])),
+        shape=(len(mirror), dim))
+    moves = basis.moves[reps]
+    closed = moves == reps[:, None]
+    cols, _ = np.nonzero(~closed)
+    to = moves[~closed]
+    weight = lower[to] + parity * (upper[to] & paired[cols])
+    hit = weight != 0
+    a = sp.coo_matrix((weight[hit].astype(float), (coord[to[hit]], cols[hit])),
+                      shape=(dim, dim)).tocsr()
+    return -(a + sp.diags(beta * closed.sum(axis=1))).tocsc(), embed
+
+
+def link_sector_spectrum(n_sites: int, beta: float, count: int):
+    """The lowest `count`+1 physical states (fewer if there are fewer) from
+    one dense eig, right and left, of each link-basis reflection sector,
+    merged in energy order with even states first inside a degenerate
+    cluster."""
+    h = hamiltonian(n_sites, beta)
+    boundary = gram_row(link_basis(n_sites).partners, beta, adjacent_state(n_sites))
+    states = []
+    for parity in (1, -1):
+        op, embed = link_reflection_sector(n_sites, beta, parity)
+        if op.shape[0] == 0:
+            continue
+        energies, right, left = _eigenpairs(op.toarray())
+        size = np.asarray(abs(embed).sum(axis=0)).ravel()
+        # B is reflection-even: it has no part in the odd sector
+        part = boundary if parity > 0 else np.zeros_like(boundary)
+        states += _physical_states(n_sites, beta, h, energies, embed @ right,
+                                   embed @ (left / size[:, None]), count, part, parity)
+    states.sort(key=lambda s: s.energy)
+    out = []
+    for i, j in eigenvalue_clusters([s.energy for s in states]):
+        out += sorted(states[i:j], key=lambda s: -s.parity)
+    return out[:count + 1]
 
 
 # ------------------------------------------------------------ free fields

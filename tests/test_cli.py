@@ -95,7 +95,8 @@ class TestSubcommands:
         assert len(lines) == 1 + 3 * 2
         assert "3.0" in json.loads(summary.read_text())
 
-    def test_link_basis_built_once_per_n(self, capsys, monkeypatch, tmp_path):
+    def test_word_table_built_once_per_n(self, capsys, monkeypatch, tmp_path):
+        # one Dyck word table per N, shared by both p; no link basis is built
         enumerate_links, calls = looplattice.enumerate_links, []
 
         def counting(n_sites):
@@ -103,11 +104,14 @@ class TestSubcommands:
             return enumerate_links(n_sites)
 
         looplattice.link_basis.cache_clear()
+        looplattice.dyck_words.cache_clear()
         monkeypatch.setattr(looplattice, "enumerate_links", counting)
         code, _, _ = run(capsys, "loop", "--p", "3,inf", "--nmin", "8", "--nmax", "18",
                          "--kmax", "1", "--out", str(tmp_path / "loop.csv"))
         assert code == 0
-        assert calls == [8, 10, 12, 14, 16, 18]
+        assert calls == []
+        tables = looplattice.dyck_words.cache_info()
+        assert (tables.misses, tables.currsize) == (6, 6)
 
     def test_loop_without_n_ge_10(self, capsys):
         code, out, _ = run(capsys, "loop", "--nmin", "8", "--nmax", "8", "--kmax", "2")
@@ -142,8 +146,8 @@ class TestSubcommands:
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, capsys):
-        # the loop run covers the dense (N = 10) and ARPACK (N = 12..16)
-        # paths; its second run reuses the cached link bases
+        # the loop run covers the dense (N = 10) and eigsh (N = 12..16)
+        # paths; its second run reuses the cached word tables
         for argv in (("pn", "--slits-exponent", "2", "--order", "6"),
                      ("loop", "--p", "3", "--nmin", "10", "--nmax", "16", "--kmax", "1",
                       "--format", "csv")):
@@ -301,8 +305,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv, rows", [(("--nmin", "12", "--nmax", "16", "--kmax", "20"), 63),
                                             (("--nmin", "14", "--nmax", "16", "--kmax", "40"), 82)])
     def test_loop_large_kmax_below_n_18(self, capsys, argv, rows):
-        # k doubles while ARPACK finds new physical states; once its Arnoldi
-        # space outgrows the basis (N = 12 at kmax 20), dense eig answers
+        # at kmax 20 and 40, eigsh's Lanczos space of 110 and 210 vectors
+        # fits no p = 3 sector up to N = 16 (72 states), so dense eigh answers
         code, out, _ = run(capsys, "loop", "--p", "3", *argv, "--format", "csv")
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + rows
@@ -316,6 +320,7 @@ class TestErrorPaths:
         ("loop", "--p", "abc"),
         ("loop", "--p", "0"),
         ("loop", "--p", "1.5"),
+        ("loop", "--p", "3.5"),
         ("amplitude", "--order", "4", "--at-c", "x"),
         ("amplitude", "--order", "4", "--at-c", "1/0"),
         ("ising", "--nmin", "0", "--nmax", "0"),
@@ -337,21 +342,22 @@ class TestErrorPaths:
         def no_convergence(*args, **kwargs):
             raise looplattice.spl.ArpackNoConvergence("no convergence", [], [])
 
-        monkeypatch.setattr(looplattice.spl, "eigs", no_convergence)
+        monkeypatch.setattr(looplattice.spl, "eigsh", no_convergence)
         code, _, err = run(capsys, "loop", "--nmin", "18", "--nmax", "18", "--kmax", "1")
         assert code == 1
         assert err.startswith("rectcft: ")
 
     def test_loop_arpack_shortfall_is_runtime_error(self, capsys):
-        # p = 2 (beta = 1) has one physical state: doubling ARPACK's
-        # eigenvalues finds no second one
+        # p = 2 (beta = 1) has one physical state: its height basis holds
+        # one path
         code, _, err = run(capsys, "loop", "--p", "2", "--nmin", "18", "--nmax", "18",
                            "--kmax", "1")
         assert code == 1
         assert "only 1 of the 2" in err and "structural" not in err
 
     def test_loop_large_kmax_from_n_18(self, capsys):
-        # 256 physical states at N = 18: k doubles until ARPACK holds 41
+        # 256 physical states at N = 18, in sectors of 136 and 120: dense
+        # eigh finds all 41
         code, out, _ = run(capsys, "loop", "--p", "3", "--nmin", "18", "--nmax", "18",
                            "--kmax", "40", "--format", "csv")
         assert code == 0

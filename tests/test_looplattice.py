@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from rectcft import looplattice
-from rectcft.looplattice import (DegenerateNormError, ShortfallError, adjacent_state,
-                                 enumerate_links, gram, gram_row, hamiltonian, link_basis,
-                                 loop_fit_summary, overlap_table, parse_p, reflection_sector,
-                                 sparse_structure, spectrum, spectrum_dense, spectrum_sparse,
-                                 spl, tl_generator_matrix)
-from reference import apply_tl, boundary_link_state, full_space_spectrum, loops_between
+from rectcft.looplattice import (DegenerateNormError, ShortfallError, _sector_states,
+                                 dyck_words, enumerate_links, gram, gram_row, hamiltonian,
+                                 link_basis, loop_fit_summary, overlap_table, parse_p,
+                                 reflection_sector, rsos_basis, rsos_generators,
+                                 rsos_hamiltonian, rsos_p, sparse_structure, spectrum,
+                                 spectrum_dense, spectrum_sparse, spl, tl_generator_matrix)
+from reference import (adjacent_state, apply_tl, boundary_link_state, full_space_spectrum,
+                       link_reflection, link_reflection_sector, link_sector_spectrum,
+                       loops_between)
 
 BETA3 = 2 * math.cos(math.pi / 4)  # p = 3
 
@@ -102,59 +104,91 @@ class TestAgainstScalarReferences:
 
 
 class TestReflection:
-    """x -> N-1-x on the link basis: an involution that commutes with every
-    e_i (e_i goes to e_{N-2-i}) and fixes B."""
+    """x -> N-1-x on the link basis (the reference's `link_reflection` and
+    link sectors) and on the height basis: an involution that commutes
+    with every e_i (e_i goes to e_{N-2-i}) and fixes B."""
 
     def test_involution_and_mirror_image(self):
         for n in range(2, 17, 2):
             basis = link_basis(n)
-            r = basis.reflection
+            r = link_reflection(n)
             assert np.array_equal(r[r], np.arange(len(r)))
             # the mirror image of partner row s is x -> N-1-s[N-1-x]
             assert np.array_equal(basis.partners[r], n - 1 - basis.partners[:, ::-1])
+            # in the height basis the mirror image reverses the heights
+            table = dyck_words(n)
+            assert np.array_equal(table.reflection[table.reflection], np.arange(len(r)))
+            assert np.array_equal(table.heights[table.reflection], table.heights[:, ::-1])
         with pytest.raises(ValueError):
-            link_basis(6).reflection[0] = 1
+            dyck_words(6).reflection[0] = 1
 
     def test_commutes_with_moves(self):
         for n in range(2, 17, 2):
-            basis = link_basis(n)
-            r, moves = basis.reflection, basis.moves
+            r, moves = link_reflection(n), link_basis(n).moves
             for i in range(n - 1):
                 assert np.array_equal(moves[r, n - 2 - i], r[moves[:, i]])
 
     def test_fixes_the_boundary_state(self):
         for n in range(2, 19, 2):
             basis = link_basis(n)
+            r = link_reflection(n)
             assert basis.partners[0].tolist() == adjacent_state(n).tolist()
-            assert basis.reflection[0] == 0
+            assert r[0] == 0
             for beta in (BETA3, 2.0):
                 row = gram_row(basis.partners, beta, adjacent_state(n))
-                assert row[basis.reflection].tolist() == row.tolist()
+                assert row[r].tolist() == row.tolist()
+            for p in (2, 3, math.inf):
+                rsos = rsos_basis(n, p)
+                assert rsos.reflection[rsos.boundary] == rsos.boundary
+                assert rsos.heights[rsos.boundary].tolist() == [x % 2 for x in range(n + 1)]
 
     def test_fixed_state_count(self):
-        # a fixed matching is fixed by its left half: C(N/2, floor(N/4))
-        fixed = {n: int(np.count_nonzero(link_basis(n).reflection == np.arange(catalan(n // 2))))
+        # a fixed matching is fixed by its left half: C(N/2, floor(N/4)); so
+        # is a fixed Dyck word, the opener word of a fixed matching
+        fixed = {n: int(np.count_nonzero(link_reflection(n) == np.arange(catalan(n // 2))))
                  for n in range(2, 25, 2)}
         assert fixed == {n: math.comb(n // 2, n // 4) for n in fixed}
         assert (fixed[20], fixed[22], fixed[24]) == (252, 462, 924)
+        table = dyck_words(24)
+        assert np.count_nonzero(table.reflection == np.arange(len(table.words))) == 924
 
     def test_sector_operators_restrict_h(self):
-        # H E = E M and H^T E = E M_T on each sector's embedding E, exactly
+        # link sectors: H E = E M and H^T E D^-1 = E D^-1 M^T on each
+        # sector's embedding E (orbit sizes D), exactly
         for n in range(2, 15, 2):
             for beta in (BETA3, parse_p(5).beta, 2.0):
                 h = sparse_structure(n, beta)
                 dims = []
                 for parity in (1, -1):
-                    op, op_t, embed = reflection_sector(n, beta, parity)
+                    op, embed = link_reflection_sector(n, beta, parity)
                     dims.append(op.shape[0])
                     assert np.array_equal((h @ embed).toarray(), (embed @ op).toarray())
-                    assert np.array_equal((h.T @ embed).toarray(), (embed @ op_t).toarray())
+                    left = embed.toarray() / abs(embed).sum(axis=0)
+                    assert np.array_equal(h.T @ left, left @ op.T.toarray())
                     # a sector vector's link components are 1 and the parity
                     assert set(embed.data) <= {1.0, float(parity)}
                 fixed = math.comb(n // 2, n // 4)
                 assert dims == [(catalan(n // 2) + fixed) // 2, (catalan(n // 2) - fixed) // 2]
         # N = 2 and 4: every state is fixed, the odd sector is empty
-        assert reflection_sector(4, BETA3, -1)[0].shape == (0, 0)
+        assert link_reflection_sector(4, BETA3, -1)[0].shape == (0, 0)
+        # height-basis sectors: H Q = Q M on the orthonormal embedding Q, up
+        # to roundoff, and each sector exactly symmetric
+        for n in range(2, 15, 2):
+            for p in (3, 5, math.inf):
+                basis = rsos_basis(n, p)
+                h = rsos_hamiltonian(basis).toarray()
+                dims = []
+                for parity in (1, -1):
+                    op, reps = reflection_sector(basis, parity)
+                    dims.append(len(reps))
+                    assert (op != op.T).nnz == 0
+                    q = np.zeros((len(basis.words), len(reps)))
+                    q[reps, np.arange(len(reps))] = 1.0
+                    q[basis.reflection[reps], np.arange(len(reps))] += parity
+                    q /= np.linalg.norm(q, axis=0)
+                    assert np.abs(q.T @ q - np.eye(len(reps))).max(initial=0.0) < 1e-15
+                    assert np.abs(h @ q - q @ op.toarray()).max(initial=0.0) < 1e-13
+                assert sum(dims) == len(basis.words)
 
     def test_sector_energies_match_full_eig(self):
         for p in (3, 4, 5, 6, math.inf):
@@ -162,9 +196,18 @@ class TestReflection:
             for n in range(2, 13, 2):
                 full = np.sort(sla.eigvals(hamiltonian(n, beta)).real)
                 sectors = np.sort(np.concatenate(
-                    [sla.eigvals(reflection_sector(n, beta, parity)[0].toarray()).real
+                    [sla.eigvals(link_reflection_sector(n, beta, parity)[0].toarray()).real
                      for parity in (1, -1)]))
                 assert np.abs(full - sectors).max() < 1e-9 * max(1.0, np.abs(full).max())
+                # the height-basis spectrum is the link one less its Gram-null
+                # states
+                basis = rsos_basis(n, p)
+                rsos = np.sort(np.concatenate(
+                    [np.linalg.eigvalsh(reflection_sector(basis, parity)[0].toarray())
+                     for parity in (1, -1)]))
+                assert np.abs(rsos - np.linalg.eigvalsh(
+                    rsos_hamiltonian(basis).toarray())).max() < 1e-12 * max(1.0, abs(rsos[0]))
+                assert max(np.abs(full - e).min() for e in rsos) < 1e-9 * max(1.0, abs(full[0]))
 
 
 class TestTLAction:
@@ -271,17 +314,103 @@ class TestBoundaryState:
             assert v @ g @ v == pytest.approx(BETA3 ** (-n / 2))
 
 
+class TestRSOS:
+    """The A_p height basis: its size, the TL relations of its e_i, the
+    symmetry of H, and the boundary state's sum rule."""
+
+    def test_word_table(self):
+        for n in range(2, 17, 2):
+            table = dyck_words(n)
+            assert table is dyck_words(n)
+            assert len(table.words) == catalan(n // 2)
+            assert np.all(np.diff(table.words.astype(np.int64)) > 0)
+            assert table.heights.min() == 0 and not table.heights[:, [0, -1]].any()
+            # the words are the link states' opener words
+            partners = link_basis(n).partners
+            opener = ((partners > np.arange(n)) << np.arange(n)).sum(axis=1)
+            assert np.array_equal(np.sort(opener), table.words)
+        with pytest.raises(ValueError):
+            dyck_words(6).heights[0, 0] = 1
+
+    def test_dimension_is_gram_rank(self):
+        # the height basis spans the link module modulo the Gram radical
+        for n in range(2, 13, 2):
+            for p in (2, 3, 4, 5, 6):
+                rank = np.linalg.matrix_rank(gram(n, parse_p(p).beta))
+                assert len(rsos_basis(n, p).words) == rank
+            assert len(rsos_basis(n, math.inf).words) == catalan(n // 2)
+        assert [len(rsos_basis(24, p).words) for p in (3, 4, 5, 6, math.inf)] == \
+            [2048, 28657, 88574, 147798, 208012]
+
+    def test_tl_relations(self):
+        n = 8
+        for p in (3, 5, math.inf):
+            basis, beta = rsos_basis(n, p), parse_p(p).beta
+            gen, rows, cols, values = rsos_generators(basis)
+            es = []
+            for i in range(n - 1):
+                e = np.zeros((len(basis.words),) * 2)
+                e[rows[gen == i], cols[gen == i]] = values[gen == i]
+                es.append(e)
+            for i in range(n - 1):
+                assert np.abs(es[i] @ es[i] - beta * es[i]).max() < 1e-12
+            for i in range(n - 2):
+                assert np.abs(es[i] @ es[i + 1] @ es[i] - es[i]).max() < 1e-12
+                assert np.abs(es[i + 1] @ es[i] @ es[i + 1] - es[i + 1]).max() < 1e-12
+            for i in range(n - 1):
+                for j in range(i + 2, n - 1):
+                    assert np.abs(es[i] @ es[j] - es[j] @ es[i]).max() < 1e-12
+
+    def test_h_is_exactly_symmetric(self):
+        for n in (8, 12, 16):
+            for p in (2, 3, 4, 5, 6, math.inf):
+                h = rsos_hamiltonian(rsos_basis(n, p))
+                assert (h != h.T).nnz == 0
+
+    def test_rsos_p(self):
+        for p in (2, 3, 4, 5, 6, 17, math.inf):
+            assert rsos_p(parse_p(p).beta) == p
+        assert rsos_p(1.0) == 2
+        for beta in (1.5, parse_p(3.5).beta, 0.0, 2.5):
+            with pytest.raises(ValueError, match="integer p"):
+                rsos_p(beta)
+
+    def test_boundary_sum_rule(self):
+        # sum_k <B|k>^2 over every state is |B|^2 / beta^N = beta^{-N/2}
+        for p in (3, 4, 5, 6, math.inf):
+            beta = parse_p(p).beta
+            for n in range(2, 13, 2):
+                states = spectrum_dense(n, beta, len(rsos_basis(n, p).words) - 1)
+                total = sum(e.boundary_overlap ** 2 for e in states)
+                assert abs(total - beta ** (-n / 2)) < 1e-14
+
+
 @pytest.fixture
-def eigs_calls(monkeypatch):
-    """The k of every ARPACK run, in call order."""
-    eigs, calls = spl.eigs, []
+def eigsh_calls(monkeypatch):
+    """(sector dimension, k) of every eigsh run, in call order."""
+    eigsh, calls = spl.eigsh, []
 
     def counting(*args, **kwargs):
-        calls.append(kwargs["k"])
-        return eigs(*args, **kwargs)
+        calls.append((args[0].shape[0], kwargs["k"]))
+        return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(spl, "eigs", counting)
+    monkeypatch.setattr(spl, "eigsh", counting)
     return calls
+
+
+@pytest.fixture(scope="module")
+def link_route():
+    """The link route's rows at kmax 10 per (p, N), N = 2..16: dense eig of
+    each link-basis sector with the Gram-radical rule."""
+    return {(p, n): link_sector_spectrum(n, parse_p(p).beta, 10)
+            for p in (3, 4, 5, 6, math.inf) for n in range(2, 17, 2)}
+
+
+def assert_same_rows(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.energy == pytest.approx(b.energy, abs=1e-9)
+        assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
 
 
 class TestSpectrum:
@@ -293,12 +422,12 @@ class TestSpectrum:
             assert energies == sorted(energies)
 
     def test_loop_normalization(self):
-        g = gram(10, BETA3)
+        # the loop form is the dot product of the height basis
         for e in spectrum(10, BETA3, 3):
-            assert e.vector @ g @ e.vector == pytest.approx(1.0, abs=1e-8)
+            assert e.vector @ e.vector == pytest.approx(1.0, abs=1e-8)
 
     def test_eigen_residual(self):
-        h = hamiltonian(12, BETA3)
+        h = rsos_hamiltonian(rsos_basis(12, 3))
         for e in spectrum(12, BETA3, 3):
             assert np.abs(h @ e.vector - e.energy * e.vector).max() < 1e-8
 
@@ -313,37 +442,35 @@ class TestSpectrum:
                     assert a.energy == pytest.approx(b.energy, abs=1e-9)
                     assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
 
-    def test_arpack_wherever_its_krylov_space_fits(self, monkeypatch):
-        # ARPACK needs k + 1 < ncv <= dim: at kmax 3 each reflection sector's
-        # Arnoldi space has 5 * 6 = 30 vectors, so the sectors of Catalan(6) =
-        # 132 states (76 even, 56 odd) go sparse, H then H^T in each, and those
-        # of Catalan(5) = 42 (26, 16) dense
-        eigs, calls = spl.eigs, []
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape[0])
-            return eigs(*args, **kwargs)
-
-        monkeypatch.setattr(spl, "eigs", counting)
-        spectrum(10, BETA3, 3)
-        assert calls == []
+    def test_arpack_wherever_its_krylov_space_fits(self, eigsh_calls):
+        # eigsh needs its Lanczos space of 5k vectors inside the sector: at
+        # kmax 3, k = 5, so the p = 3 sectors of N = 12 (20 even, 12 odd
+        # states) go dense and those of N = 14 (36, 28) sparse; at p = inf,
+        # N = 10 runs eigsh on its 26 even states and dense eigh on its 16
+        # odd ones
         spectrum(12, BETA3, 3)
-        assert calls == [76, 76, 56, 56]
+        assert eigsh_calls == []
+        spectrum(14, BETA3, 3)
+        assert eigsh_calls == [(36, 5), (28, 5)]
+        eigsh_calls.clear()
+        spectrum(10, 2.0, 3)
+        assert eigsh_calls == [(26, 5)]
 
-    def test_one_rule_through_degenerate_clusters(self, eigs_calls):
-        # at p = 3, N = 14 and kmax 20, ARPACK's 14 eigenvalues per sector
-        # less their last cluster hold too few physical states, its 28 every
-        # requested one, two degenerate pairs among them: the sparse route
-        # answers alone and agrees row by row with the dense one and with one
-        # eig of the whole H
+    def test_one_rule_through_degenerate_clusters(self, eigsh_calls):
+        # at p = 3, N = 14 and kmax 20 the height basis has 36 even and 28 odd
+        # states, too few for eigsh's k = 22, so dense eigh answers; from
+        # k = 7 eigsh runs on the even sector until, doubled, its Lanczos
+        # space no longer fits.  Both agree row by row with the link route
+        # (in sectors and in one eig of the whole H), two degenerate pairs
+        # among the rows
         got = spectrum(14, BETA3, 20)
-        assert eigs_calls == [14, 14, 14, 14, 28, 28, 28, 28]
-        assert len(spectrum_sparse(14, BETA3, 20, 14)) < 21
-        for ref in (spectrum_dense(14, BETA3, 20), full_space_spectrum(14, BETA3, 20)):
-            assert len(got) == len(ref) == 21
-            for a, b in zip(got, ref):
-                assert a.energy == pytest.approx(b.energy, abs=1e-9)
-                assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
+        assert eigsh_calls == []
+        sparse = spectrum_sparse(14, BETA3, 20, 7)
+        assert eigsh_calls == [(36, 7)]
+        for ref in (sparse, link_sector_spectrum(14, BETA3, 20),
+                    full_space_spectrum(14, BETA3, 20)):
+            assert len(ref) == 21
+            assert_same_rows(got, ref)
         # B couples only to the first member of a degenerate physical pair,
         # whatever basis of the pair the solver returned
         pairs = [k for k in range(1, 20) if abs(got[k].energy - got[k - 1].energy) < 1e-9]
@@ -355,79 +482,86 @@ class TestSpectrum:
             assert (got[k - 1].parity, got[k].parity) == (1, -1)
 
     def test_sectors_keep_full_space_rows(self):
-        # the sector solve against one eig of the whole H, row by row: the
-        # same energies and overlaps in the same order, degenerate clusters
-        # across the sectors included
+        # the sector solve against one eig of the whole link-basis H, row by
+        # row: the same energies and overlaps in the same order, degenerate
+        # clusters across the sectors included
         for p in (3, 4, 5, 6, math.inf):
             beta = parse_p(p).beta
             for n in range(2, 13, 2):
                 count = min(8, len(full_space_spectrum(n, beta, 8)) - 1)
                 got, ref = spectrum(n, beta, count), full_space_spectrum(n, beta, count)
                 assert len(got) == len(ref) == count + 1
-                for a, b in zip(got, ref):
-                    assert a.energy == pytest.approx(b.energy, abs=1e-9)
-                    assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
+                assert_same_rows(got, ref)
+
+    @pytest.mark.parametrize("kmax", [3, 10])
+    def test_rows_match_the_link_route(self, link_route, kmax):
+        # every request up to N = 16 has the link route's rows, or runs short
+        # exactly where the link route has too few physical states
+        for (p, n), ref in link_route.items():
+            beta = parse_p(p).beta
+            if len(ref) <= kmax:
+                with pytest.raises(ShortfallError, match=f"only {len(ref)} of the {kmax + 1}"):
+                    spectrum(n, beta, kmax)
+            else:
+                assert_same_rows(spectrum(n, beta, kmax), ref[:kmax + 1])
 
     def test_odd_states_are_structural_zeros(self):
-        # B is reflection-even: an odd state's overlap is reported as 0.0, not
-        # computed, and the witness |G_B . y| of its link vector is roundoff
+        # B is reflection-even: an odd state's overlap is 0.0, and its
+        # height-basis vector is antisymmetric under R and 0.0 at B
         for p in (3, math.inf):
             beta = parse_p(p).beta
             for n in range(10, 17, 2):
-                partners = link_basis(n).partners
-                row = gram_row(partners, beta, adjacent_state(n))
+                basis = rsos_basis(n, p)
                 odd = [e for e in spectrum(n, beta, 10) if e.parity < 0]
                 assert odd
                 for e in odd:
                     assert e.boundary_overlap == 0.0
-                    assert abs(row @ e.vector) <= 1e-12
-                    assert np.array_equal(e.vector[link_basis(n).reflection], -e.vector)
+                    assert e.vector[basis.boundary] == 0.0
+                    assert np.array_equal(e.vector[basis.reflection], -e.vector)
 
-    def test_k_doubles_then_dense(self, monkeypatch, eigs_calls):
-        # at N = 12 the 14 eigenvalues per sector of kmax 20 (ARPACK on the
-        # 76 even states, dense eig on the 56 odd ones, which its 70-vector
-        # Arnoldi space does not fit) hold 16 of the 21 physical states below
-        # the even sector's last cluster; doubled, k = 28 fits neither sector,
-        # so dense eig answers
-        dense = []
-        monkeypatch.setattr(looplattice, "spectrum_dense",
-                            lambda *args: dense.append(args[:3]) or spectrum_dense(*args))
-        assert len(spectrum_sparse(12, BETA3, 20, 14)) == 16
-        eigs_calls.clear()
-        got = spectrum(12, BETA3, 20)
-        assert eigs_calls == [14, 14]
-        assert dense == [(12, BETA3, 20)]
-        assert [e.energy for e in got] == [e.energy for e in spectrum_dense(12, BETA3, 20)]
+    def test_k_doubles_then_dense(self, eigsh_calls):
+        # at p = inf, N = 14 and kmax 10, eigsh's 6 eigenpairs per sector cut
+        # the list at the even sector's edge: the even sector alone runs
+        # again with k = 12.  At p = 3, N = 14 from k = 7 the even sector's
+        # doubled Lanczos space does not fit, and dense eigh answers there
+        # as it does in the 28 odd states from the start
+        got = spectrum_sparse(14, 2.0, 10, 6)
+        assert eigsh_calls == [(232, 6), (197, 6), (232, 12)]
+        assert_same_rows(got, spectrum_dense(14, 2.0, 10))
+        eigsh_calls.clear()
+        got = spectrum_sparse(14, BETA3, 20, 7)
+        assert eigsh_calls == [(36, 7)]
+        assert [e.energy for e in got] == [e.energy for e in spectrum_dense(14, BETA3, 20)]
 
     def test_cluster_at_arpacks_edge_is_left_out(self):
-        # at N = 14 the even sector's 23rd eigenvalue is the first of a
-        # degenerate pair (and an odd state shares its energy): 23 ARPACK
-        # eigenvalues hold one vector of each of its right and left
-        # eigenspaces, unpaired, so that cluster must not be read, in either
-        # sector
-        ref = spectrum_dense(14, BETA3, 40)
-        got = spectrum_sparse(14, BETA3, 40, k=23)
-        assert len(got) == 24
-        assert [e.parity for e in ref[len(got):len(got) + 3]] == [1, 1, -1]
-        assert got[-1].energy < ref[len(got)].energy - 1e-3
-        for a, b in zip(got, ref):
-            assert a.energy == pytest.approx(b.energy, abs=1e-9)
-            assert a.boundary_overlap == pytest.approx(b.boundary_overlap, abs=1e-8)
+        # at p = 3, N = 20 the odd sector's 16th eigenvalue is the first of a
+        # degenerate pair: eigsh's 16 eigenpairs hold one vector of it, so
+        # that cluster is not read and its energy is the sector's edge
+        basis = rsos_basis(20, 3)
+        odd = reflection_sector(basis, -1)
+        ref, top = _sector_states(basis, BETA3, -1, odd, None)
+        assert top == math.inf
+        assert ref[16].energy == ref[15].energy
+        got, top = _sector_states(basis, BETA3, -1, odd, 16)
+        assert len(got) == 15
+        assert top == pytest.approx(ref[15].energy, abs=1e-9)
+        assert_same_rows(got, ref[:15])
+        assert_same_rows(spectrum_sparse(20, BETA3, 40, 16), spectrum_dense(20, BETA3, 40))
 
-    def test_shortfall_when_doubling_finds_no_new_state(self, eigs_calls):
-        # p = 2 (beta = 1) has one physical state at every N; the doubled run
-        # is ARPACK on the even sector and dense eig on the odd one
+    def test_shortfall_when_doubling_finds_no_new_state(self, eigsh_calls):
+        # p = 2 (beta = 1) has one height path, and so one physical state,
+        # at every N: dense eigh finds it and the request runs short
         with pytest.raises(ShortfallError,
-                           match="only 1 of the 2 .* 12 lowest eigenvalues .* sector at N=12"):
+                           match="only 1 of the 2 requested physical states exist at N=12"):
             spectrum(12, 1.0, 1)
-        assert eigs_calls == [6, 6, 6, 6, 12, 12]
+        assert eigsh_calls == []
 
     def test_dense_shortfall_raises(self):
         # N = 4 has two link states in all, both in the even sector
         with pytest.raises(ShortfallError, match="only 2 of the 4 .* at N=4"):
             spectrum(4, BETA3, 3)
-        # at p = 3, N = 12 both sectors go dense at kmax 40 and hold too few
-        with pytest.raises(ShortfallError, match="only .* of the 41 .* at N=12"):
+        # at p = 3, N = 12 the 32 height paths are too few for kmax 40
+        with pytest.raises(ShortfallError, match="only 32 of the 41 .* at N=12"):
             spectrum(12, BETA3, 40)
 
     def test_gap_ratios_approach_field_content(self):
@@ -446,17 +580,17 @@ class TestSpectrum:
         assert dev < 0.05
 
     def test_sparse_rejects_degenerate_pairs(self, monkeypatch):
-        eigs = spl.eigs
+        eigsh = spl.eigsh
 
         def doubled_ground(*args, **kwargs):
-            w, v = eigs(*args, **kwargs)
+            w, v = eigsh(*args, **kwargs)
             w = w.copy()
-            w[np.argsort(w.real)[1]] = w[np.argmin(w.real)]
+            w[np.argsort(w)[1]] = w.min()
             return w, v
 
-        monkeypatch.setattr(spl, "eigs", doubled_ground)
+        monkeypatch.setattr(spl, "eigsh", doubled_ground)
         with pytest.raises(DegenerateNormError, match="degenerate"):
-            spectrum_sparse(12, BETA3, 2, 6)
+            spectrum_sparse(12, 2.0, 2, 6)
 
     def test_h3_state_decouples(self):
         # the h = 3 state is reflection-odd: its overlap is a structural zero
