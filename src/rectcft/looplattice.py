@@ -283,24 +283,31 @@ def rsos_hamiltonian(basis: RSOSBasis) -> sp.csr_matrix:
     return -sp.coo_matrix((values, (rows, cols)), shape=(d, d)).tocsr()
 
 
-def reflection_sector(basis: RSOSBasis, parity: int):
-    """H on the sector of `parity` (+1 even, -1 odd), and its rows reps: the
-    sector's coordinate j is the unit vector (s + parity*Rs)/sqrt(2) for
-    s = reps[j] < Rs, or the fixed row s = Rs (even sector only).  An entry
-    H[m, t] at t in reps adds to m's orbit, times the parity when m > Rm and
-    sqrt(|orbit of t| / |orbit of m|); an off-diagonal sector entry is one
-    or two such terms, so the sector is exactly symmetric too."""
+def reflection_sectors(basis: RSOSBasis) -> dict:
+    """H on the sector of each parity (+1 even, -1 odd), as {parity: (op,
+    reps)}: the sector's coordinate j is the unit vector (s + parity*Rs)/sqrt(2)
+    for s = reps[j] < Rs, or the fixed row s = Rs (even sector only).  An
+    entry H[m, t] at t in reps adds to m's orbit, times the parity when
+    m > Rm and sqrt(|orbit of t| / |orbit of m|); an off-diagonal sector
+    entry is one or two such terms, so the sector is exactly symmetric too.
+    One generator pass over the even columns serves both sectors: the odd
+    columns are the same less the fixed rows, in the same order."""
     mirror = basis.reflection
     rows = np.arange(len(mirror))
-    reps = np.flatnonzero(rows <= mirror if parity > 0 else rows < mirror)
-    coord = np.full(len(mirror), -1)
-    coord[reps] = coord[mirror[reps]] = np.arange(len(reps))
-    _, to, col, value = rsos_generators(basis, reps)
-    hit = coord[to] >= 0  # the odd sector has no fixed row
-    to, col = to[hit], col[hit]
     size = np.where(rows == mirror, 1.0, 2.0)
-    value = value[hit] * np.where(to > mirror[to], parity, 1) * np.sqrt(size[col] / size[to])
-    return -sp.coo_matrix((value, (coord[to], coord[col])), shape=(len(reps),) * 2).tocsr(), reps
+    to, col, value = rsos_generators(basis, np.flatnonzero(rows <= mirror))[1:]
+    sectors = {}
+    for parity in (1, -1):
+        reps = np.flatnonzero(rows <= mirror if parity > 0 else rows < mirror)
+        coord = np.full(len(mirror), -1)
+        coord[reps] = coord[mirror[reps]] = np.arange(len(reps))
+        if parity < 0:  # the odd sector has no fixed row or column
+            hit = (coord[col] >= 0) & (coord[to] >= 0)
+            to, col, value = to[hit], col[hit], value[hit]
+        weight = value * np.where(to > mirror[to], parity, 1) * np.sqrt(size[col] / size[to])
+        sectors[parity] = (-sp.coo_matrix((weight, (coord[to], coord[col])),
+                                          shape=(len(reps),) * 2).tocsr(), reps)
+    return sectors
 
 
 class DegenerateNormError(ArithmeticError):
@@ -334,7 +341,7 @@ def eigenvalue_clusters(energies):
 
 
 def _sector_states(basis, beta, parity, sector, k):
-    """The lowest states of the `reflection_sector` of `parity`, and the
+    """The lowest states of the `reflection_sectors` entry of `parity`, and the
     energy below which they are all of the sector's: eigsh's k lowest
     eigenpairs, in a Lanczos space of 5k vectors, less their last cluster
     (which it may hold only part of); or every eigenpair from dense eigh
@@ -393,7 +400,7 @@ def _spectrum(n_sites, beta, count, k) -> list[SpectrumEntry]:
     short, the sector whose edge cut it runs again with k doubled; fewer
     states in the whole basis than requested raise ShortfallError."""
     basis = rsos_basis(n_sites, rsos_p(beta))
-    sectors = {parity: reflection_sector(basis, parity) for parity in (1, -1)}
+    sectors = reflection_sectors(basis)
     ks = dict.fromkeys(sectors, k)
     runs = {parity: _sector_states(basis, beta, parity, sectors[parity], k)
             for parity in sectors}

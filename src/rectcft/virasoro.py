@@ -11,6 +11,7 @@ charge values.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -157,25 +158,135 @@ def gluing_residual(v: VermaVector, g: GluingParams) -> VermaVector:
     return res.add_scaled(v, const)
 
 
-def product_amplitude(n_slit_exponent: int | None, order: int) -> Series:
-    """Amplitude of a slit-product state, evaluated by applying the adjoint
-    exponentials (raising modes, largest first) to each level component.
+class QGradedVector:
+    """A Verma vector whose terms also carry, as a power of qhat, the level
+    they started from: qhat^{L_0} L_{-n} qhat^{-L_0} = qhat^n L_{-n}, so the
+    adjoint modes act on every level at once.  `terms` maps a partition to
+    (d, slots), where slots is {level * width + (degree in c): integer
+    numerator} over the denominator d, a divisor of the vector's `den`.  A term
+    written over d < den is rescaled only when an addition touches it or the
+    vector is `reduced`, so an addition costs the size of what it adds.
+    When `keep` is a partition, only its term is ever read, and the sums
+    made from the vector (`add_scaled`) hold that term alone."""
 
-    Independent of the Shapovalov-form route and much faster at high level;
-    the tests compare the two.  `n_slit_exponent=None` means
-    the full boundary state.
+    __slots__ = ("terms", "den", "width", "keep")
+
+    def __init__(self, terms: dict, den: int, width: int, keep: Partition | None = None):
+        self.terms, self.den, self.width, self.keep = terms, den, width, keep
+
+    @classmethod
+    def from_verma(cls, v: VermaVector, width: int) -> "QGradedVector":
+        """v with each term tagged by its own level."""
+        den = math.lcm(*(co.den for co in v.terms.values()))
+        return cls({lam: (den, {sum(lam) * width + e: n * (den // co.den)
+                                for e, n in enumerate(co.nums) if n})
+                    for lam, co in v.terms.items()}, den, width)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def max_level(self) -> int:
+        return max(map(sum, self.terms), default=0)
+
+    def add_scaled(self, other: "QGradedVector", s) -> "QGradedVector":
+        """self + s * other.  Only the terms of other are copied; the rest
+        are shared with self and keep their denominators."""
+        s = Fraction(s)
+        den = math.lcm(self.den, s.denominator * other.den)
+        f = s.numerator * (den // (s.denominator * other.den))
+        if self.keep is None:
+            terms, added = dict(self.terms), other.terms.items()
+        else:
+            keep = self.keep
+            terms = {keep: self.terms[keep]} if keep in self.terms else {}
+            added = [(keep, other.terms[keep])] if keep in other.terms else []
+        for lam, (d, slots) in added:
+            g = f * (other.den // d)
+            old = terms.get(lam)
+            if old is None:
+                terms[lam] = (den, {t: n * g for t, n in slots.items()})
+                continue
+            h = den // old[0]
+            acc = {t: n * h for t, n in old[1].items()}
+            for t, n in slots.items():
+                acc[t] = acc.get(t, 0) + n * g
+            terms[lam] = (den, acc)
+        return QGradedVector(terms, den, self.width, self.keep)
+
+    def reduced(self) -> "QGradedVector":
+        """Every term over one denominator, zeros dropped, the gcd of all
+        numerators and the denominator taken out."""
+        den = self.den
+        g = math.gcd(den, *(den // d * math.gcd(*slots.values())
+                            for d, slots in self.terms.values()))
+        out = {}
+        for lam, (d, slots) in self.terms.items():
+            h = den // d
+            slots = {t: n * h // g for t, n in slots.items() if n}
+            if slots:
+                out[lam] = (den // g, slots)
+        return QGradedVector(out, den // g, self.width, self.keep)
+
+    def vacuum_series(self, order: int) -> Series:
+        """The coefficient of |0> as a qhat-series over Q[c]."""
+        d, slots = self.terms.get((), (1, {}))
+        rows = [[0] * self.width for _ in range(order + 1)]
+        for t, n in slots.items():
+            level, e = divmod(t, self.width)
+            rows[level][e] = n
+        return Series("qhat", tuple(CPoly(tuple(Fraction(n, d) for n in row)) for row in rows),
+                      order=order)
+
+
+def adjoint_mode(k: int, g: QGradedVector) -> QGradedVector:
+    """L_k on every term of g, over g.den times the lcm of the denominators
+    of the `act` images it reads."""
+    images = [(act(k, lam), d, slots) for lam, (d, slots) in g.terms.items()]
+    den = g.den * math.lcm(*(co.den for image, _, _ in images for co in image.values()))
+    out: dict = {}
+    for image, d, slots in images:
+        f = den // d
+        for mu, co in image.items():
+            scale = f // co.den
+            target = out.get(mu)
+            for e, m in enumerate(co.nums):
+                if not m:
+                    continue
+                m *= scale
+                if target is None:
+                    target = out[mu] = {t + e: n * m for t, n in slots.items()}
+                    continue
+                get = target.get
+                for t, n in slots.items():
+                    t += e
+                    target[t] = get(t, 0) + n * m
+    return QGradedVector({mu: (den, slots) for mu, slots in out.items()
+                          if any(slots.values())}, den, g.width)
+
+
+def product_amplitude(n_slit_exponent: int | None, order: int) -> Series:
+    """Amplitude <v|qhat^{L_0}|v> of the slit-product state v = E|0>, E the
+    product of the factors e^{x_k L_{-k}} (`n_slit_exponent=None` means the
+    full boundary state), as a qhat-series over Q[c].
+
+    The amplitude is the vacuum coefficient of E^dagger qhat^{L_0} v.  Each
+    term of v is tagged with qhat to its level (`QGradedVector`), and each
+    adjoint factor e^{x_k L_k}, largest k first, runs once through
+    `exp_truncated` over the whole tagged vector, every level at once; each
+    stage ends with one gcd reduction.  The last stage, e^{-L_2}, sums the
+    vacuum term alone, the only one read.  Independent of the
+    Shapovalov-form route, against which the tests check it.
     """
     n = slit_factor_count(order) if n_slit_exponent is None else n_slit_exponent
-    factors = _slit_factors(n)
     v = slit_product(apply_mode, vacuum(order), order, n)
-    coeffs = []
-    for lev in range(order + 1):
-        comp = v.level_component(lev)
-        for k, x in reversed(factors):
-            comp = exp_truncated(functools.partial(apply_mode, k), comp, x,
-                                 comp.max_level() // k)
-        coeffs.append(comp.coeff(()))
-    return Series("qhat", tuple(coeffs), order=order)
+    # one c per application of an L_k, k >= 2: degree <= level / 2
+    g = QGradedVector.from_verma(v, order // 2 + 1)
+    for k, x in reversed(_slit_factors(n)):
+        if k == 2:
+            g = QGradedVector(g.terms, g.den, g.width, keep=())
+        g = exp_truncated(functools.partial(adjoint_mode, k), g, x,
+                          g.max_level() // k).reduced()
+    return g.vacuum_series(order)
 
 
 def p_series(n_slit_exponent: int, order: int) -> Series:

@@ -2,8 +2,10 @@
 
 - Q[c] as a tuple of Fractions, c^0 first, the ring `series.CPoly` stores
   as integer numerators over one denominator.
-- The Shapovalov-form route to the Virasoro amplitude, against which
-  `virasoro.product_amplitude` is checked, and the closed form of P_2.
+- Two routes to the Virasoro amplitude against which
+  `virasoro.product_amplitude` (one q-graded adjoint pass) is checked: the
+  Shapovalov form, and the adjoint exponentials run on each level
+  component in turn.  And the closed form of P_2.
 - Scalar references for the vectorised loop-model code.  Each works on one
   link state at a time, given as a tuple (or row) of partner indices, the
   way the link basis was first written.  And the link route to the loop
@@ -20,6 +22,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -30,8 +33,9 @@ import scipy.sparse as sp
 from rectcft.ising import FreeFermionSolution
 from rectcft.looplattice import (DegenerateNormError, SpectrumEntry, eigenvalue_clusters,
                                  gram_row, hamiltonian, link_basis)
-from rectcft.series import CZERO, CPoly, Series, series_pow_scalar
-from rectcft.virasoro import VermaVector, apply_mode
+from rectcft.series import CZERO, CPoly, Series, exp_truncated, series_pow_scalar
+from rectcft.virasoro import (VermaVector, _slit_factors, apply_mode, slit_factor_count,
+                              slit_product, vacuum)
 
 # ---------------------------------------------------------------- Q[c]
 
@@ -97,6 +101,23 @@ def amplitude(v: VermaVector, order: int) -> Series:
     for n in range(order + 1):
         comp = v.level_component(n)
         coeffs.append(shapovalov(comp, comp))
+    return Series("qhat", tuple(coeffs), order=order)
+
+
+def product_amplitude_by_level(n_slit_exponent: int | None, order: int) -> Series:
+    """The amplitude of a slit-product state from the adjoint exponentials
+    (raising modes, largest first) applied to each level component of the
+    state separately; `n_slit_exponent=None` means the full boundary state."""
+    n = slit_factor_count(order) if n_slit_exponent is None else n_slit_exponent
+    factors = _slit_factors(n)
+    v = slit_product(apply_mode, vacuum(order), order, n)
+    coeffs = []
+    for lev in range(order + 1):
+        comp = v.level_component(lev)
+        for k, x in reversed(factors):
+            comp = exp_truncated(functools.partial(apply_mode, k), comp, x,
+                                 comp.max_level() // k)
+        coeffs.append(comp.coeff(()))
     return Series("qhat", tuple(coeffs), order=order)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +191,20 @@ class TestExactBytes:
         code, _, _ = run(capsys, *argv, "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_symbolic_workload_outputs_match_benchmark_digests(capsys, tmp_path):
+    """The two files of the benchmark's `symbolic` workload, made through
+    `cli.main`, against their SHA-256 in `perfbench/digests.json` (read,
+    not run)."""
+    digests = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                          / "digests.json").read_text())["full"]
+    for name, argv in (("symbolic.amplitude", ("amplitude", "--order", "40")),
+                       ("symbolic.pn", ("pn", "--slits-exponent", "3", "--order", "20"))):
+        out = tmp_path / name
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[name], name
 
 
 class TestErrorPaths:

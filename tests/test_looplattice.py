@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from rectcft.looplattice import (DegenerateNormError, ShortfallError, _sector_states,
                                  dyck_words, enumerate_links, gram, gram_row, hamiltonian,
                                  link_basis, loop_fit_summary, overlap_table, parse_p,
-                                 reflection_sector, rsos_basis, rsos_generators,
+                                 reflection_sectors, rsos_basis, rsos_generators,
                                  rsos_hamiltonian, rsos_p, sparse_structure, spectrum,
                                  spectrum_dense, spectrum_sparse, spl, tl_generator_matrix)
 from reference import (adjacent_state, apply_tl, boundary_link_state, full_space_spectrum,
@@ -178,8 +178,7 @@ class TestReflection:
                 basis = rsos_basis(n, p)
                 h = rsos_hamiltonian(basis).toarray()
                 dims = []
-                for parity in (1, -1):
-                    op, reps = reflection_sector(basis, parity)
+                for parity, (op, reps) in reflection_sectors(basis).items():
                     dims.append(len(reps))
                     assert (op != op.T).nnz == 0
                     q = np.zeros((len(basis.words), len(reps)))
@@ -203,8 +202,8 @@ class TestReflection:
                 # states
                 basis = rsos_basis(n, p)
                 rsos = np.sort(np.concatenate(
-                    [np.linalg.eigvalsh(reflection_sector(basis, parity)[0].toarray())
-                     for parity in (1, -1)]))
+                    [np.linalg.eigvalsh(op.toarray())
+                     for op, _ in reflection_sectors(basis).values()]))
                 assert np.abs(rsos - np.linalg.eigvalsh(
                     rsos_hamiltonian(basis).toarray())).max() < 1e-12 * max(1.0, abs(rsos[0]))
                 assert max(np.abs(full - e).min() for e in rsos) < 1e-9 * max(1.0, abs(full[0]))
@@ -538,7 +537,7 @@ class TestSpectrum:
         # degenerate pair: eigsh's 16 eigenpairs hold one vector of it, so
         # that cluster is not read and its energy is the sector's edge
         basis = rsos_basis(20, 3)
-        odd = reflection_sector(basis, -1)
+        odd = reflection_sectors(basis)[-1]
         ref, top = _sector_states(basis, BETA3, -1, odd, None)
         assert top == math.inf
         assert ref[16].energy == ref[15].energy

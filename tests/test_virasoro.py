@@ -6,10 +6,12 @@ import pytest
 
 from rectcft import virasoro
 from rectcft.series import C, CONE, CZERO, cpoly, eta_inverse_power, partition_numbers
-from rectcft.virasoro import (GluingParams, VermaVector, act, apply_mode, boundary_state,
-                              finitized_state, gluing_residual, homogeneous_gluing,
-                              p_series, pk_conjecture_check, product_amplitude, vacuum)
-from reference import amplitude, p2_closed_form, restrict, shapovalov
+from rectcft.virasoro import (GluingParams, QGradedVector, VermaVector, act, adjoint_mode,
+                              apply_mode, boundary_state, finitized_state, gluing_residual,
+                              homogeneous_gluing, p_series, pk_conjecture_check,
+                              product_amplitude, vacuum)
+from reference import (amplitude, p2_closed_form, product_amplitude_by_level, restrict,
+                       shapovalov)
 
 
 # ---------------------------------------------------------------- oracles
@@ -170,24 +172,37 @@ class TestBoundaryState:
 class TestCutoff:
     """`apply_mode` drops terms above the cutoff where it makes them, so no
     vector re-checks its partitions: every vector it makes, and every
-    state built from them, stays at level <= cutoff."""
+    state built from them, stays at level <= cutoff.  The adjoint pass of
+    `product_amplitude` keeps every slot it holds at a level <= the order
+    and a degree in c <= level / 2, the bound its slot width rests on."""
 
     @pytest.mark.parametrize("cutoff", range(13))
     def test_max_level_within_cutoff(self, cutoff, monkeypatch):
-        made = []
+        made, slots = [], []
 
         def checked(n, v):
             out = apply_mode(n, v)
             made.append(out.max_level() <= v.cutoff)
             return out
 
+        def adjoint_checked(k, g):
+            out = adjoint_mode(k, g)
+            for vec in (g, out):
+                for lam, (_, terms) in vec.terms.items():
+                    slots.extend((sum(lam),) + divmod(t, vec.width) for t in terms)
+            return out
+
         monkeypatch.setattr(virasoro, "apply_mode", checked)
+        monkeypatch.setattr(virasoro, "adjoint_mode", adjoint_checked)
         b = boundary_state(cutoff)
         states = [b] + [finitized_state(n, cutoff) for n in range(1, 4)]
         states += [gluing_residual(b, homogeneous_gluing(n)) for n in range(1, cutoff + 2)]
-        product_amplitude(None, cutoff)  # its level components pass through `checked`
+        product_amplitude(None, cutoff)  # its raising modes pass through `adjoint_checked`
         assert made and all(made)
         assert all(v.max_level() <= cutoff for v in states)
+        assert bool(slots) == (cutoff >= 2)
+        assert all(now <= level <= cutoff and 2 * degree <= level
+                   for now, level, degree in slots)
 
 
 # ---------------------------------------------------------------- gluing
@@ -251,6 +266,26 @@ class TestAmplitude:
     def test_product_route_agrees(self):
         assert product_amplitude(None, 14) == amplitude(boundary_state(14), 14)
         assert product_amplitude(2, 10) == amplitude(finitized_state(2, 10), 10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, None])
+    def test_one_pass_equals_level_by_level(self, n):
+        for order in range(25):
+            got, want = product_amplitude(n, order), product_amplitude_by_level(n, order)
+            assert (got.var, got.order) == (want.var, want.order) == ("qhat", order)
+            assert got == want, (n, order)
+
+    def test_kept_sum_holds_one_term(self):
+        v = QGradedVector.from_verma(boundary_state(8), 5)
+        term = adjoint_mode(2, v)
+        full = v.add_scaled(term, F(-1)).reduced()
+        kept = QGradedVector(v.terms, v.den, v.width, keep=()).add_scaled(term, F(-1)).reduced()
+        assert len(full.terms) > 1 and set(kept.terms) == {()}
+        assert kept.vacuum_series(8) == full.vacuum_series(8)
+
+    def test_p_series_equals_level_by_level(self, monkeypatch):
+        got = p_series(3, 12)
+        monkeypatch.setattr(virasoro, "product_amplitude", product_amplitude_by_level)
+        assert got == p_series(3, 12)
 
     def test_prefactor_is_minus_c_over_24(self):
         eta = eta_inverse_power(C * F(1, 2), "qhat", 4)
