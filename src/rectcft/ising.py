@@ -13,17 +13,23 @@ the determinant det((1 + G)/2) built from the correlation kernel
 G_ij = -sum_k s_k phi-_ki phi+_kj, where s_k = -1 on excited modes.
 `correlation_matrix`, `overlap_sq` and `neg_log_overlap` compute it so, in
 site space.  The overlap table works in mode space instead, where the
-orthogonal O = phi+ phi-^T has a closed form (`mode_matrix`): with
-s_k = sin(theta_k / 2), c_k = cos(theta_k / 2) and t_k = (-)^k s_k,
+orthogonal O = phi+ phi-^T has a closed form: with s_k = sin(theta_k / 2),
+c_k = cos(theta_k / 2) and f = 2/(2N+1), split into odd (o) and even (e)
+mode indices,
 
-    O_kl = -(2/(2N+1)) c_k c_l (-)^l / (t_k + t_l),     k != l
-    O_kk = -(1/(2N+1)) (1/s_k + 2N s_k),
+    (1 - O)_kl = f c_k c_l / (s_k + s_l),    k != l of equal parity
+    (1 - O)_kk = 1 + (1/s_k + 2N s_k) / (2N+1)
+    O_kl       = f c_k c_l / (s_k - s_l),    k odd, l even,
 
-a Cauchy matrix (Cauchy 1841) plus a diagonal.  Since phi- is orthogonal,
-det M0 = det((1 - O)/2) for the ground state's M0 = (1 + G0)/2, and one LU
-of it per N gives -log det M0 (so N = 500 needs no extended precision) and
-the Cayley transform A = (1 + O)(1 - O)^-1 that each state's small minor
-is read from.
+and O_eo = -O_oe^T: Cauchy matrices (Cauchy 1841) plus a diagonal
+(`mode_blocks`).  The Cayley transform A = 2 (1 - O)^-1 - 1 is
+antisymmetric with zero same-parity blocks, so (1 - O)^-1 =
+(1/2)[[1, B], [-B^T, 1]] with B = A_oe = K^-1 O_oe, where K = 1 - O_oo is
+symmetric positive definite.  Since phi- is orthogonal, det M0 =
+det((1 - O)/2) = det K / 2^ceil(N/2) for the ground state's M0 = (1 + G0)/2,
+so one Cholesky of the ceil(N/2) x ceil(N/2) block K per N gives
+-log det M0 (N = 1000 needs no extended precision) and the few columns of A
+that each state's small minor is read from.
 """
 
 from __future__ import annotations
@@ -68,17 +74,33 @@ def solve_chain(n_sites: int) -> FreeFermionSolution:
     return FreeFermionSolution(n, mode_energies(n), phip, phim)
 
 
-def mode_matrix(n_sites: int) -> np.ndarray:
-    """O = phi+ phi-^T from its closed form (module docstring), with no
-    N x N trigonometry or matmul."""
-    n = n_sites
-    half = _mode_angles(n) / 2
+def _cauchy_block(c_rows, c_cols, denominator, n_sites: int) -> np.ndarray:
+    """(2/(2N+1)) c_k c_l / denominator_kl, exactly symmetric when the
+    denominator is."""
+    out = np.outer(c_rows, c_cols)
+    out /= denominator
+    out *= 2 / (2 * n_sites + 1)
+    return out
+
+
+def _same_parity_block(s, c, n_sites: int) -> np.ndarray:
+    """1 - O on modes of one parity, given their s_k and c_k."""
+    out = _cauchy_block(c, c, np.add.outer(s, s), n_sites)
+    np.fill_diagonal(out, 1 + (1 / s + 2 * n_sites * s) / (2 * n_sites + 1))
+    return out
+
+
+def mode_blocks(n_sites: int, m: int):
+    """K = 1 - O_oo, O_oe, and 1 - O_ee on the even modes <= m: the parity
+    blocks of O = phi+ phi-^T from their closed form (module docstring),
+    with no N x N trigonometry or matmul.  Row or column j of a block is
+    mode 2j + 1 (odd) or 2j + 2 (even)."""
+    half = _mode_angles(n_sites) / 2
     s, c = np.sin(half), np.cos(half)
-    eps = (-1.0) ** np.arange(1, n + 1)
-    t = eps * s
-    o = np.outer(c, c * eps) / np.add.outer(t, t) * (-2 / (2 * n + 1))
-    np.fill_diagonal(o, -(1 / s + 2 * n * s) / (2 * n + 1))
-    return o
+    so, co, se, ce = s[::2], c[::2], s[1::2], c[1::2]
+    return (_same_parity_block(so, co, n_sites),
+            _cauchy_block(co, ce, np.subtract.outer(so, se), n_sites),
+            _same_parity_block(se[:m // 2], ce[:m // 2], n_sites))
 
 
 def correlation_matrix(sol: FreeFermionSolution, excitation=()) -> np.ndarray:
@@ -162,19 +184,36 @@ class OverlapRecord:
     parity: int            # len(excitation) mod 2
     overlap: float         # |<B|k>|; exact 0 for forbidden states
     neg_log_overlap: float
-    overlap_det: float     # numeric |<B|k>|^2: overlap**2, or det((1+G)/2)
-                           # for forbidden states
+    overlap_det: float     # numeric |<B|k>|^2: overlap**2, or for forbidden
+                           # states det M0 * det A[S,S], A's same-parity
+                           # entries taken as computed (`_overlap_kernel`)
 
 
 def _overlap_kernel(n_sites: int, m: int):
-    """log det M0 (raising unless det M0 > 0) and A = 2 (1 - O)^-1 - 1 on
-    modes 1..m, from one LU of M0 = (1 - O)/2 in mode space."""
-    lu, piv = scipy.linalg.lu_factor((np.eye(n_sites) - mode_matrix(n_sites)) / 2)
-    u = np.diag(lu)
-    if not np.prod(np.sign(u)) * (-1) ** np.count_nonzero(piv != np.arange(len(u))) > 0:
-        raise ArithmeticError(f"det((1 - O)/2) is not positive at N={n_sites}")
-    x = scipy.linalg.lu_solve((lu, piv), np.eye(n_sites, m))
-    return float(np.log(np.abs(u)).sum()), x[:m] - np.eye(m)
+    """log det M0 and A = 2 (1 - O)^-1 - 1 on modes 1..m, from one Cholesky
+    of K = 1 - O_oo (ArithmeticError unless K is positive definite, which
+    makes det M0 = det K / 2^ceil(N/2) positive).
+
+    A_oe = B = K^-1 O_oe; A's same-parity entries, exactly 0, are computed
+    as what the factored block leaves of them: A_oo = 2 K^-1 - B B^T - 1
+    and A_ee = -(S - 2)/2 with S = (1 - O_ee) + O_oe^T B (= 2 exactly), the
+    numeric witness of the forbidden states."""
+    mo, me = (m + 1) // 2, m // 2
+    k, o_oe, l_ee = mode_blocks(n_sites, m)
+    try:
+        chol = scipy.linalg.cho_factor(k, overwrite_a=True)
+    except np.linalg.LinAlgError:
+        raise ArithmeticError(f"K = 1 - O_oo is not positive definite at N={n_sites}") from None
+    logdet0 = 2 * np.log(np.diag(chol[0])).sum() - len(k) * np.log(2)
+    x = scipy.linalg.cho_solve(chol, np.hstack([np.eye(len(k), mo), o_oe[:, :me]]))
+    kinv, b = x[:, :mo], x[:, mo:]  # K^-1 on odd modes <= m, B on even modes <= m
+    b_rows = kinv.T @ o_oe          # B on odd modes <= m, every even column
+    a = np.empty((m, m))
+    a[::2, ::2] = 2 * kinv[:mo] - b_rows @ b_rows.T - np.eye(mo)
+    a[::2, 1::2] = b[:mo]
+    a[1::2, ::2] = -b[:mo].T
+    a[1::2, 1::2] = (2 * np.eye(me) - l_ee - o_oe[:, :me].T @ b) / 2
+    return float(logdet0), a
 
 
 def table_labels(n_values, kmax: int) -> list[tuple]:
@@ -205,14 +244,15 @@ def ising_overlap_table(n_values, kmax: int, labels=None) -> list[OverlapRecord]
     keeps each fit on one physical state; near-degenerate pairs (the two
     h = 4 states) are split by their exact energy sums.
 
-    Each N costs one LU of M0 = (1 - O)/2, built from the closed-form mode
-    matrix O = phi+ phi-^T (`mode_matrix`); no N x N site-space matrix is
-    built.  Exciting S adds a rank-|S| term to M0, so det((1 + G_S)/2) =
-    det M0 * det A[S,S] (matrix determinant lemma) with the Cayley transform
-    A = (1 + O)(1 - O)^-1 = 2 (1 - O)^-1 - 1: one small principal minor per
-    state.  States forbidden by `overlap_allowed` are reported as exact 0,
-    with det M0 * minor kept in `overlap_det` as the numeric check; an
-    allowed state whose minor is not positive raises ArithmeticError.
+    Each N costs one Cholesky of the odd-mode block K = 1 - O_oo, built
+    from the closed form of O = phi+ phi-^T (`mode_blocks`); no N x N
+    matrix is built or factorised.  Exciting S adds a rank-|S| term to M0,
+    so det((1 + G_S)/2) = det M0 * det A[S,S] (matrix determinant lemma)
+    with the Cayley transform A = (1 + O)(1 - O)^-1 = 2 (1 - O)^-1 - 1: one
+    small principal minor per state.  States forbidden by `overlap_allowed`
+    are reported as exact 0, with det M0 * minor kept in `overlap_det` as
+    the numeric check; an allowed state whose minor is not positive raises
+    ArithmeticError.
     """
     n_values = sorted(n_values, reverse=True)
     labels = labels or table_labels(n_values, kmax)

@@ -510,11 +510,6 @@ class GradedVector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def level_component(self, n):
-        level = self.level
-        return type(self)({key: co for key, co in self.terms.items() if level(key) == n},
-                          self.cutoff)
-
     def add_scaled(self, other, s):
         """self + s * other."""
         out = dict(self.terms)

@@ -64,9 +64,6 @@ class VermaVector(GradedVector):
 
     ring = staticmethod(cpoly)
 
-    def max_level(self) -> int:
-        return max((sum(lam) for lam in self.terms), default=0)
-
     def to_json(self):
         return {"cutoff": self.cutoff,
                 "terms": [{"partition": list(lam), "coefficient": co.to_json()}

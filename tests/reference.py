@@ -16,9 +16,14 @@
   tests the level once, on the final key, against which
   `freefield.mode_sum` (which acts only where the result is kept) is
   checked.
+- The level component and top level of a graded vector, which only the
+  references and the tests read.
 - The Ising chain's 2^N brute-force diagonalization (N <= 12), the 2^N
   free-fermion spectrum it is compared with, and the orthogonality of the
-  single-particle modes."""
+  single-particle modes.  And the N x N mode-space route to the overlap
+  table's kernel, against which the odd-mode Cholesky of
+  `ising._overlap_kernel` is checked: the whole closed-form mode matrix O
+  and one LU of (1 - O)/2."""
 
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from rectcft.ising import FreeFermionSolution
+from rectcft.ising import FreeFermionSolution, _mode_angles
 from rectcft.looplattice import (DegenerateNormError, SpectrumEntry, eigenvalue_clusters,
                                  gram_row, hamiltonian, link_basis)
 from rectcft.series import CZERO, CPoly, Series, exp_truncated, series_pow_scalar
@@ -69,6 +74,19 @@ def poly_eval(a, x) -> Fraction:
     return sum((co * Fraction(x) ** k for k, co in enumerate(a)), Fraction(0))
 
 
+# -------------------------------------------------------- graded vectors
+
+
+def level_component(v, n):
+    """The terms of the graded vector v at level n, as a vector of its type."""
+    return type(v)({key: co for key, co in v.terms.items() if v.level(key) == n}, v.cutoff)
+
+
+def max_level(v: VermaVector) -> int:
+    """The highest level among the terms of v (0 for the zero vector)."""
+    return max((sum(lam) for lam in v.terms), default=0)
+
+
 # ------------------------------------------------------- Shapovalov route
 
 
@@ -79,7 +97,7 @@ def shapovalov(u: VermaVector, v: VermaVector) -> CPoly:
     """
     total = CZERO
     for lam, co in u.terms.items():
-        w = v.level_component(sum(lam))
+        w = level_component(v, sum(lam))
         for p in lam:
             w = apply_mode(p, w)
         val = w.coeff(())
@@ -99,7 +117,7 @@ def amplitude(v: VermaVector, order: int) -> Series:
         raise ValueError(f"order {order} exceeds cutoff {v.cutoff}")
     coeffs = []
     for n in range(order + 1):
-        comp = v.level_component(n)
+        comp = level_component(v, n)
         coeffs.append(shapovalov(comp, comp))
     return Series("qhat", tuple(coeffs), order=order)
 
@@ -113,10 +131,10 @@ def product_amplitude_by_level(n_slit_exponent: int | None, order: int) -> Serie
     v = slit_product(apply_mode, vacuum(order), order, n)
     coeffs = []
     for lev in range(order + 1):
-        comp = v.level_component(lev)
+        comp = level_component(v, lev)
         for k, x in reversed(factors):
             comp = exp_truncated(functools.partial(apply_mode, k), comp, x,
-                                 comp.max_level() // k)
+                                 max_level(comp) // k)
         coeffs.append(comp.coeff(()))
     return Series("qhat", tuple(coeffs), order=order)
 
@@ -390,6 +408,31 @@ def brute_force_reference(n_sites: int):
     up = np.zeros(dim)
     up[0] = 1.0  # |up...up> is index 0 in the kron ordering
     return energies, (vectors.T @ up) ** 2
+
+
+def mode_matrix(n_sites: int) -> np.ndarray:
+    """The whole N x N O = phi+ phi-^T from its closed form, with
+    t_k = (-)^k s_k: O_kl = -(2/(2N+1)) c_k c_l (-)^l / (t_k + t_l) for
+    k != l, O_kk = -(1/(2N+1)) (1/s_k + 2N s_k)."""
+    n = n_sites
+    half = _mode_angles(n) / 2
+    s, c = np.sin(half), np.cos(half)
+    eps = (-1.0) ** np.arange(1, n + 1)
+    t = eps * s
+    o = np.outer(c, c * eps) / np.add.outer(t, t) * (-2 / (2 * n + 1))
+    np.fill_diagonal(o, -(1 / s + 2 * n * s) / (2 * n + 1))
+    return o
+
+
+def lu_overlap_kernel(n_sites: int, m: int):
+    """log det M0 (raising unless det M0 > 0) and A = 2 (1 - O)^-1 - 1 on
+    modes 1..m, from one LU of M0 = (1 - O)/2 in mode space."""
+    lu, piv = sla.lu_factor((np.eye(n_sites) - mode_matrix(n_sites)) / 2)
+    u = np.diag(lu)
+    if not np.prod(np.sign(u)) * (-1) ** np.count_nonzero(piv != np.arange(len(u))) > 0:
+        raise ArithmeticError(f"det((1 - O)/2) is not positive at N={n_sites}")
+    x = sla.lu_solve((lu, piv), np.eye(n_sites, m))
+    return float(np.log(np.abs(u)).sum()), x[:m] - np.eye(m)
 
 
 def many_body_spectrum(sol: FreeFermionSolution):

