@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from scipy.sparse.linalg import ArpackError
 
-from .series import C, CPoly, DivisibilityError, cpoly, eta_inverse_power
+from .series import C, DivisibilityError, cpoly, eta_inverse_power
 from . import fitting, freefield, ising, looplattice, slitmaps, virasoro
 
 STRUCTURAL_ERRORS = (DivisibilityError, AssertionError,
@@ -41,21 +41,6 @@ def _check_range(name, value, hi, lo=0):
     if value < lo or value > hi:
         raise UsageError(f"{name}={value} outside [{lo}, {hi}]")
     return value
-
-
-def _series_plain(series) -> str:
-    parts = []
-    for n in range(series.offset, series.order + 1):
-        co = series[n]
-        if co == 0:
-            continue
-        cs = f"({co})" if isinstance(co, CPoly) and not co.is_constant() else str(co)
-        if n == 0:
-            parts.append(cs)
-        else:
-            var = series.var if n == 1 else f"{series.var}^{n}"
-            parts.append(var if cs == "1" else f"{cs} {var}")
-    return (" + ".join(parts) if parts else "0") + " + ..."
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None):
@@ -127,7 +112,7 @@ def cmd_amplitude(args):
     payload = {"order": order, "variable": "qhat", "prefactor_exponent": "-c/24",
                "coefficients": coeffs, "eta_identity_passes": bool(matches)}
     if args.format == "plain":
-        _emit(args, _series_plain(amp) + f"\n[eta identity: {'pass' if matches else 'FAIL'}]")
+        _emit(args, repr(amp) + f"\n[eta identity: {'pass' if matches else 'FAIL'}]")
     else:
         _emit(args, payload)
     if not matches:
@@ -146,7 +131,7 @@ def cmd_pn(args):
                "first_deviation": dev.first_deviation,
                "deviation_sign": dev.deviation_sign}
     if args.format == "plain":
-        _emit(args, _series_plain(p))
+        _emit(args, repr(p))
     else:
         _emit(args, payload)
 
@@ -196,7 +181,7 @@ def cmd_boson(args):
                "coefficients": [str(amp[n]) for n in range(order + 1)],
                "eta_identity_passes": amp == eta}
     if args.format == "plain":
-        _emit(args, _series_plain(amp))
+        _emit(args, repr(amp))
     else:
         _emit(args, payload)
     if not payload["eta_identity_passes"]:
@@ -231,7 +216,7 @@ def cmd_majorana(args):
                "coefficients": [str(amp[n]) for n in range(order + 1)],
                "eta_identity_passes": amp == eta}
     if args.format == "plain":
-        _emit(args, _series_plain(amp))
+        _emit(args, repr(amp))
     else:
         _emit(args, payload)
     if not payload["eta_identity_passes"]:
@@ -278,7 +263,7 @@ def cmd_ising(args):
         ising.check_fit_points(n_values, labels)
     except fitting.FitError as exc:
         raise UsageError(f"{exc} in [{nmin}, {nmax}]") from None
-    records = ising.ising_overlap_table(n_values, kmax, labels)
+    records = ising.ising_overlap_table(n_values, kmax)
     summary = ising.ising_fit_summary(records)
     csv_rows = [(r.n_sites, r.k, str(r.h_label), repr(r.overlap)) for r in records]
     _emit_table(args, csv_rows, ("N", "k", "h_label", "overlap"), summary, "fit")

@@ -21,6 +21,7 @@ TERMS = ("N", "logN", "1", "1/N", "1/N^2", "1/N^3")
 ABSOLUTE_BASIS = ("N", "logN", "1", "1/N", "1/N^2")
 RATIO_BASIS = ("1", "1/N", "1/N^2", "1/N^3")
 DROP_FIRST_EXCITED = 3  # smallest-N points the summaries' ratio fits leave out
+N_WINDOWS = 4  # fit windows: the central one and up to three that drop more points
 
 
 class FitError(ValueError):
@@ -92,12 +93,12 @@ def _solve(ns: np.ndarray, ys: np.ndarray, basis) -> tuple[dict, float]:
     return dict(zip(basis, coef.tolist())), float(np.linalg.norm(resid))
 
 
-def fit(data, basis, drop_first: int = 0, n_windows: int = 4) -> FitResult:
+def fit(data, basis, drop_first: int = 0) -> FitResult:
     """Least-squares fit of (N, y) pairs after dropping `drop_first` points.
 
     `basis` is a sequence drawn from {N, logN, 1, 1/N, 1/N^2, 1/N^3} with at
     least two terms; a point whose y or design row is not finite raises
-    FitError.  The window family drops 0..n_windows-1 further points;
+    FitError.  The window family drops 0..N_WINDOWS-1 further points;
     spreads are max |coefficient - central|.
     """
     basis = tuple(basis)
@@ -113,7 +114,7 @@ def fit(data, basis, drop_first: int = 0, n_windows: int = 4) -> FitResult:
     ys = np.array([p[1] for p in pts])
     central, resid = _solve(ns, ys, basis)
     spread = {t: 0.0 for t in basis}
-    for extra in range(1, n_windows):
+    for extra in range(1, N_WINDOWS):
         if len(pts) < points_needed(basis, extra):
             break
         sub, _ = _solve(ns[extra:], ys[extra:], basis)

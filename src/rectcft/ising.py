@@ -179,7 +179,6 @@ class OverlapRecord:
     n_sites: int
     k: int
     excitation: tuple
-    energy_above_ground: float
     h_label: Fraction
     parity: int            # len(excitation) mod 2
     overlap: float         # |<B|k>|; exact 0 for forbidden states
@@ -236,13 +235,13 @@ def check_fit_points(n_values, labels) -> None:
             raise FitError(f"the {name} fit needs at least {need} even N >= {top}, got {have}")
 
 
-def ising_overlap_table(n_values, kmax: int, labels=None) -> list[OverlapRecord]:
+def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
     """Overlap records for all N in `n_values` and the kmax+1 lowest states.
 
-    States are labelled by `table_labels` (unless given `labels`, its result)
-    and tracked at every smaller N, skipped where a mode index exceeds N.  This
-    keeps each fit on one physical state; near-degenerate pairs (the two
-    h = 4 states) are split by their exact energy sums.
+    States are labelled by `table_labels` and tracked at every smaller N,
+    skipped where a mode index exceeds N.  This keeps each fit on one
+    physical state; near-degenerate pairs (the two h = 4 states) are split
+    by their exact energy sums.
 
     Each N costs one Cholesky of the odd-mode block K = 1 - O_oo, built
     from the closed form of O = phi+ phi-^T (`mode_blocks`); no N x N
@@ -255,18 +254,17 @@ def ising_overlap_table(n_values, kmax: int, labels=None) -> list[OverlapRecord]
     ArithmeticError.
     """
     n_values = sorted(n_values, reverse=True)
-    labels = labels or table_labels(n_values, kmax)
+    labels = table_labels(n_values, kmax)
     modes = max((exc[-1] for exc in labels if exc), default=0)
     h_labels = [conformal_label(exc) for exc in labels]
     records = []
     for n in n_values:  # largest N first, while the records are few
-        lam = mode_energies(n)
         logdet0, a = _overlap_kernel(n, min(modes, n))
         for k, exc in enumerate(labels):
             if exc and exc[-1] > n:
                 continue
             s = [j - 1 for j in exc]
-            minor = float(np.linalg.det(a[np.ix_(s, s)]))
+            minor = float(np.linalg.det(a.take(s, 0).take(s, 1)))
             if overlap_allowed(exc):
                 if not minor > 0:
                     raise ArithmeticError(f"minor {minor} of <B|{exc}> at N={n}")
@@ -276,9 +274,7 @@ def ising_overlap_table(n_values, kmax: int, labels=None) -> list[OverlapRecord]
             else:
                 nlo, ovl, det = np.inf, 0.0, _squared_overlap(np.exp(logdet0) * minor, n)
             records.append(OverlapRecord(
-                n_sites=n, k=k, excitation=exc,
-                energy_above_ground=float(sum(lam[j] for j in s)),
-                h_label=h_labels[k], parity=len(exc) % 2,
+                n_sites=n, k=k, excitation=exc, h_label=h_labels[k], parity=len(exc) % 2,
                 overlap=ovl, neg_log_overlap=nlo, overlap_det=det))
     return sorted(records, key=lambda r: r.n_sites)
 

@@ -219,26 +219,25 @@ C = CPoly((0, 1))  # the symbol c itself
 
 
 class Series:
-    """Truncated power series c_off*x^off + ... + c_ord*x^ord over Fraction or CPoly.
+    """Truncated power series c_0 + c_1*x + ... + c_ord*x^ord over Fraction or CPoly.
 
     `var` tags the expansion variable ('q' or 'qhat'); arithmetic between
     different tags raises.  `order` is the largest retained exponent and
     arithmetic truncates to the min of the operand orders — never silently
-    extends.  `offset` is the leading exponent (may be negative).
+    extends.
     """
 
-    __slots__ = ("var", "offset", "coeffs")
+    __slots__ = ("var", "coeffs")
 
-    def __init__(self, var: str, coeffs, order: int | None = None, offset: int = 0):
+    def __init__(self, var: str, coeffs, order: int | None = None):
         coeffs = tuple(c if isinstance(c, CPoly) else _as_fraction(c) for c in coeffs)
         if order is not None:
-            want = order - offset + 1
+            want = order + 1
             if len(coeffs) < want:
                 coeffs = coeffs + tuple(Fraction(0) for _ in range(want - len(coeffs)))
             else:
                 coeffs = coeffs[:want]
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *a):
@@ -246,13 +245,12 @@ class Series:
 
     @property
     def order(self) -> int:
-        return self.offset + len(self.coeffs) - 1
+        return len(self.coeffs) - 1
 
     def __getitem__(self, n: int):
         """Coefficient of x^n (zero off the stored window)."""
-        i = n - self.offset
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= n < len(self.coeffs):
+            return self.coeffs[n]
         return Fraction(0)
 
     def __eq__(self, other):
@@ -260,9 +258,7 @@ class Series:
             return NotImplemented
         if self.var != other.var:
             return False
-        lo = min(self.offset, other.offset)
-        hi = max(self.order, other.order)
-        return all(self[n] == other[n] for n in range(lo, hi + 1))
+        return all(self[n] == other[n] for n in range(max(self.order, other.order) + 1))
 
     def _check(self, other: "Series"):
         if self.var != other.var:
@@ -273,14 +269,12 @@ class Series:
             other = Series(self.var, (other,), order=self.order)
         self._check(other)
         order = min(self.order, other.order)
-        off = min(self.offset, other.offset)
-        return Series(self.var, tuple(self[n] + other[n] for n in range(off, order + 1)),
-                      order=order, offset=off)
+        return Series(self.var, tuple(self[n] + other[n] for n in range(order + 1)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.var, tuple(-c for c in self.coeffs), offset=self.offset)
+        return Series(self.var, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, Series):
@@ -292,74 +286,62 @@ class Series:
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            return Series(self.var, tuple(c * other for c in self.coeffs), offset=self.offset)
+            return Series(self.var, tuple(c * other for c in self.coeffs))
         self._check(other)
-        # a is known through a.order, so the error term O(x^{a.order+1}) times
-        # b's leading power limits the product to a.order + b.offset (and v.v.)
-        order = min(self.order + other.offset, other.order + self.offset)
-        off = self.offset + other.offset
-        n_out = order - off + 1
-        if n_out <= 0:
-            return Series(self.var, (), offset=off)
+        n_out = min(self.order, other.order) + 1
         out = [None] * n_out
-        for i, x in enumerate(self.coeffs):
+        for i, x in enumerate(self.coeffs[:n_out]):
             if not x:
                 continue
-            for j, y in enumerate(other.coeffs):
-                k = i + j
-                if k >= n_out:
-                    break
-                if not y:
-                    continue
-                v = x * y
-                out[k] = v if out[k] is None else out[k] + v
+            for j, y in enumerate(other.coeffs[:n_out - i]):
+                if y:
+                    v = x * y
+                    out[i + j] = v if out[i + j] is None else out[i + j] + v
         zero = Fraction(0)
-        return Series(self.var, tuple(zero if c is None else c for c in out),
-                      order=order, offset=off)
+        return Series(self.var, tuple(zero if c is None else c for c in out))
 
     __rmul__ = __mul__
 
     def truncate(self, order: int) -> "Series":
-        return Series(self.var, self.coeffs, order=order, offset=self.offset)
+        return Series(self.var, self.coeffs, order=order)
 
     def substitute_square(self, var: str) -> "Series":
         """Replace x by y^2 (used for q = qhat^2)."""
         out = [Fraction(0)] * (2 * len(self.coeffs) - 1 if self.coeffs else 0)
         for i, c in enumerate(self.coeffs):
             out[2 * i] = c
-        return Series(var, tuple(out), offset=2 * self.offset)
+        return Series(var, tuple(out))
 
     def map_coeffs(self, f) -> "Series":
-        return Series(self.var, tuple(f(c) for c in self.coeffs), offset=self.offset)
+        return Series(self.var, tuple(f(c) for c in self.coeffs))
 
     def __repr__(self):
-        terms = []
-        for n in range(self.offset, self.order + 1):
-            c = self[n]
-            if not c:
+        """Plain maths style, `1 + 1/4 qhat^2 + ...`; the `--format plain` output."""
+        parts = []
+        for n, co in enumerate(self.coeffs):
+            if not co:
                 continue
-            cs = f"({c})" if isinstance(c, CPoly) and not c.is_constant() else str(c)
+            cs = f"({co})" if isinstance(co, CPoly) and not co.is_constant() else str(co)
             if n == 0:
-                terms.append(cs)
-            elif n == 1:
-                terms.append(f"{cs}*{self.var}" if cs != "1" else self.var)
+                parts.append(cs)
             else:
-                terms.append(f"{cs}*{self.var}^{n}" if cs != "1" else f"{self.var}^{n}")
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O({self.var}^{self.order + 1})"
+                var = self.var if n == 1 else f"{self.var}^{n}"
+                parts.append(var if cs == "1" else f"{cs} {var}")
+        return (" + ".join(parts) if parts else "0") + " + ..."
 
     def to_json(self):
         def enc(c):
             return c.to_json() if isinstance(c, CPoly) else str(c)
-        return {"variable": self.var, "offset": self.offset, "order": self.order,
+        return {"variable": self.var, "offset": 0, "order": self.order,
                 "coefficients": [enc(c) for c in self.coeffs]}
 
     @staticmethod
     def from_json(data) -> "Series":
         def dec(c):
             return CPoly.from_json(c) if isinstance(c, list) else Fraction(c)
-        return Series(data["variable"], tuple(dec(c) for c in data["coefficients"]),
-                      offset=data["offset"])
+        if data["offset"] != 0:
+            raise SeriesError(f"series offset {data['offset']!r}: every series starts at x^0")
+        return Series(data["variable"], tuple(dec(c) for c in data["coefficients"]))
 
 
 def series_one(var: str, order: int) -> Series:
@@ -367,8 +349,8 @@ def series_one(var: str, order: int) -> Series:
 
 
 def series_exp(a: Series) -> Series:
-    """exp of a series with zero constant term (offset must be >= 0)."""
-    if a.offset < 0 or a[0]:
+    """exp of a series with zero constant term."""
+    if a[0]:
         raise SeriesError("series_exp needs zero constant term")
     order = a.order
     # e' = a' e  =>  (n+1) e_{n+1} = sum_k (k+1) a_{k+1} e_{n-k}
@@ -388,7 +370,7 @@ def series_exp(a: Series) -> Series:
 
 def series_log(a: Series) -> Series:
     """log of a series with constant term 1."""
-    if a.offset > 0 or cpoly(a[0]) != CONE:
+    if cpoly(a[0]) != CONE:
         raise SeriesError("series_log needs constant term 1")
     order = a.order
     # l_n = a_n - (1/n) sum_{k=1}^{n-1} k l_k a_{n-k}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,10 @@ class TestExactBytes:
          "c789df4ab29bc7e674209a16a33955223b32a5cf501a1f2c7becb63d35cbd81d"),
         (("majorana", "--compare-virasoro", "--level", "12"),
          "7c6d19a5e4d7e1aa27022ab92485c0b37e85065ca66992945c43b2695925a6eb"),
+        (("pn", "--slits-exponent", "3", "--order", "12", "--format", "plain"),
+         "95078ffd041650fb7c2361686555f0a50666fe8d8da33d3913e0b034b31f6f86"),
+        (("majorana", "--amplitude-order", "10", "--format", "plain"),
+         "b8ff0453f0634b322534a74172bc0a3a84f098f6e09ce1c8a8e72ecd7fb222ab"),
     ])
     def test_output_digest(self, capsys, tmp_path, argv, digest):
         out = tmp_path / "out"
@@ -205,6 +210,20 @@ def test_symbolic_workload_outputs_match_benchmark_digests(capsys, tmp_path):
         code, _, _ = run(capsys, *argv, "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[name], name
+
+
+def test_readme_examples_parse():
+    """Every `rectcft ...` line of README's "Command line" block, with its
+    backslash continuations joined, is accepted by the parser (nothing is
+    run)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    examples = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("rectcft ")]
+    assert len(examples) >= 10
+    for argv in examples:
+        assert build_parser().parse_args(argv[1:]).command == argv[1]
 
 
 class TestErrorPaths:

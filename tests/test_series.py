@@ -134,13 +134,6 @@ class TestSeriesRing:
         b = S([1, 2], order=1)
         assert (a * b).order == 1
 
-    def test_offsets(self):
-        a = Series("q", [F(1), F(0), F(5)], offset=-2)   # q^-2 + 5, known to q^0
-        b = Series("q", [F(1), F(3)], offset=1)          # q + 3q^2, known to q^2
-        prod = a * b
-        assert prod.offset == -1 and prod.order == 0
-        assert prod[-1] == 1 and prod[0] == 3
-
     def test_ring_axioms_random(self):
         rng = random.Random(7)
         for _ in range(60):
@@ -152,8 +145,14 @@ class TestSeriesRing:
             assert a + b == b + a
 
     def test_json_roundtrip(self):
-        s = Series("qhat", [C * 2, F(1, 3), C * C - 1], offset=-1)
+        s = Series("qhat", [C * 2, F(1, 3), C * C - 1])
         assert Series.from_json(json.loads(json.dumps(s.to_json()))) == s
+
+    def test_from_json_rejects_offset(self):
+        data = S([1, 2, 3]).to_json()
+        assert data["offset"] == 0
+        with pytest.raises(SeriesError):
+            Series.from_json({**data, "offset": -1})
 
 
 class TestExpLog:
