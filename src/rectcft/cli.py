@@ -193,6 +193,7 @@ def cmd_majorana(args):
         m_max, n_max = args.g_table
         if min(m_max, n_max) < 0 or max(m_max, n_max) < 1:
             raise UsageError(f"--g-table {m_max} {n_max}: need M, N >= 0, one of them >= 1")
+        _check_range("g-table max(M, N)", max(m_max, n_max), max_order())
         g = freefield.g_series(max(m_max, n_max))
         rows = [(m, n, str(g[m, n])) for m in range(m_max + 1) for n in range(n_max + 1)]
         _emit(args, {"entries": {f"G[{m},{n}]": s for m, n, s in rows}},

@@ -6,6 +6,12 @@ here; coherent state exp(-sum a_{-n}^2 / 2n)|0>.  Fermion: NS modes
 antisymmetric quadratic form G, which is computed two independent ways
 (exact bivariate series, truncated A-matrix inversion).
 
+Exact arithmetic runs on Python integers over one denominator: the
+bivariate series for G is dyadic and built as integers over one power of
+two, and the mode-word sums and amplitudes fold integer numerators over
+the least common denominator of their inputs.  Every result is returned
+in Fractions.
+
 Conventions.  Fermion basis states are psi_{-m1-1/2} ... psi_{-mk-1/2}|O>
 with m1 > m2 > ... (descending); reordering picks up the permutation sign.
 The coherent exponent is sum_{m<n} G_mn psi_{-m-1/2} psi_{-n-1/2} exactly
@@ -40,12 +46,21 @@ def mode_sum(act, words, v: GradedVector, keep) -> GradedVector:
     the keys it takes to grade <= grade_per_level * keep.  That keeps the
     terms a cutoff after every mode would keep as long as each word acts
     with its annihilator (if any) first: then no partial product rises
-    above both its start and its end."""
+    above both its start and its end.
+
+    The fold runs on integers: the coefficients of v are put over their
+    least common denominator once, the word weights over theirs, and each
+    result key is summed as an integer numerator, made a Fraction once at
+    the end."""
     grade = v.grade
     top = math.floor(v.grade_per_level * keep)
-    starts = [(key, co, grade(key)) for key, co in v.terms.items()]
+    den = math.lcm(*(co.denominator for co in v.terms.values()))
+    starts = [(key, co.numerator * (den // co.denominator), grade(key))
+              for key, co in v.terms.items()]
+    wden = math.lcm(*(w.denominator for w, _ in words))
     acc: dict = {}
     for w, word in words:
+        w = w.numerator * (wden // w.denominator)
         reach = top + sum(word)
         word = word[::-1]
         for start, co, g in starts:
@@ -60,7 +75,8 @@ def mode_sum(act, words, v: GradedVector, keep) -> GradedVector:
                 f *= s
             else:
                 acc[key] = acc.get(key, 0) + co * w * f
-    return type(v)(acc, v.cutoff)
+    den *= wden
+    return type(v)({key: Fraction(n, den) for key, n in acc.items() if n}, v.cutoff)
 
 
 def level_operator(v: GradedVector) -> GradedVector:
@@ -71,15 +87,20 @@ def level_operator(v: GradedVector) -> GradedVector:
 
 
 def _amplitude(v: GradedVector, norm_sq, order: int) -> Series:
-    """<v|qhat^{L_0}|v> over a basis orthogonal with <key|key> = norm_sq(key):
-    co^2 * norm_sq binned by level in one pass, integer levels <= order."""
+    """<v|qhat^{L_0}|v> over a basis orthogonal with <key|key> = norm_sq(key)
+    (an integer): co^2 * norm_sq binned by level in one pass, integer
+    levels <= order, as integer numerators over the square of the least
+    common denominator of the coefficients."""
     grade, per = v.grade, v.grade_per_level
-    coeffs = [Fraction(0)] * (order + 1)
+    den = math.lcm(*(co.denominator for co in v.terms.values()))
+    bins = [0] * (order + 1)
     for key, co in v.terms.items():
         lev, rest = divmod(grade(key), per)
         if not rest and lev <= order:
-            coeffs[lev] += co * co * norm_sq(key)
-    return Series("qhat", tuple(coeffs), order=order)
+            n = co.numerator * (den // co.denominator)
+            bins[lev] += n * n * norm_sq(key)
+    den *= den
+    return Series("qhat", tuple(Fraction(n, den) for n in bins), order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +241,21 @@ class GMatrix:
             yield m, n, g
 
 
-def _sqrt_one_minus_sq(order: int) -> list[Fraction]:
-    """(1 - x^2)^{1/2} coefficients, exact."""
-    co = [Fraction(0)] * (order + 1)
-    b = Fraction(1)
-    for j in range(order // 2 + 1):
-        co[2 * j] = b * (-1) ** j
-        b = b * (Fraction(1, 2) - j) / (j + 1)
-    return co
+def _sqrt_one_minus_sq(order: int) -> tuple[list[int], int]:
+    """(1 - x^2)^{1/2} to x^order as integer numerators over one power of two.
+
+    Every coefficient is dyadic: 1 at x^0, -2 Cat(j-1)/4^j at x^{2j} (Cat
+    the Catalan numbers: 1, -1/2, -1/8, -1/16, -5/128, ...), zero at odd
+    powers.  Returned as (numerators, 4^{order // 2})."""
+    half = order // 2
+    den = 4 ** half
+    co = [0] * (order + 1)
+    co[0] = den
+    cat = 1  # Cat(j - 1)
+    for j in range(1, half + 1):
+        co[2 * j] = -2 * cat * 4 ** (half - j)
+        cat = cat * 2 * (2 * j - 1) // (j + 1)
+    return co, den
 
 
 def g_series(cutoff: int) -> GMatrix:
@@ -235,35 +263,35 @@ def g_series(cutoff: int) -> GMatrix:
 
         [ sqrt(1-u^2) sqrt(1-v^2) / (1-uv) - 1 ] / (u - v) = sum G_mn u^m v^n
 
-    with u = 1/z1, v = 1/z2.  All arithmetic in Q; the numerator vanishes at
-    u = v, so the division is exact (asserted)."""
+    with u = 1/z1, v = 1/z2.  Exact, in integers over one power of two:
+    with s_i the dyadic coefficients of sqrt(1-x^2), the numerator has
+    A_ij = A_{i-1,j-1} + s_i s_j, filled in one O(cutoff^2) pass (the -1
+    only changes A_00, which the quotient never reads).  It vanishes at
+    u = v, so the division by u - v is exact (asserted: every antidiagonal
+    of A sums to zero), and the quotient B_ij = B_{i+1,j-1} + A_{i+1,j} is
+    a running sum along each antidiagonal.  One Fraction is made per
+    reported entry."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     ord_ = 2 * cutoff + 1  # need total degree m + n <= 2*cutoff - 1, plus margin
-    s = _sqrt_one_minus_sq(ord_)
-    a: dict = {}
-    for i in range(ord_ + 1):
-        if not s[i]:
-            continue
-        for j in range(ord_ + 1):
-            if not s[j]:
-                continue
-            sij = s[i] * s[j]
-            for k in range(0, ord_ + 1 - max(i, j)):
-                key = (i + k, j + k)
-                a[key] = a.get(key, 0) + sij
-    a[(0, 0)] = a.get((0, 0), Fraction(0)) - 1
-    # B = A/(u-v): A_{i,j} = B_{i-1,j} - B_{i,j-1}, solved along diagonals
-    b: dict = {}
+    s, den = _sqrt_one_minus_sq(ord_)
+    a = [[si * sj for sj in s] for si in s]
+    for i in range(1, ord_ + 1):
+        row, prev = a[i], a[i - 1]
+        for j in range(1, ord_ + 1):
+            row[j] += prev[j - 1]
+    # B = A/(u-v): A_{i,j} = B_{i-1,j} - B_{i,j-1}, solved along antidiagonals
+    b = [[0] * (ord_ - i) for i in range(ord_)]
     for tot in range(ord_):
+        acc = 0
         for j in range(tot + 1):
-            i = tot - j
-            b[(i, j)] = a.get((i + 1, j), Fraction(0)) + (b.get((i + 1, j - 1), Fraction(0)) if j else Fraction(0))
-    for j in range(1, ord_):
-        if a.get((0, j), Fraction(0)) != -b.get((0, j - 1), Fraction(0)):
+            acc += a[tot - j + 1][j]
+            b[tot - j][j] = acc
+        if a[0][tot + 1] != -acc:
             raise AssertionError("bivariate division by (u - v) left a remainder")
-    entries = {(m, n): b.get((m, n), Fraction(0))
-               for m in range(cutoff + 1) for n in range(m + 1, cutoff + 1)}
+    den *= den
+    entries = {(m, n): Fraction(b[m][n], den)
+               for m in range(cutoff + 1) for n in range(m + 1, cutoff + 1) if b[m][n]}
     return GMatrix(entries, cutoff)
 
 

@@ -13,9 +13,12 @@
   physical states picked from the Gram radical of the link basis, from
   one dense eig of the whole H or of each of its reflection sectors.
 - The free-field mode-word sum that acts every word on every key and
-  tests the level once, on the final key, against which
-  `freefield.mode_sum` (which acts only where the result is kept) is
-  checked.
+  tests the level once, on the final key, in Fractions, against which
+  `freefield.mode_sum` (which acts only where the result is kept, on
+  integer numerators) is checked.  The free-field amplitude binned in
+  Fractions.  And the O(cutoff^3) route to the Majorana table G_mn in
+  Fractions, against which the dyadic integer recurrence of
+  `freefield.g_series` is checked.
 - The level component and top level of a graded vector, which only the
   references and the tests read.
 - The Ising chain's 2^N brute-force diagonalization (N <= 12), the 2^N
@@ -35,6 +38,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from rectcft.freefield import GMatrix
 from rectcft.ising import FreeFermionSolution, _mode_angles
 from rectcft.looplattice import (DegenerateNormError, SpectrumEntry, eigenvalue_clusters,
                                  gram_row, hamiltonian, link_basis)
@@ -368,6 +372,60 @@ def mode_sum(act, words, v, keep):
                 if level(key) <= keep:
                     acc[key] = acc.get(key, 0) + co * w * f
     return type(v)(acc, v.cutoff)
+
+
+def free_amplitude(v, norm_sq, order: int) -> Series:
+    """`freefield._amplitude` binned in Fractions."""
+    coeffs = [Fraction(0)] * (order + 1)
+    for key, co in v.terms.items():
+        lev, rest = divmod(v.grade(key), v.grade_per_level)
+        if not rest and lev <= order:
+            coeffs[lev] += co * co * norm_sq(key)
+    return Series("qhat", tuple(coeffs), order=order)
+
+
+def sqrt_one_minus_sq(order: int) -> list[Fraction]:
+    """(1 - x^2)^{1/2} coefficients from the binomial series, in Fractions."""
+    co = [Fraction(0)] * (order + 1)
+    b = Fraction(1)
+    for j in range(order // 2 + 1):
+        co[2 * j] = b * (-1) ** j
+        b = b * (Fraction(1, 2) - j) / (j + 1)
+    return co
+
+
+def g_series(cutoff: int) -> GMatrix:
+    """`freefield.g_series` in Fractions: the numerator A of
+    [sqrt(1-u^2) sqrt(1-v^2)/(1-uv) - 1]/(u - v) summed term by term over
+    the geometric series (a triple loop), then B = A/(u - v) solved along
+    the antidiagonals, with the exact division asserted."""
+    ord_ = 2 * cutoff + 1
+    s = sqrt_one_minus_sq(ord_)
+    a: dict = {}
+    for i in range(ord_ + 1):
+        if not s[i]:
+            continue
+        for j in range(ord_ + 1):
+            if not s[j]:
+                continue
+            sij = s[i] * s[j]
+            for k in range(0, ord_ + 1 - max(i, j)):
+                key = (i + k, j + k)
+                a[key] = a.get(key, 0) + sij
+    a[(0, 0)] = a.get((0, 0), Fraction(0)) - 1
+    # A_{i,j} = B_{i-1,j} - B_{i,j-1}
+    b: dict = {}
+    for tot in range(ord_):
+        for j in range(tot + 1):
+            i = tot - j
+            b[(i, j)] = a.get((i + 1, j), Fraction(0)) + (b.get((i + 1, j - 1), Fraction(0))
+                                                         if j else Fraction(0))
+    for j in range(1, ord_):
+        if a.get((0, j), Fraction(0)) != -b.get((0, j - 1), Fraction(0)):
+            raise AssertionError("bivariate division by (u - v) left a remainder")
+    entries = {(m, n): b.get((m, n), Fraction(0))
+               for m in range(cutoff + 1) for n in range(m + 1, cutoff + 1)}
+    return GMatrix(entries, cutoff)
 
 
 # ------------------------------------------------------------ Ising chain

@@ -247,6 +247,28 @@ class TestErrorPaths:
         code, _, _ = run(capsys, "amplitude", "--order", "6")
         assert code == 0
 
+    def test_g_table_capped_at_max_order_before_any_work(self, capsys, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the table was computed")
+
+        monkeypatch.delenv("RECTCFT_MAX_ORDER", raising=False)
+        monkeypatch.setattr(cli.freefield, "g_series", not_reached)
+        code, _, err = run(capsys, "majorana", "--g-table", "0", "1000")
+        assert code == 2
+        assert "outside [0, 60]" in err
+        monkeypatch.setenv("RECTCFT_MAX_ORDER", "4")
+        code, _, err = run(capsys, "majorana", "--g-table", "5", "2")
+        assert code == 2
+        assert "outside [0, 4]" in err
+
+    def test_g_table_at_the_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("RECTCFT_MAX_ORDER", raising=False)
+        code, out, _ = run(capsys, "majorana", "--g-table", "60", "60", "--format", "csv")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 + 61 * 61
+        assert lines[-1] == "60,60,0"
+
     @pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
     def test_max_order_env_must_be_non_negative_integer(self, capsys, monkeypatch, value):
         monkeypatch.setenv("RECTCFT_MAX_ORDER", value)
@@ -366,6 +388,7 @@ class TestErrorPaths:
         ("fit", "--data", os.devnull, "--drop-first", "-1"),
         ("fit", "--data", os.devnull, "--basis", "N,foo"),
         ("fit", "--data", os.devnull, "--basis", "N"),
+        ("majorana", "--g-table", "61", "0"),
     ])
     def test_bad_option_value_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -176,6 +176,31 @@ class TestModeSumAgainstReference:
                 saved += ref - new
         assert saved > 0
 
+    def test_empty_word_list(self):
+        vb, vf = random_vectors(4, 0)
+        self.check(freefield._boson_act, [], vb, 4)
+        self.check(freefield._fermion_act, [], vf, 4)
+        assert mode_sum(freefield._boson_act, [], vb, 4).is_zero()
+
+    def test_empty_vector(self):
+        words = [(F(1, 2), (-1, -1)), (3, (2,))]
+        self.check(freefield._boson_act, words, BosonVector({}, 4), 4)
+        assert mode_sum(freefield._boson_act, words, BosonVector({}, 4), 4).is_zero()
+
+    def test_int_coefficients(self):
+        v = BosonVector({(): 2, (1,): -3, (2, 1): 5, (1, 1): 1}, 6)
+        words = [(1, (1, -1)), (2, (-2,)), (-1, (1,)), (1, (-1, -1))]
+        self.check(freefield._boson_act, words, v, 6)
+        out = mode_sum(freefield._boson_act, words, v, 6)
+        assert out.terms and all(type(co) is F for co in out.terms.values())
+
+    def test_mixed_int_and_fraction_weights(self):
+        vb, vf = random_vectors(4, 1)
+        words = [(2, (-1, 1)), (F(-3, 4), (-2,)), (-1, (1,)), (F(5, 6), (-1, -1))]
+        self.check(freefield._boson_act, words, vb, 4)
+        words = [(2, (-1, 1)), (F(-3, 4), (-3,)), (-1, (3,)), (F(5, 6), (-3, -1))]
+        self.check(freefield._fermion_act, words, vf, 4)
+
     def test_mode_calls_of_coherent_states(self, monkeypatch):
         g = g_series(20)
         bref, fref = boson_boundary_state(24), fermion_boundary_state(20, g)
@@ -190,6 +215,16 @@ class TestModeSumAgainstReference:
         # the level test grades by the vector, whatever wraps the action
         assert list(bstate.terms.items()) == list(bref.terms.items())
         assert list(fstate.terms.items()) == list(fref.terms.items())
+
+
+def test_amplitude_matches_fraction_binning():
+    for seed in range(2):
+        vb, vf = random_vectors(6, seed)
+        for order in (0, 3, 6, 8):
+            assert (freefield._amplitude(vb, freefield.boson_norm_sq, order)
+                    == reference.free_amplitude(vb, freefield.boson_norm_sq, order))
+            assert (freefield._amplitude(vf, lambda modes: 1, order)
+                    == reference.free_amplitude(vf, lambda modes: 1, order))
 
 
 class TestVirasoroAgainstLiftedReference:
@@ -354,6 +389,18 @@ class TestGSeries:
         g = g_series(8)
         for (m, n), val in G_REFERENCE.items():
             assert g[m, n] == val, (m, n)
+
+    def test_matches_fraction_reference(self):
+        """The dyadic recurrence against the O(cutoff^3) Fraction route,
+        entry for entry; every entry is dyadic, and G_mn = 0 for m + n even."""
+        for cutoff in range(33):
+            pairs = list(g_series(cutoff).pairs())
+            assert pairs == list(reference.g_series(cutoff).pairs()), cutoff
+            for m, n, g in pairs:
+                den = g.denominator
+                assert den & (den - 1) == 0, (m, n, g)
+                assert (m + n) % 2 == 1, (m, n, g)
+        assert len(pairs) == 17 * 16  # every m < n <= 32 with m + n odd
 
     def test_antisymmetry_and_parity(self):
         g = g_series(10)
