@@ -162,14 +162,12 @@ class QGradedVector:
     (d, slots), where slots is {level * width + (degree in c): integer
     numerator} over the denominator d, a divisor of the vector's `den`.  A term
     written over d < den is rescaled only when an addition touches it or the
-    vector is `reduced`, so an addition costs the size of what it adds.
-    When `keep` is a partition, only its term is ever read, and the sums
-    made from the vector (`add_scaled`) hold that term alone."""
+    vector is `reduced`, so an addition costs the size of what it adds."""
 
-    __slots__ = ("terms", "den", "width", "keep")
+    __slots__ = ("terms", "den", "width")
 
-    def __init__(self, terms: dict, den: int, width: int, keep: Partition | None = None):
-        self.terms, self.den, self.width, self.keep = terms, den, width, keep
+    def __init__(self, terms: dict, den: int, width: int):
+        self.terms, self.den, self.width = terms, den, width
 
     @classmethod
     def from_verma(cls, v: VermaVector, width: int) -> "QGradedVector":
@@ -191,13 +189,8 @@ class QGradedVector:
         s = Fraction(s)
         den = math.lcm(self.den, s.denominator * other.den)
         f = s.numerator * (den // (s.denominator * other.den))
-        if self.keep is None:
-            terms, added = dict(self.terms), other.terms.items()
-        else:
-            keep = self.keep
-            terms = {keep: self.terms[keep]} if keep in self.terms else {}
-            added = [(keep, other.terms[keep])] if keep in other.terms else []
-        for lam, (d, slots) in added:
+        terms = dict(self.terms)
+        for lam, (d, slots) in other.terms.items():
             g = f * (other.den // d)
             old = terms.get(lam)
             if old is None:
@@ -208,7 +201,7 @@ class QGradedVector:
             for t, n in slots.items():
                 acc[t] = acc.get(t, 0) + n * g
             terms[lam] = (den, acc)
-        return QGradedVector(terms, den, self.width, self.keep)
+        return QGradedVector(terms, den, self.width)
 
     def reduced(self) -> "QGradedVector":
         """Every term over one denominator, zeros dropped, the gcd of all
@@ -222,17 +215,7 @@ class QGradedVector:
             slots = {t: n * h // g for t, n in slots.items() if n}
             if slots:
                 out[lam] = (den // g, slots)
-        return QGradedVector(out, den // g, self.width, self.keep)
-
-    def vacuum_series(self, order: int) -> Series:
-        """The coefficient of |0> as a qhat-series over Q[c]."""
-        d, slots = self.terms.get((), (1, {}))
-        rows = [[0] * self.width for _ in range(order + 1)]
-        for t, n in slots.items():
-            level, e = divmod(t, self.width)
-            rows[level][e] = n
-        return Series("qhat", tuple(CPoly(tuple(Fraction(n, d) for n in row)) for row in rows),
-                      order=order)
+        return QGradedVector(out, den // g, self.width)
 
 
 def adjoint_mode(k: int, g: QGradedVector) -> QGradedVector:
@@ -261,6 +244,79 @@ def adjoint_mode(k: int, g: QGradedVector) -> QGradedVector:
                           if any(slots.values())}, den, g.width)
 
 
+def l2_covectors(support) -> list:
+    """The functional phi(mu) = <0|L_2^j|mu>, j = |mu|/2, on every partition
+    at level 2j that the partitions `support` (at even levels) reach under
+    L_2, and on those themselves.
+
+    Entry j is (D_j, {mu: integer numerators of the c^0, c^1, ...
+    coefficients of phi(mu) over D_j}); zeros are left out.  It is built
+    level by level from phi(mu) = sum_nu act(2, mu)[nu] phi(nu), phi(()) = 1,
+    over D_j = D_{j-1} * lcm(the denominators of the `act` images it reads).
+    """
+    top = max(map(sum, support), default=0) // 2
+    wanted = [set() for _ in range(top + 1)]
+    for mu in support:
+        wanted[sum(mu) // 2].add(mu)
+    images = {}
+    for j in range(top, 0, -1):
+        images[j] = {mu: act(2, mu) for mu in wanted[j]}
+        for image in images[j].values():
+            wanted[j - 1].update(image)
+    out = [(1, {(): [1]})]
+    for j in range(1, top + 1):
+        den, prev = out[-1]
+        step = math.lcm(*(co.den for image in images[j].values() for co in image.values()))
+        phi = {}
+        for mu, image in images[j].items():
+            reads = [(prev[nu], co) for nu, co in image.items() if nu in prev]
+            if not reads:
+                continue
+            acc = [0] * max(len(p) + len(co.nums) - 1 for p, co in reads)
+            for p, co in reads:
+                scale = step // co.den
+                for e, m in enumerate(co.nums):
+                    if m:
+                        m *= scale
+                        for i, n in enumerate(p, e):
+                            acc[i] += n * m
+            while acc and not acc[-1]:
+                acc.pop()
+            if acc:
+                phi[mu] = acc
+        out.append((den * step, phi))
+    return out
+
+
+def exp_l2_vacuum(g: QGradedVector, x, order: int) -> Series:
+    """The vacuum coefficient of e^{x L_2} g as a qhat-series over Q[c].
+
+    Only the terms of g at even level 2j reach |0>, with weight
+    x^j/j! phi(mu) (`l2_covectors`).  Every product is brought over one
+    denominator and summed as an integer per slot."""
+    even = {mu: term for mu, term in g.terms.items() if not sum(mu) % 2}
+    covectors = l2_covectors(even)
+    weights = [Fraction(x) ** j / (math.factorial(j) * den)
+               for j, (den, _) in enumerate(covectors)]
+    den = g.den * math.lcm(*(w.denominator for w in weights))
+    width = g.width
+    acc = [0] * ((order + 1) * width)
+    for mu, (d, slots) in even.items():
+        j = sum(mu) // 2
+        phi = covectors[j][1].get(mu)
+        if phi is None:
+            continue
+        w = weights[j]
+        f = w.numerator * (den // (w.denominator * d))
+        for e, m in enumerate(phi):
+            if m:
+                m *= f
+                for t, n in slots.items():
+                    acc[t + e] += n * m
+    return Series("qhat", tuple(CPoly(tuple(Fraction(n, den) for n in acc[i:i + width]))
+                                for i in range(0, len(acc), width)), order=order)
+
+
 def product_amplitude(n_slit_exponent: int | None, order: int) -> Series:
     """Amplitude <v|qhat^{L_0}|v> of the slit-product state v = E|0>, E the
     product of the factors e^{x_k L_{-k}} (`n_slit_exponent=None` means the
@@ -268,22 +324,24 @@ def product_amplitude(n_slit_exponent: int | None, order: int) -> Series:
 
     The amplitude is the vacuum coefficient of E^dagger qhat^{L_0} v.  Each
     term of v is tagged with qhat to its level (`QGradedVector`), and each
-    adjoint factor e^{x_k L_k}, largest k first, runs once through
-    `exp_truncated` over the whole tagged vector, every level at once; each
-    stage ends with one gcd reduction.  The last stage, e^{-L_2}, sums the
-    vacuum term alone, the only one read.  Independent of the
-    Shapovalov-form route, against which the tests check it.
+    adjoint factor e^{x_k L_k} with k >= 4, largest k first, runs once
+    through `exp_truncated` over the whole tagged vector, every level at
+    once; each stage ends with one gcd reduction.  Of the last factor,
+    e^{-L_2}, only the vacuum coefficient is read, so it is applied
+    transposed (`exp_l2_vacuum`): <0| is pulled back through L_2 once per
+    partition, and the tagged vector meets it in one integer contraction.
+    Independent of the Shapovalov-form route, against which the tests
+    check it.
     """
     n = slit_factor_count(order) if n_slit_exponent is None else n_slit_exponent
     v = slit_product(apply_mode, vacuum(order), order, n)
     # one c per application of an L_k, k >= 2: degree <= level / 2
     g = QGradedVector.from_verma(v, order // 2 + 1)
-    for k, x in reversed(_slit_factors(n)):
-        if k == 2:
-            g = QGradedVector(g.terms, g.den, g.width, keep=())
-        g = exp_truncated(functools.partial(adjoint_mode, k), g, x,
+    (_, x), *raising = _slit_factors(n)
+    for k, y in reversed(raising):
+        g = exp_truncated(functools.partial(adjoint_mode, k), g, y,
                           g.max_level() // k).reduced()
-    return g.vacuum_series(order)
+    return exp_l2_vacuum(g, x, order)
 
 
 def p_series(n_slit_exponent: int, order: int) -> Series:

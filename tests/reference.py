@@ -2,10 +2,12 @@
 
 - Q[c] as a tuple of Fractions, c^0 first, the ring `series.CPoly` stores
   as integer numerators over one denominator.
-- Two routes to the Virasoro amplitude against which
-  `virasoro.product_amplitude` (one q-graded adjoint pass) is checked: the
-  Shapovalov form, and the adjoint exponentials run on each level
-  component in turn.  And the closed form of P_2.
+- Three routes to the Virasoro amplitude against which
+  `virasoro.product_amplitude` (one q-graded adjoint pass, its last factor
+  e^{-L_2} applied transposed) is checked: the Shapovalov form, the
+  adjoint exponentials run on each level component in turn, and the
+  q-graded pass with e^{-L_2} run forward on every term like the other
+  factors.  And the closed form of P_2.
 - Scalar references for the vectorised loop-model code.  Each works on one
   link state at a time, given as a tuple (or row) of partner indices, the
   way the link basis was first written.  And the link route to the loop
@@ -19,8 +21,8 @@
   Fractions.  And the O(cutoff^3) route to the Majorana table G_mn in
   Fractions, against which the dyadic integer recurrence of
   `freefield.g_series` is checked.
-- The level component and top level of a graded vector, which only the
-  references and the tests read.
+- The partitions of n, and the level component and top level of a graded
+  vector, which only the references and the tests read.
 - The Ising chain's 2^N brute-force diagonalization (N <= 12), the 2^N
   free-fermion spectrum it is compared with, and the orthogonality of the
   single-particle modes.  And the N x N mode-space route to the overlap
@@ -43,8 +45,8 @@ from rectcft.ising import FreeFermionSolution, _mode_angles
 from rectcft.looplattice import (DegenerateNormError, SpectrumEntry, eigenvalue_clusters,
                                  gram_row, hamiltonian, link_basis)
 from rectcft.series import CZERO, CPoly, Series, exp_truncated, series_pow_scalar
-from rectcft.virasoro import (VermaVector, _slit_factors, apply_mode, slit_factor_count,
-                              slit_product, vacuum)
+from rectcft.virasoro import (QGradedVector, VermaVector, _slit_factors, adjoint_mode,
+                              apply_mode, slit_factor_count, slit_product, vacuum)
 
 # ---------------------------------------------------------------- Q[c]
 
@@ -79,6 +81,16 @@ def poly_eval(a, x) -> Fraction:
 
 
 # -------------------------------------------------------- graded vectors
+
+
+def partitions(n: int, largest: int | None = None):
+    """The partitions of n, as descending tuples."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
 
 
 def level_component(v, n):
@@ -141,6 +153,26 @@ def product_amplitude_by_level(n_slit_exponent: int | None, order: int) -> Serie
                                  max_level(comp) // k)
         coeffs.append(comp.coeff(()))
     return Series("qhat", tuple(coeffs), order=order)
+
+
+def product_amplitude_by_chain(n_slit_exponent: int | None, order: int) -> Series:
+    """The amplitude from the q-graded adjoint pass with every factor, the
+    last e^{-L_2} too, run through `exp_truncated` on all terms of the
+    tagged vector, and the vacuum term read at the end;
+    `n_slit_exponent=None` means the full boundary state."""
+    n = slit_factor_count(order) if n_slit_exponent is None else n_slit_exponent
+    v = slit_product(apply_mode, vacuum(order), order, n)
+    g = QGradedVector.from_verma(v, order // 2 + 1)
+    for k, x in reversed(_slit_factors(n)):
+        g = exp_truncated(functools.partial(adjoint_mode, k), g, x,
+                          g.max_level() // k).reduced()
+    d, slots = g.terms.get((), (1, {}))
+    rows = [[0] * g.width for _ in range(order + 1)]
+    for t, num in slots.items():
+        level, e = divmod(t, g.width)
+        rows[level][e] = num
+    return Series("qhat", tuple(CPoly(tuple(Fraction(num, d) for num in row)) for row in rows),
+                  order=order)
 
 
 def restrict(v: VermaVector, cutoff: int) -> VermaVector:

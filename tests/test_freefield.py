@@ -66,20 +66,11 @@ def lifted_fermion_virasoro(n, v):
     return FermionVector(res, v.cutoff)
 
 
-def partitions(n, largest=None):
-    largest = n if largest is None else largest
-    if n == 0:
-        yield ()
-    for part in range(min(n, largest), 0, -1):
-        for rest in partitions(n - part, part):
-            yield (part,) + rest
-
-
 def random_vectors(cutoff, seed):
     """A boson and a fermion vector with random coefficients on every basis
     state up to `cutoff`."""
     rng = random.Random(seed)
-    bkeys = [lam for lev in range(cutoff + 1) for lam in partitions(lev)]
+    bkeys = [lam for lev in range(cutoff + 1) for lam in reference.partitions(lev)]
     fkeys = [t for r in range(cutoff + 1)
              for t in itertools.combinations(range(cutoff, -1, -1), r)
              if fermion_level(t) <= cutoff]

@@ -5,13 +5,14 @@ from fractions import Fraction as F
 import pytest
 
 from rectcft import virasoro
-from rectcft.series import C, CONE, CZERO, cpoly, eta_inverse_power, partition_numbers
-from rectcft.virasoro import (GluingParams, QGradedVector, VermaVector, act, adjoint_mode,
-                              apply_mode, boundary_state, finitized_state, gluing_residual,
-                              homogeneous_gluing, p_series, pk_conjecture_check,
-                              product_amplitude, vacuum)
-from reference import (amplitude, max_level, p2_closed_form, product_amplitude_by_level,
-                       restrict, shapovalov)
+from rectcft.series import C, CONE, CZERO, CPoly, cpoly, eta_inverse_power, partition_numbers
+from rectcft.virasoro import (GluingParams, VermaVector, act, adjoint_mode, apply_mode,
+                              boundary_state, finitized_state, gluing_residual,
+                              homogeneous_gluing, l2_covectors, p_series,
+                              pk_conjecture_check, product_amplitude, vacuum)
+from reference import (amplitude, max_level, p2_closed_form, partitions,
+                       product_amplitude_by_chain, product_amplitude_by_level, restrict,
+                       shapovalov)
 
 
 # ---------------------------------------------------------------- oracles
@@ -174,7 +175,9 @@ class TestCutoff:
     vector re-checks its partitions: every vector it makes, and every
     state built from them, stays at level <= cutoff.  The adjoint pass of
     `product_amplitude` keeps every slot it holds at a level <= the order
-    and a degree in c <= level / 2, the bound its slot width rests on."""
+    and a degree in c <= level / 2, the bound its slot width rests on.  It
+    holds slots only from cutoff 4 on, where a factor e^{x L_4} runs; the
+    last factor, e^{-L_2}, holds none."""
 
     @pytest.mark.parametrize("cutoff", range(13))
     def test_max_level_within_cutoff(self, cutoff, monkeypatch):
@@ -200,7 +203,7 @@ class TestCutoff:
         product_amplitude(None, cutoff)  # its raising modes pass through `adjoint_checked`
         assert made and all(made)
         assert all(max_level(v) <= cutoff for v in states)
-        assert bool(slots) == (cutoff >= 2)
+        assert bool(slots) == (cutoff >= 4)
         assert all(now <= level <= cutoff and 2 * degree <= level
                    for now, level, degree in slots)
 
@@ -274,13 +277,37 @@ class TestAmplitude:
             assert (got.var, got.order) == (want.var, want.order) == ("qhat", order)
             assert got == want, (n, order)
 
-    def test_kept_sum_holds_one_term(self):
-        v = QGradedVector.from_verma(boundary_state(8), 5)
-        term = adjoint_mode(2, v)
-        full = v.add_scaled(term, F(-1)).reduced()
-        kept = QGradedVector(v.terms, v.den, v.width, keep=()).add_scaled(term, F(-1)).reduced()
-        assert len(full.terms) > 1 and set(kept.terms) == {()}
-        assert kept.vacuum_series(8) == full.vacuum_series(8)
+    @pytest.mark.parametrize("n", [3, None])
+    def test_transposed_last_factor_equals_forward_chain(self, n):
+        for order in range(25, 41):
+            got, want = product_amplitude(n, order), product_amplitude_by_chain(n, order)
+            assert got == want and repr(got) == repr(want), (n, order)
+
+    def test_last_factor_runs_no_adjoint_mode(self, monkeypatch):
+        ks = []
+
+        def recorded(k, g):
+            ks.append(k)
+            return adjoint_mode(k, g)
+
+        monkeypatch.setattr(virasoro, "adjoint_mode", recorded)
+        product_amplitude(None, 40)
+        assert set(ks) == {4, 8, 16, 32}
+
+    def test_covectors_are_shapovalov_entries(self):
+        # phi(mu) = <0|L_2^j|mu> = <L_{-2}^j 0|mu>, on every partition with
+        # parts >= 2 at even level <= 12
+        support = [lam for level in range(0, 13, 2) for lam in partitions(level)
+                   if 1 not in lam]
+        covectors = l2_covectors(support)
+        assert len(covectors) == 7
+        for lam in support:
+            j = sum(lam) // 2
+            den, phi = covectors[j]
+            got = CPoly(tuple(F(m, den) for m in phi.get(lam, ())))
+            want = shapovalov(VermaVector({(2,) * j: CONE}, 2 * j),
+                              VermaVector({lam: CONE}, 2 * j))
+            assert got == want, lam
 
     def test_p_series_equals_level_by_level(self, monkeypatch):
         got = p_series(3, 12)
