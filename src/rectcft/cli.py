@@ -112,7 +112,8 @@ def cmd_amplitude(args):
     payload = {"order": order, "variable": "qhat", "prefactor_exponent": "-c/24",
                "coefficients": coeffs, "eta_identity_passes": bool(matches)}
     if args.format == "plain":
-        _emit(args, repr(amp) + f"\n[eta identity: {'pass' if matches else 'FAIL'}]")
+        shown = amp if c_val is None else amp.map_coeffs(lambda co: cpoly(co)(c_val))
+        _emit(args, repr(shown) + f"\n[eta identity: {'pass' if matches else 'FAIL'}]")
     else:
         _emit(args, payload)
     if not matches:
@@ -173,19 +174,23 @@ def cmd_slitmap(args):
     _emit(args, out)
 
 
-def cmd_boson(args):
-    order = _check_range("amplitude-order", args.amplitude_order, max_order())
-    amp = freefield.boson_amplitude(order)
-    eta = eta_inverse_power(Fraction(1, 2), "qhat", order).series
-    payload = {"order": order, "variable": "qhat", "prefactor_exponent": "-1/24",
-               "coefficients": [str(amp[n]) for n in range(order + 1)],
-               "eta_identity_passes": amp == eta}
+def _free_amplitude(args, name, amplitude, s, cap):
+    """A free-field amplitude against eta^{-s} in qhat, c = 2s."""
+    order = _check_range("amplitude-order", args.amplitude_order, cap)
+    amp = amplitude(order)
+    passes = amp == eta_inverse_power(s, "qhat", order).series
     if args.format == "plain":
         _emit(args, repr(amp))
     else:
-        _emit(args, payload)
-    if not payload["eta_identity_passes"]:
-        raise AssertionError("boson amplitude does not match eta^{-1/2}")
+        _emit(args, {"order": order, "variable": "qhat", "prefactor_exponent": str(-s / 12),
+                     "coefficients": [str(amp[n]) for n in range(order + 1)],
+                     "eta_identity_passes": passes})
+    if not passes:
+        raise AssertionError(f"{name} amplitude does not match eta^{{-{s}}}")
+
+
+def cmd_boson(args):
+    _free_amplitude(args, "boson", freefield.boson_amplitude, Fraction(1, 2), max_order())
 
 
 def cmd_majorana(args):
@@ -210,18 +215,7 @@ def cmd_majorana(args):
         if not same:
             raise AssertionError("fermion Virasoro product disagrees with coherent state")
         return
-    order = _check_range("amplitude-order", args.amplitude_order, 20)
-    amp = freefield.fermion_amplitude(order)
-    eta = eta_inverse_power(Fraction(1, 4), "qhat", order).series
-    payload = {"order": order, "variable": "qhat", "prefactor_exponent": "-1/48",
-               "coefficients": [str(amp[n]) for n in range(order + 1)],
-               "eta_identity_passes": amp == eta}
-    if args.format == "plain":
-        _emit(args, repr(amp))
-    else:
-        _emit(args, payload)
-    if not payload["eta_identity_passes"]:
-        raise AssertionError("fermion amplitude does not match eta^{-1/4}")
+    _free_amplitude(args, "fermion", freefield.fermion_amplitude, Fraction(1, 4), 20)
 
 
 def cmd_loop(args):
@@ -277,6 +271,8 @@ def cmd_fit(args):
     if len(basis) < 2 or not set(basis) <= set(fitting.TERMS):
         raise UsageError(f"--basis {args.basis!r}: need two or more terms from "
                          f"{{{','.join(fitting.TERMS)}}}")
+    if len(set(basis)) < len(basis):
+        raise UsageError(f"--basis {args.basis!r}: a term is repeated")
     drop_first = _check_range("drop-first", args.drop_first, math.inf)
     with open(args.data) as fh:
         rows = [r for r in csv.reader(fh) if r]

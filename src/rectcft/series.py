@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-DEFAULT_ORDER = 60
-
 
 class SeriesError(ValueError):
     pass
@@ -441,7 +439,7 @@ class EtaPower:
     prefactor_exponent: CPoly
 
 
-def eta_inverse_power(exponent, var: str = "q", order: int = DEFAULT_ORDER) -> EtaPower:
+def eta_inverse_power(exponent, var: str, order: int) -> EtaPower:
     """Expansion of Pi (1-q^n)^{-s}; in qhat the substitution q = qhat^2 applies."""
     if order < 0:
         raise SeriesError("order must be >= 0")

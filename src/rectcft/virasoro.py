@@ -3,9 +3,11 @@ boundary state and its finitized versions, amplitudes, gluing residuals,
 and the P_N generating functions.
 
 Basis states are descendants L_{-l1} L_{-l2} ... |0> indexed by integer
-partitions (descending tuples, parts >= 2 because L_{-1}|0> = 0).  All
-coefficients are CPoly, so identities are checked in Q[c], not at sampled
-charge values.
+partitions (descending tuples, parts >= 2 because L_{-1}|0> = 0).  Every
+structure constant is an integer multiple of 1 or of h = c/2, so the cached
+mode action `act` and the vacuum functional run on integer polynomials in
+h; vectors carry CPoly coefficients, so identities are checked in Q[c], not
+at sampled charge values.
 """
 
 from __future__ import annotations
@@ -23,39 +25,56 @@ Partition = tuple  # descending tuple of ints >= 2; () is the vacuum
 
 @functools.lru_cache(maxsize=None)
 def act(n: int, lam: Partition) -> dict:
-    """L_n applied to the basis state |lam>, as a {partition: CPoly} map.
+    """L_n applied to the basis state |lam>, as a {partition: coefficients}
+    map; the coefficients are the integers of h^0, h^1, ... with h = c/2,
+    no trailing zero, and a lowering mode's image is a 1-tuple.
 
     Normal ordering by repeated commutation, [L_m, L_k] = (m-k) L_{m+k}
-    + (c/12) m (m^2-1) delta_{m+k,0}; L_n|0> = 0 for n >= -1.
+    + h (m-1) m (m+1)/6 delta_{m+k,0}; L_n|0> = 0 for n >= -1.
     Treat the returned dict as read-only (it is cached).
     """
     if not lam:
-        if n >= -1:
-            return {}
-        return {(-n,): CONE}
+        return {} if n >= -1 else {(-n,): (1,)}
     if n == 0:
-        return {lam: cpoly(sum(lam))}
+        return {lam: (sum(lam),)}
     m1, rest = lam[0], lam[1:]
     if n <= -m1:
         # L_n commutes straight to the front of the descending word
-        return {(-n,) + lam: CONE}
+        return {(-n,) + lam: (1,)}
     out: dict = {}
-    # L_n L_{-m1} = L_{-m1} L_n + (n+m1) L_{n-m1} + (c/12) n(n^2-1) delta_{n,m1}
+    # L_n L_{-m1} = L_{-m1} L_n + (n+m1) L_{n-m1} + h n(n^2-1)/6 delta_{n,m1}
     for mu, co in act(n, rest).items():
-        for nu, co2 in act(-m1, mu).items():
-            v = co if co2 is CONE else co * co2
-            acc = out.get(nu)
-            out[nu] = v if acc is None else acc + v
+        for nu, (s,) in act(-m1, mu).items():  # a lowering image is a 1-tuple
+            _add_scaled(out, nu, co, s)
     if n + m1:
         for nu, co in act(n - m1, rest).items():
-            v = co * Fraction(n + m1)
-            acc = out.get(nu)
-            out[nu] = v if acc is None else acc + v
+            _add_scaled(out, nu, co, n + m1)
     if n == m1:
-        cterm = C * Fraction(n * (n * n - 1), 12)
-        acc = out.get(rest)
-        out[rest] = cterm if acc is None else acc + cterm
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        _add_scaled(out, rest, (0, n * (n * n - 1) // 6), 1)
+    return {nu: co for nu, acc in out.items() if (co := _trimmed(acc))}
+
+
+def _add_scaled(out: dict, key, co: tuple, s: int) -> None:
+    """out[key] += s * co, on integer coefficient lists."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = [n * s for n in co]
+        return
+    if len(acc) < len(co):
+        acc.extend([0] * (len(co) - len(acc)))
+    for e, n in enumerate(co):
+        acc[e] += n * s
+
+
+def _trimmed(acc: list) -> tuple:
+    while acc and not acc[-1]:
+        acc.pop()
+    return tuple(acc)
+
+
+def _in_c(co: tuple) -> CPoly:
+    """The polynomial in h = c/2 with integer coefficients co, as a CPoly."""
+    return CPoly(tuple(Fraction(n, 1 << e) for e, n in enumerate(co)))
 
 
 class VermaVector(GradedVector):
@@ -81,7 +100,7 @@ def apply_mode(n: int, v: VermaVector) -> VermaVector:
         if sum(lam) - n > v.cutoff:  # every term of act(n, lam) is at |lam| - n
             continue
         for mu, co2 in act(n, lam).items():
-            w = co * co2
+            w = co * _in_c(co2)
             acc = out.get(mu)
             out[mu] = w if acc is None else acc + w
     return VermaVector(out, v.cutoff)
@@ -159,10 +178,8 @@ class QGradedVector:
     """A Verma vector whose terms also carry, as a power of qhat, the level
     they started from: qhat^{L_0} L_{-n} qhat^{-L_0} = qhat^n L_{-n}, so the
     adjoint modes act on every level at once.  `terms` maps a partition to
-    (d, slots), where slots is {level * width + (degree in c): integer
-    numerator} over the denominator d, a divisor of the vector's `den`.  A term
-    written over d < den is rescaled only when an addition touches it or the
-    vector is `reduced`, so an addition costs the size of what it adds."""
+    its slots, {level * width + (degree in h = c/2): integer numerator}, all
+    over the one denominator `den`."""
 
     __slots__ = ("terms", "den", "width")
 
@@ -171,10 +188,10 @@ class QGradedVector:
 
     @classmethod
     def from_verma(cls, v: VermaVector, width: int) -> "QGradedVector":
-        """v with each term tagged by its own level."""
+        """v with each term tagged by its own level; c^e = 2^e h^e."""
         den = math.lcm(*(co.den for co in v.terms.values()))
-        return cls({lam: (den, {sum(lam) * width + e: n * (den // co.den)
-                                for e, n in enumerate(co.nums) if n})
+        return cls({lam: {sum(lam) * width + e: n * (den // co.den) << e
+                          for e, n in enumerate(co.nums) if n}
                     for lam, co in v.terms.items()}, den, width)
 
     def is_zero(self) -> bool:
@@ -184,55 +201,39 @@ class QGradedVector:
         return max(map(sum, self.terms), default=0)
 
     def add_scaled(self, other: "QGradedVector", s) -> "QGradedVector":
-        """self + s * other.  Only the terms of other are copied; the rest
-        are shared with self and keep their denominators."""
+        """self + s * other, over the lcm of the two denominators."""
         s = Fraction(s)
         den = math.lcm(self.den, s.denominator * other.den)
-        f = s.numerator * (den // (s.denominator * other.den))
-        terms = dict(self.terms)
-        for lam, (d, slots) in other.terms.items():
-            g = f * (other.den // d)
-            old = terms.get(lam)
-            if old is None:
-                terms[lam] = (den, {t: n * g for t, n in slots.items()})
-                continue
-            h = den // old[0]
-            acc = {t: n * h for t, n in old[1].items()}
+        f = den // self.den
+        g = s.numerator * (den // (s.denominator * other.den))
+        terms = {lam: {t: n * f for t, n in slots.items()} for lam, slots in self.terms.items()}
+        for lam, slots in other.terms.items():
+            acc = terms.setdefault(lam, {})
             for t, n in slots.items():
                 acc[t] = acc.get(t, 0) + n * g
-            terms[lam] = (den, acc)
         return QGradedVector(terms, den, self.width)
 
     def reduced(self) -> "QGradedVector":
-        """Every term over one denominator, zeros dropped, the gcd of all
-        numerators and the denominator taken out."""
-        den = self.den
-        g = math.gcd(den, *(den // d * math.gcd(*slots.values())
-                            for d, slots in self.terms.values()))
+        """Zeros dropped, the gcd of all numerators and the denominator
+        taken out."""
+        g = math.gcd(self.den, *(math.gcd(*slots.values()) for slots in self.terms.values()))
         out = {}
-        for lam, (d, slots) in self.terms.items():
-            h = den // d
-            slots = {t: n * h // g for t, n in slots.items() if n}
+        for lam, slots in self.terms.items():
+            slots = {t: n // g for t, n in slots.items() if n}
             if slots:
-                out[lam] = (den // g, slots)
-        return QGradedVector(out, den // g, self.width)
+                out[lam] = slots
+        return QGradedVector(out, self.den // g, self.width)
 
 
 def adjoint_mode(k: int, g: QGradedVector) -> QGradedVector:
-    """L_k on every term of g, over g.den times the lcm of the denominators
-    of the `act` images it reads."""
-    images = [(act(k, lam), d, slots) for lam, (d, slots) in g.terms.items()]
-    den = g.den * math.lcm(*(co.den for image, _, _ in images for co in image.values()))
+    """L_k on every term of g, over g.den."""
     out: dict = {}
-    for image, d, slots in images:
-        f = den // d
-        for mu, co in image.items():
-            scale = f // co.den
+    for lam, slots in g.terms.items():
+        for mu, co in act(k, lam).items():
             target = out.get(mu)
-            for e, m in enumerate(co.nums):
+            for e, m in enumerate(co):
                 if not m:
                     continue
-                m *= scale
                 if target is None:
                     target = out[mu] = {t + e: n * m for t, n in slots.items()}
                     continue
@@ -240,80 +241,50 @@ def adjoint_mode(k: int, g: QGradedVector) -> QGradedVector:
                 for t, n in slots.items():
                     t += e
                     target[t] = get(t, 0) + n * m
-    return QGradedVector({mu: (den, slots) for mu, slots in out.items()
-                          if any(slots.values())}, den, g.width)
+    return QGradedVector({mu: slots for mu, slots in out.items() if any(slots.values())},
+                         g.den, g.width)
 
 
-def l2_covectors(support) -> list:
-    """The functional phi(mu) = <0|L_2^j|mu>, j = |mu|/2, on every partition
-    at level 2j that the partitions `support` (at even levels) reach under
-    L_2, and on those themselves.
-
-    Entry j is (D_j, {mu: integer numerators of the c^0, c^1, ...
-    coefficients of phi(mu) over D_j}); zeros are left out.  It is built
-    level by level from phi(mu) = sum_nu act(2, mu)[nu] phi(nu), phi(()) = 1,
-    over D_j = D_{j-1} * lcm(the denominators of the `act` images it reads).
-    """
-    top = max(map(sum, support), default=0) // 2
-    wanted = [set() for _ in range(top + 1)]
-    for mu in support:
-        wanted[sum(mu) // 2].add(mu)
-    images = {}
-    for j in range(top, 0, -1):
-        images[j] = {mu: act(2, mu) for mu in wanted[j]}
-        for image in images[j].values():
-            wanted[j - 1].update(image)
-    out = [(1, {(): [1]})]
-    for j in range(1, top + 1):
-        den, prev = out[-1]
-        step = math.lcm(*(co.den for image in images[j].values() for co in image.values()))
-        phi = {}
-        for mu, image in images[j].items():
-            reads = [(prev[nu], co) for nu, co in image.items() if nu in prev]
-            if not reads:
-                continue
-            acc = [0] * max(len(p) + len(co.nums) - 1 for p, co in reads)
-            for p, co in reads:
-                scale = step // co.den
-                for e, m in enumerate(co.nums):
-                    if m:
-                        m *= scale
-                        for i, n in enumerate(p, e):
-                            acc[i] += n * m
-            while acc and not acc[-1]:
-                acc.pop()
-            if acc:
-                phi[mu] = acc
-        out.append((den * step, phi))
-    return out
+@functools.lru_cache(maxsize=None)
+def vacuum_functional(mu: Partition) -> tuple:
+    """phi(mu) = <0|L_2^j|mu>, j = |mu|/2, as the integers of h^0, h^1, ...
+    (no trailing zero; () where it vanishes), from phi(()) = 1 and
+    phi(mu) = sum_nu act(2, mu)[nu] phi(nu).  Cached like `act`."""
+    if not mu:
+        return (1,)
+    acc = [0] * (sum(mu) // 2 + 1)  # one h per L_2: degree <= j
+    for nu, co in act(2, mu).items():
+        for e, m in enumerate(co):
+            if m:
+                for i, n in enumerate(vacuum_functional(nu), e):
+                    acc[i] += n * m
+    return _trimmed(acc)
 
 
 def exp_l2_vacuum(g: QGradedVector, x, order: int) -> Series:
     """The vacuum coefficient of e^{x L_2} g as a qhat-series over Q[c].
 
     Only the terms of g at even level 2j reach |0>, with weight
-    x^j/j! phi(mu) (`l2_covectors`).  Every product is brought over one
-    denominator and summed as an integer per slot."""
-    even = {mu: term for mu, term in g.terms.items() if not sum(mu) % 2}
-    covectors = l2_covectors(even)
-    weights = [Fraction(x) ** j / (math.factorial(j) * den)
-               for j, (den, _) in enumerate(covectors)]
-    den = g.den * math.lcm(*(w.denominator for w in weights))
+    x^j/j! phi(mu) (`vacuum_functional`).  Every product is summed as an
+    integer per slot over one denominator; h^e becomes c^e/2^e at the end."""
+    top = max((sum(mu) // 2 for mu in g.terms), default=0)
+    weights = [Fraction(x) ** j / math.factorial(j) for j in range(top + 1)]
+    scale = math.lcm(*(w.denominator for w in weights))
     width = g.width
     acc = [0] * ((order + 1) * width)
-    for mu, (d, slots) in even.items():
-        j = sum(mu) // 2
-        phi = covectors[j][1].get(mu)
-        if phi is None:
+    for mu, slots in g.terms.items():
+        if sum(mu) % 2:
             continue
-        w = weights[j]
-        f = w.numerator * (den // (w.denominator * d))
-        for e, m in enumerate(phi):
+        w = weights[sum(mu) // 2]
+        f = w.numerator * (scale // w.denominator)
+        for e, m in enumerate(vacuum_functional(mu)):
             if m:
                 m *= f
                 for t, n in slots.items():
                     acc[t + e] += n * m
-    return Series("qhat", tuple(CPoly(tuple(Fraction(n, den) for n in acc[i:i + width]))
+    den = g.den * scale
+    return Series("qhat", tuple(CPoly(tuple(Fraction(n, den << e)
+                                            for e, n in enumerate(acc[i:i + width])))
                                 for i in range(0, len(acc), width)), order=order)
 
 
@@ -329,13 +300,14 @@ def product_amplitude(n_slit_exponent: int | None, order: int) -> Series:
     once; each stage ends with one gcd reduction.  Of the last factor,
     e^{-L_2}, only the vacuum coefficient is read, so it is applied
     transposed (`exp_l2_vacuum`): <0| is pulled back through L_2 once per
-    partition, and the tagged vector meets it in one integer contraction.
+    partition (`vacuum_functional`), and the tagged vector meets it in one
+    integer contraction.
     Independent of the Shapovalov-form route, against which the tests
     check it.
     """
     n = slit_factor_count(order) if n_slit_exponent is None else n_slit_exponent
     v = slit_product(apply_mode, vacuum(order), order, n)
-    # one c per application of an L_k, k >= 2: degree <= level / 2
+    # one h per application of an L_k, k >= 2: degree <= level / 2
     g = QGradedVector.from_verma(v, order // 2 + 1)
     (_, x), *raising = _slit_factors(n)
     for k, y in reversed(raising):

@@ -166,13 +166,13 @@ def product_amplitude_by_chain(n_slit_exponent: int | None, order: int) -> Serie
     for k, x in reversed(_slit_factors(n)):
         g = exp_truncated(functools.partial(adjoint_mode, k), g, x,
                           g.max_level() // k).reduced()
-    d, slots = g.terms.get((), (1, {}))
     rows = [[0] * g.width for _ in range(order + 1)]
-    for t, num in slots.items():
+    for t, num in g.terms.get((), {}).items():
         level, e = divmod(t, g.width)
         rows[level][e] = num
-    return Series("qhat", tuple(CPoly(tuple(Fraction(num, d) for num in row)) for row in rows),
-                  order=order)
+    # slot e holds the coefficient of h^e = c^e / 2^e
+    return Series("qhat", tuple(CPoly(tuple(Fraction(num, g.den << e) for e, num in enumerate(row)))
+                                for row in rows), order=order)
 
 
 def restrict(v: VermaVector, cutoff: int) -> VermaVector:

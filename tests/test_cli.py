@@ -40,6 +40,13 @@ class TestSubcommands:
         data = json.loads(out)
         assert data["coefficients"][2] == "1/4"
 
+    def test_amplitude_at_c_plain(self, capsys):
+        # the plain form prints the series evaluated at c = 1/2, like the JSON
+        code, out, _ = run(capsys, "amplitude", "--order", "4", "--at-c", "1/2",
+                           "--format", "plain")
+        assert code == 0
+        assert out == "1 + 1/4 qhat^2 + 13/32 qhat^4 + ...\n[eta identity: pass]\n"
+
     def test_pn_plain_245_over_8(self, capsys):
         code, out, _ = run(capsys, "pn", "--slits-exponent", "3", "--order", "8",
                            "--format", "plain")
@@ -389,6 +396,7 @@ class TestErrorPaths:
         ("fit", "--data", os.devnull, "--basis", "N,foo"),
         ("fit", "--data", os.devnull, "--basis", "N"),
         ("majorana", "--g-table", "61", "0"),
+        ("fit", "--data", os.devnull, "--basis", "1,1"),
     ])
     def test_bad_option_value_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -8,8 +8,8 @@ from rectcft import virasoro
 from rectcft.series import C, CONE, CZERO, CPoly, cpoly, eta_inverse_power, partition_numbers
 from rectcft.virasoro import (GluingParams, VermaVector, act, adjoint_mode, apply_mode,
                               boundary_state, finitized_state, gluing_residual,
-                              homogeneous_gluing, l2_covectors, p_series,
-                              pk_conjecture_check, product_amplitude, vacuum)
+                              homogeneous_gluing, p_series, pk_conjecture_check,
+                              product_amplitude, vacuum, vacuum_functional)
 from reference import (amplitude, max_level, p2_closed_form, partitions,
                        product_amplitude_by_chain, product_amplitude_by_level, restrict,
                        shapovalov)
@@ -89,6 +89,20 @@ class TestApplyMode:
     def test_annihilation_of_vacuum(self):
         for n in (-1, 0, 1, 3):
             assert act(n, ()) == {}
+
+    def test_images_are_integer_polynomials_in_h(self):
+        # every structure constant is an integer times 1 or h = c/2; a
+        # lowering mode never brings in h
+        for n in range(-6, 9):
+            for level in range(13):
+                for lam in partitions(level):
+                    if 1 in lam:
+                        continue
+                    for mu, co in act(n, lam).items():
+                        assert type(co) is tuple and co and co[-1] != 0, (n, lam, mu)
+                        assert all(type(m) is int for m in co), (n, lam, mu)
+                        if n < 0:
+                            assert len(co) == 1, (n, lam, mu)
 
     def test_against_word_oracle(self):
         rng = random.Random(42)
@@ -175,7 +189,7 @@ class TestCutoff:
     vector re-checks its partitions: every vector it makes, and every
     state built from them, stays at level <= cutoff.  The adjoint pass of
     `product_amplitude` keeps every slot it holds at a level <= the order
-    and a degree in c <= level / 2, the bound its slot width rests on.  It
+    and a degree in h = c/2 <= level / 2, the bound its slot width rests on.  It
     holds slots only from cutoff 4 on, where a factor e^{x L_4} runs; the
     last factor, e^{-L_2}, holds none."""
 
@@ -191,7 +205,7 @@ class TestCutoff:
         def adjoint_checked(k, g):
             out = adjoint_mode(k, g)
             for vec in (g, out):
-                for lam, (_, terms) in vec.terms.items():
+                for lam, terms in vec.terms.items():
                     slots.extend((sum(lam),) + divmod(t, vec.width) for t in terms)
             return out
 
@@ -296,15 +310,15 @@ class TestAmplitude:
 
     def test_covectors_are_shapovalov_entries(self):
         # phi(mu) = <0|L_2^j|mu> = <L_{-2}^j 0|mu>, on every partition with
-        # parts >= 2 at even level <= 12
+        # parts >= 2 at every even level <= 12; phi holds the integers of h^e
         support = [lam for level in range(0, 13, 2) for lam in partitions(level)
                    if 1 not in lam]
-        covectors = l2_covectors(support)
-        assert len(covectors) == 7
         for lam in support:
             j = sum(lam) // 2
-            den, phi = covectors[j]
-            got = CPoly(tuple(F(m, den) for m in phi.get(lam, ())))
+            phi = vacuum_functional(lam)
+            assert all(type(m) is int for m in phi) and phi[-1:] != (0,), lam
+            assert len(phi) <= j + 1, lam  # one h per L_2
+            got = CPoly(tuple(F(m, 2 ** e) for e, m in enumerate(phi)))
             want = shapovalov(VermaVector({(2,) * j: CONE}, 2 * j),
                               VermaVector({lam: CONE}, 2 * j))
             assert got == want, lam
