@@ -279,7 +279,7 @@ def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
     return sorted(records, key=lambda r: r.n_sites)
 
 
-def ising_fit_summary(records, drop_first_excited: int = DROP_FIRST_EXCITED) -> dict:
+def ising_fit_summary(records) -> dict:
     """a1, alpha from the ground-state series and <B|k> from ratio fits.
 
     States forbidden by `overlap_allowed` are reported as exact zeros
@@ -310,7 +310,7 @@ def ising_fit_summary(records, drop_first_excited: int = DROP_FIRST_EXCITED) -> 
                                       "max_det": worst}
             continue
         data = [(r.n_sites, r.neg_log_overlap - g_by_n[r.n_sites]) for r in rows]
-        rfit = fit(data, RATIO_BASIS, drop_first=drop_first_excited)
+        rfit = fit(data, RATIO_BASIS, drop_first=DROP_FIRST_EXCITED)
         summary["overlaps"][k] = {"h": str(rows[0].h_label),
                                   "value": extract_overlap(rfit),
                                   "a2_spread": rfit.window_spread["1"],

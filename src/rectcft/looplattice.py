@@ -462,10 +462,10 @@ def overlap_table(p, n_values, kmax: int = 3) -> list[LoopOverlapRecord]:
             for n in sorted(n_values) for e in spectrum(n, weight.beta, kmax)]
 
 
-def loop_fit_summary(records, drop_first_excited: int = DROP_FIRST_EXCITED) -> dict:
+def loop_fit_summary(records) -> dict:
     """Table-style summary: a1 and alpha from the ground state (full window,
     scaling form with N, logN), excited overlaps from ratio fits dropping the
-    first points, plus the raw k=2 overlaps (expected to vanish for N >= 10;
+    first DROP_FIRST_EXCITED points, plus the raw k=2 overlaps (expected to vanish for N >= 10;
     null when no N >= 10 is present).
     """
     by_k: dict = {}
@@ -496,7 +496,7 @@ def loop_fit_summary(records, drop_first_excited: int = DROP_FIRST_EXCITED) -> d
         rows = sorted(by_k[1], key=lambda r: r.n_sites)
         data = [(r.n_sites, -math.log(r.overlap / g_by_n[r.n_sites])) for r in rows]
         try:
-            rfit = fit(data, RATIO_BASIS, drop_first=drop_first_excited)
+            rfit = fit(data, RATIO_BASIS, drop_first=DROP_FIRST_EXCITED)
             summary["overlaps"][1] = {
                 "value": extract_overlap(rfit),
                 "spread": rfit.window_spread["1"],

@@ -7,9 +7,9 @@ over one common denominator (`CPoly`), and series are dense coefficient
 lists over either ring, tagged by their expansion variable ('q' or 'qhat',
 the half-period nome).  Fractional symbolic prefactors such as q^{-c/48} are
 never folded into a series; they are carried separately as an exponent (see
-`EtaPower`).  Sparse graded vectors over either ring (`GradedVector`) and
-their truncated exponentials (`exp_truncated`) are shared by the Verma
-module and the free fields.
+`EtaPower`).  The free fields' sparse graded vectors over Q
+(`GradedVector`) live here, and the truncated exponential
+(`exp_truncated`) that they and the Verma module share.
 """
 
 from __future__ import annotations
@@ -465,17 +465,15 @@ def eta_inverse_power(exponent, var: str, order: int) -> EtaPower:
 class GradedVector:
     """Finite combination of basis states, truncated at level `cutoff`.
 
-    `terms` maps a basis key (a tuple of mode labels) to its coefficient,
-    already in the realization's ring; zero coefficients are dropped on
-    construction.  A realization subclasses this with its ring (`ring(0)` is
-    the coefficient of a missing key) and the level of a key (`level`), and
+    `terms` maps a basis key (a tuple of mode labels) to its rational
+    coefficient; zero coefficients are dropped on construction.  A
+    realization subclasses this with the level of a key (`level`), and
     supplies its mode action separately.
     """
 
     terms: dict
     cutoff: int
 
-    ring = Fraction
     level = staticmethod(sum)
 
     def __post_init__(self):
@@ -485,7 +483,7 @@ class GradedVector:
         return isinstance(other, type(self)) and self.terms == other.terms
 
     def coeff(self, key):
-        return self.terms.get(tuple(key), self.ring(0))
+        return self.terms.get(tuple(key), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -5,9 +5,10 @@ and the P_N generating functions.
 Basis states are descendants L_{-l1} L_{-l2} ... |0> indexed by integer
 partitions (descending tuples, parts >= 2 because L_{-1}|0> = 0).  Every
 structure constant is an integer multiple of 1 or of h = c/2, so the cached
-mode action `act` and the vacuum functional run on integer polynomials in
-h; vectors carry CPoly coefficients, so identities are checked in Q[c], not
-at sampled charge values.
+mode action `act`, the vacuum functional and the vectors themselves run on
+integer polynomials in h over one denominator; identities are checked in
+Q[c], not at sampled charge values, and CPoly coefficients in c are built
+only for output.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import (C, CONE, CPoly, GradedVector, Series, cpoly, exp_truncated,
-                     partition_numbers, series_pow_c_ratio)
+from .series import (C, CPoly, Series, cpoly, exp_truncated, partition_numbers,
+                     series_pow_c_ratio)
 
 Partition = tuple  # descending tuple of ints >= 2; () is the vacuum
 
@@ -72,38 +73,105 @@ def _trimmed(acc: list) -> tuple:
     return tuple(acc)
 
 
-def _in_c(co: tuple) -> CPoly:
-    """The polynomial in h = c/2 with integer coefficients co, as a CPoly."""
-    return CPoly(tuple(Fraction(n, 1 << e) for e, n in enumerate(co)))
-
-
-class VermaVector(GradedVector):
+class VermaVector:
     """Finite combination of vacuum descendants over Q[c], truncated at
-    level `cutoff`."""
+    level `cutoff`.  `terms` maps a partition to its slots, {degree in
+    h = c/2: integer numerator}, all over the one denominator `den`; after
+    `qhat_tagged(width)` a slot also holds level * width (the power of
+    qhat).  Slots may hold zeros until `reduced`."""
 
-    ring = staticmethod(cpoly)
+    __slots__ = ("terms", "cutoff", "den")
+
+    def __init__(self, terms: dict, cutoff: int, den: int = 1):
+        self.terms, self.cutoff, self.den = terms, cutoff, den
+
+    def is_zero(self) -> bool:
+        return not any(any(slots.values()) for slots in self.terms.values())
+
+    def max_level(self) -> int:
+        return max(map(sum, self.terms), default=0)
+
+    def coeff(self, lam) -> CPoly:
+        return _poly(self.terms.get(tuple(lam), {}), self.den)
+
+    def polys(self) -> dict:
+        """{partition: CPoly coefficient}, zeros left out."""
+        return {lam: co for lam, slots in self.terms.items() if (co := _poly(slots, self.den))}
 
     def to_json(self):
         return {"cutoff": self.cutoff,
                 "terms": [{"partition": list(lam), "coefficient": co.to_json()}
-                          for lam, co in sorted(self.terms.items())]}
+                          for lam, co in sorted(self.polys().items())]}
+
+    def add_scaled(self, other: "VermaVector", s) -> "VermaVector":
+        """self + s * other over the lcm of the denominators, for s rational
+        or a CPoly (c^e = 2^e h^e)."""
+        s = cpoly(s)
+        den = math.lcm(self.den, s.den * other.den)
+        f, g = den // self.den, den // (s.den * other.den)
+        terms = {lam: {t: n * f for t, n in slots.items()} for lam, slots in self.terms.items()}
+        for e, m in enumerate(s.nums):
+            if not m:
+                continue
+            m = (m << e) * g
+            for lam, slots in other.terms.items():
+                acc = terms.setdefault(lam, {})
+                for t, n in slots.items():
+                    t += e
+                    acc[t] = acc.get(t, 0) + n * m
+        return VermaVector(terms, max(self.cutoff, other.cutoff), den)
+
+    def reduced(self) -> "VermaVector":
+        """Zeros dropped, the gcd of all numerators and the denominator
+        taken out."""
+        g = math.gcd(self.den, *(math.gcd(*slots.values()) for slots in self.terms.values()))
+        out = {}
+        for lam, slots in self.terms.items():
+            slots = {t: n // g for t, n in slots.items() if n}
+            if slots:
+                out[lam] = slots
+        return VermaVector(out, self.cutoff, self.den // g)
+
+    def qhat_tagged(self, width: int) -> "VermaVector":
+        """Each term tagged with qhat to its level: qhat^{L_0} L_{-n}
+        qhat^{-L_0} = qhat^n L_{-n}, so modes acting afterwards act on
+        every level at once; `width` bounds the degree in h."""
+        return VermaVector({lam: {sum(lam) * width + e: n for e, n in slots.items()}
+                            for lam, slots in self.terms.items()}, self.cutoff, self.den)
+
+
+def _poly(slots: dict, den: int) -> CPoly:
+    """sum_e slots[e] h^e / den as a CPoly in c = 2h."""
+    return CPoly(tuple(Fraction(slots.get(e, 0), den << e)
+                       for e in range(max(slots, default=-1) + 1)))
 
 
 def vacuum(cutoff: int = 0) -> VermaVector:
-    return VermaVector({(): CONE}, cutoff)
+    return VermaVector({(): {0: 1}}, cutoff)
 
 
 def apply_mode(n: int, v: VermaVector) -> VermaVector:
-    """L_n applied to v; levels above v.cutoff are dropped."""
+    """L_n on every term of v, over v.den; levels above v.cutoff are
+    dropped.  A coefficient's h^e moves a slot up by e, so qhat tags ride
+    along."""
     out: dict = {}
-    for lam, co in v.terms.items():
+    for lam, slots in v.terms.items():
         if sum(lam) - n > v.cutoff:  # every term of act(n, lam) is at |lam| - n
             continue
-        for mu, co2 in act(n, lam).items():
-            w = co * _in_c(co2)
-            acc = out.get(mu)
-            out[mu] = w if acc is None else acc + w
-    return VermaVector(out, v.cutoff)
+        for mu, co in act(n, lam).items():
+            target = out.get(mu)
+            for e, m in enumerate(co):
+                if not m:
+                    continue
+                if target is None:
+                    target = out[mu] = {t + e: k * m for t, k in slots.items()}
+                    continue
+                get = target.get
+                for t, k in slots.items():
+                    t += e
+                    target[t] = get(t, 0) + k * m
+    return VermaVector({mu: slots for mu, slots in out.items() if any(slots.values())},
+                       v.cutoff, v.den)
 
 
 def _slit_factors(n_factors: int):
@@ -174,77 +242,6 @@ def gluing_residual(v: VermaVector, g: GluingParams) -> VermaVector:
     return res.add_scaled(v, const)
 
 
-class QGradedVector:
-    """A Verma vector whose terms also carry, as a power of qhat, the level
-    they started from: qhat^{L_0} L_{-n} qhat^{-L_0} = qhat^n L_{-n}, so the
-    adjoint modes act on every level at once.  `terms` maps a partition to
-    its slots, {level * width + (degree in h = c/2): integer numerator}, all
-    over the one denominator `den`."""
-
-    __slots__ = ("terms", "den", "width")
-
-    def __init__(self, terms: dict, den: int, width: int):
-        self.terms, self.den, self.width = terms, den, width
-
-    @classmethod
-    def from_verma(cls, v: VermaVector, width: int) -> "QGradedVector":
-        """v with each term tagged by its own level; c^e = 2^e h^e."""
-        den = math.lcm(*(co.den for co in v.terms.values()))
-        return cls({lam: {sum(lam) * width + e: n * (den // co.den) << e
-                          for e, n in enumerate(co.nums) if n}
-                    for lam, co in v.terms.items()}, den, width)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_level(self) -> int:
-        return max(map(sum, self.terms), default=0)
-
-    def add_scaled(self, other: "QGradedVector", s) -> "QGradedVector":
-        """self + s * other, over the lcm of the two denominators."""
-        s = Fraction(s)
-        den = math.lcm(self.den, s.denominator * other.den)
-        f = den // self.den
-        g = s.numerator * (den // (s.denominator * other.den))
-        terms = {lam: {t: n * f for t, n in slots.items()} for lam, slots in self.terms.items()}
-        for lam, slots in other.terms.items():
-            acc = terms.setdefault(lam, {})
-            for t, n in slots.items():
-                acc[t] = acc.get(t, 0) + n * g
-        return QGradedVector(terms, den, self.width)
-
-    def reduced(self) -> "QGradedVector":
-        """Zeros dropped, the gcd of all numerators and the denominator
-        taken out."""
-        g = math.gcd(self.den, *(math.gcd(*slots.values()) for slots in self.terms.values()))
-        out = {}
-        for lam, slots in self.terms.items():
-            slots = {t: n // g for t, n in slots.items() if n}
-            if slots:
-                out[lam] = slots
-        return QGradedVector(out, self.den // g, self.width)
-
-
-def adjoint_mode(k: int, g: QGradedVector) -> QGradedVector:
-    """L_k on every term of g, over g.den."""
-    out: dict = {}
-    for lam, slots in g.terms.items():
-        for mu, co in act(k, lam).items():
-            target = out.get(mu)
-            for e, m in enumerate(co):
-                if not m:
-                    continue
-                if target is None:
-                    target = out[mu] = {t + e: n * m for t, n in slots.items()}
-                    continue
-                get = target.get
-                for t, n in slots.items():
-                    t += e
-                    target[t] = get(t, 0) + n * m
-    return QGradedVector({mu: slots for mu, slots in out.items() if any(slots.values())},
-                         g.den, g.width)
-
-
 @functools.lru_cache(maxsize=None)
 def vacuum_functional(mu: Partition) -> tuple:
     """phi(mu) = <0|L_2^j|mu>, j = |mu|/2, as the integers of h^0, h^1, ...
@@ -261,8 +258,9 @@ def vacuum_functional(mu: Partition) -> tuple:
     return _trimmed(acc)
 
 
-def exp_l2_vacuum(g: QGradedVector, x, order: int) -> Series:
-    """The vacuum coefficient of e^{x L_2} g as a qhat-series over Q[c].
+def exp_l2_vacuum(g: VermaVector, x, order: int, width: int) -> Series:
+    """The vacuum coefficient of e^{x L_2} g, g tagged by
+    `qhat_tagged(width)`, as a qhat-series over Q[c].
 
     Only the terms of g at even level 2j reach |0>, with weight
     x^j/j! phi(mu) (`vacuum_functional`).  Every product is summed as an
@@ -270,7 +268,6 @@ def exp_l2_vacuum(g: QGradedVector, x, order: int) -> Series:
     top = max((sum(mu) // 2 for mu in g.terms), default=0)
     weights = [Fraction(x) ** j / math.factorial(j) for j in range(top + 1)]
     scale = math.lcm(*(w.denominator for w in weights))
-    width = g.width
     acc = [0] * ((order + 1) * width)
     for mu, slots in g.terms.items():
         if sum(mu) % 2:
@@ -283,8 +280,7 @@ def exp_l2_vacuum(g: QGradedVector, x, order: int) -> Series:
                 for t, n in slots.items():
                     acc[t + e] += n * m
     den = g.den * scale
-    return Series("qhat", tuple(CPoly(tuple(Fraction(n, den << e)
-                                            for e, n in enumerate(acc[i:i + width])))
+    return Series("qhat", tuple(_poly(dict(enumerate(acc[i:i + width])), den)
                                 for i in range(0, len(acc), width)), order=order)
 
 
@@ -294,7 +290,7 @@ def product_amplitude(n_slit_exponent: int | None, order: int) -> Series:
     full boundary state), as a qhat-series over Q[c].
 
     The amplitude is the vacuum coefficient of E^dagger qhat^{L_0} v.  Each
-    term of v is tagged with qhat to its level (`QGradedVector`), and each
+    term of v is tagged with qhat to its level (`qhat_tagged`), and each
     adjoint factor e^{x_k L_k} with k >= 4, largest k first, runs once
     through `exp_truncated` over the whole tagged vector, every level at
     once; each stage ends with one gcd reduction.  Of the last factor,
@@ -308,12 +304,13 @@ def product_amplitude(n_slit_exponent: int | None, order: int) -> Series:
     n = slit_factor_count(order) if n_slit_exponent is None else n_slit_exponent
     v = slit_product(apply_mode, vacuum(order), order, n)
     # one h per application of an L_k, k >= 2: degree <= level / 2
-    g = QGradedVector.from_verma(v, order // 2 + 1)
+    width = order // 2 + 1
+    g = v.qhat_tagged(width)
     (_, x), *raising = _slit_factors(n)
     for k, y in reversed(raising):
-        g = exp_truncated(functools.partial(adjoint_mode, k), g, y,
+        g = exp_truncated(functools.partial(apply_mode, k), g, y,
                           g.max_level() // k).reduced()
-    return exp_l2_vacuum(g, x, order)
+    return exp_l2_vacuum(g, x, order, width)
 
 
 def p_series(n_slit_exponent: int, order: int) -> Series:

@@ -22,7 +22,8 @@
   Fractions, against which the dyadic integer recurrence of
   `freefield.g_series` is checked.
 - The partitions of n, and the level component and top level of a graded
-  vector, which only the references and the tests read.
+  vector, which only the references and the tests read.  And a Verma
+  vector built from CPoly coefficients.
 - The Ising chain's 2^N brute-force diagonalization (N <= 12), the 2^N
   free-fermion spectrum it is compared with, and the orthogonality of the
   single-particle modes.  And the N x N mode-space route to the overlap
@@ -45,8 +46,8 @@ from rectcft.ising import FreeFermionSolution, _mode_angles
 from rectcft.looplattice import (DegenerateNormError, SpectrumEntry, eigenvalue_clusters,
                                  gram_row, hamiltonian, link_basis)
 from rectcft.series import CZERO, CPoly, Series, exp_truncated, series_pow_scalar
-from rectcft.virasoro import (QGradedVector, VermaVector, _slit_factors, adjoint_mode,
-                              apply_mode, slit_factor_count, slit_product, vacuum)
+from rectcft.virasoro import (VermaVector, _slit_factors, apply_mode, slit_factor_count,
+                              slit_product, vacuum)
 
 # ---------------------------------------------------------------- Q[c]
 
@@ -95,6 +96,9 @@ def partitions(n: int, largest: int | None = None):
 
 def level_component(v, n):
     """The terms of the graded vector v at level n, as a vector of its type."""
+    if isinstance(v, VermaVector):
+        return VermaVector({lam: s for lam, s in v.terms.items() if sum(lam) == n},
+                           v.cutoff, v.den)
     return type(v)({key: co for key, co in v.terms.items() if v.level(key) == n}, v.cutoff)
 
 
@@ -112,7 +116,7 @@ def shapovalov(u: VermaVector, v: VermaVector) -> CPoly:
     Cross-level pairings vanish, so only matching levels contribute.
     """
     total = CZERO
-    for lam, co in u.terms.items():
+    for lam, co in u.polys().items():
         w = level_component(v, sum(lam))
         for p in lam:
             w = apply_mode(p, w)
@@ -162,13 +166,14 @@ def product_amplitude_by_chain(n_slit_exponent: int | None, order: int) -> Serie
     `n_slit_exponent=None` means the full boundary state."""
     n = slit_factor_count(order) if n_slit_exponent is None else n_slit_exponent
     v = slit_product(apply_mode, vacuum(order), order, n)
-    g = QGradedVector.from_verma(v, order // 2 + 1)
+    width = order // 2 + 1
+    g = v.qhat_tagged(width)
     for k, x in reversed(_slit_factors(n)):
-        g = exp_truncated(functools.partial(adjoint_mode, k), g, x,
+        g = exp_truncated(functools.partial(apply_mode, k), g, x,
                           g.max_level() // k).reduced()
-    rows = [[0] * g.width for _ in range(order + 1)]
+    rows = [[0] * width for _ in range(order + 1)]
     for t, num in g.terms.get((), {}).items():
-        level, e = divmod(t, g.width)
+        level, e = divmod(t, width)
         rows[level][e] = num
     # slot e holds the coefficient of h^e = c^e / 2^e
     return Series("qhat", tuple(CPoly(tuple(Fraction(num, g.den << e) for e, num in enumerate(row)))
@@ -177,7 +182,17 @@ def product_amplitude_by_chain(n_slit_exponent: int | None, order: int) -> Serie
 
 def restrict(v: VermaVector, cutoff: int) -> VermaVector:
     """The terms of v at level <= cutoff, as a vector truncated there."""
-    return VermaVector({lam: co for lam, co in v.terms.items() if sum(lam) <= cutoff}, cutoff)
+    return VermaVector({lam: s for lam, s in v.terms.items() if sum(lam) <= cutoff},
+                       cutoff, v.den)
+
+
+def verma(polys: dict, cutoff: int) -> VermaVector:
+    """The Verma vector with the CPoly (or rational) coefficients `polys`,
+    summed term by term through `add_scaled`."""
+    v = VermaVector({}, cutoff)
+    for lam, co in polys.items():
+        v = v.add_scaled(VermaVector({lam: {0: 1}}, cutoff), co)
+    return v
 
 
 def p2_closed_form(order: int) -> Series:

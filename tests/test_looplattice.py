@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from rectcft import looplattice
 from rectcft.looplattice import (DegenerateNormError, ShortfallError, _sector_states,
                                  dyck_words, enumerate_links, gram, gram_row, hamiltonian,
                                  link_basis, loop_fit_summary, overlap_table, parse_p,
@@ -605,9 +606,10 @@ def table_p3():
 
 
 class TestOverlapTableAndFits:
-    def test_summary_values(self, table_p3):
+    def test_summary_values(self, table_p3, monkeypatch):
         # small-window smoke check; the full N=8..24 run is in acceptance
-        s = loop_fit_summary(table_p3, drop_first_excited=1)
+        monkeypatch.setattr(looplattice, "DROP_FIRST_EXCITED", 1)
+        s = loop_fit_summary(table_p3)
         assert s["a1"] == pytest.approx(-0.0625, abs=5e-3)
         assert s["overlaps"][1]["value"] == pytest.approx(0.5, abs=2e-2)
         assert s["overlaps"][2]["max_abs_for_n_ge_10"] == 0.0

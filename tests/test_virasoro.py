@@ -6,13 +6,13 @@ import pytest
 
 from rectcft import virasoro
 from rectcft.series import C, CONE, CZERO, CPoly, cpoly, eta_inverse_power, partition_numbers
-from rectcft.virasoro import (GluingParams, VermaVector, act, adjoint_mode, apply_mode,
-                              boundary_state, finitized_state, gluing_residual,
-                              homogeneous_gluing, p_series, pk_conjecture_check,
-                              product_amplitude, vacuum, vacuum_functional)
+from rectcft.virasoro import (GluingParams, VermaVector, act, apply_mode, boundary_state,
+                              finitized_state, gluing_residual, homogeneous_gluing, p_series,
+                              pk_conjecture_check, product_amplitude, vacuum,
+                              vacuum_functional)
 from reference import (amplitude, max_level, p2_closed_form, partitions,
                        product_amplitude_by_chain, product_amplitude_by_level, restrict,
-                       shapovalov)
+                       shapovalov, verma)
 
 
 # ---------------------------------------------------------------- oracles
@@ -76,15 +76,30 @@ def expand_exponentials_oracle(factors, cutoff):
 class TestApplyMode:
     def test_l2_on_lm2(self):
         v = apply_mode(-2, vacuum(4))
-        assert apply_mode(2, v).terms == {(): C * F(1, 2)}
+        assert apply_mode(2, v).polys() == {(): C * F(1, 2)}
 
     def test_l0_is_level(self):
-        v = VermaVector({(4, 2, 2): CONE}, 8)
-        assert apply_mode(0, v).terms == {(4, 2, 2): cpoly(8)}
+        v = VermaVector({(4, 2, 2): {0: 1}}, 8)
+        assert apply_mode(0, v).polys() == {(4, 2, 2): cpoly(8)}
 
     def test_l2_on_lm2_squared(self):
-        v = VermaVector({(2, 2): CONE}, 4)
-        assert apply_mode(2, v).terms == {(2,): C + 8}
+        v = VermaVector({(2, 2): {0: 1}}, 4)
+        assert apply_mode(2, v).polys() == {(2,): C + 8}
+
+    def test_add_scaled_cpoly_scalar_against_word_oracle(self):
+        # (L_2 + s L_{-2}) L_{-2}|0> for s = c/3 - 1/2
+        s = C * F(1, 3) - F(1, 2)
+        v = apply_mode(-2, vacuum(4))
+        got = apply_mode(2, v).add_scaled(apply_mode(-2, v), s)
+        want = straighten((2, -2))
+        for lam, co in straighten((-2, -2)).items():
+            want[lam] = want.get(lam, CZERO) + co * s
+        assert got.polys() == want
+        assert got.coeff((2, 2)) == s and got.coeff(()) == C * F(1, 2)
+        # c^e = 2^e h^e: the slots hold degrees in h
+        got = got.add_scaled(vacuum(4), C * C)
+        assert got.coeff(()) == C * C + C * F(1, 2)
+        assert got.terms[()] == {1: 1 * got.den, 2: 4 * got.den}
 
     def test_annihilation_of_vacuum(self):
         for n in (-1, 0, 1, 3):
@@ -112,41 +127,41 @@ class TestApplyMode:
             got = vacuum(30)
             for n in reversed(word):
                 got = apply_mode(n, got)
-            assert got.terms == expect, word
+            assert got.polys() == expect, word
 
 
 # ---------------------------------------------------------------- shapovalov
 
 class TestShapovalov:
     def test_lm2_norm(self):
-        v = VermaVector({(2,): CONE}, 2)
+        v = VermaVector({(2,): {0: 1}}, 2)
         assert shapovalov(v, v) == C * F(1, 2)
 
     def test_lm2_power_formula(self):
         # <L_{-2}^k 0 | L_{-2}^k 0> = (k!/2^k) prod_{p<k} (8p + c)
         for k in range(7):
-            v = VermaVector({(2,) * k: CONE}, 2 * k)
+            v = VermaVector({(2,) * k: {0: 1}}, 2 * k)
             expect = cpoly(F(math.factorial(k), 2 ** k))
             for p in range(k):
                 expect = expect * (C + 8 * p)
             assert shapovalov(v, v) == expect
 
     def test_cross_level_vanishes(self):
-        u = VermaVector({(2,): CONE}, 4)
-        v = VermaVector({(4,): CONE, (2, 2): C}, 4)
+        u = verma({(2,): CONE}, 4)
+        v = verma({(4,): CONE, (2, 2): C}, 4)
         assert shapovalov(u, v).is_zero()
 
     def test_symmetry_random_level4(self):
         rng = random.Random(5)
         basis = [(4,), (2, 2)]
         for _ in range(10):
-            u = VermaVector({lam: cpoly(rng.randint(-3, 3)) for lam in basis}, 4)
-            v = VermaVector({lam: cpoly(rng.randint(-3, 3)) for lam in basis}, 4)
+            u = verma({lam: cpoly(rng.randint(-3, 3)) for lam in basis}, 4)
+            v = verma({lam: cpoly(rng.randint(-3, 3)) for lam in basis}, 4)
             assert shapovalov(u, v) == shapovalov(v, u)
 
     def test_level4_against_word_oracle(self):
         # <L_{-4} 0 | L_{-2}^2 0> via full normal ordering of L_4 L_{-2} L_{-2}
-        got = shapovalov(VermaVector({(4,): CONE}, 4), VermaVector({(2, 2): CONE}, 4))
+        got = shapovalov(VermaVector({(4,): {0: 1}}, 4), VermaVector({(2, 2): {0: 1}}, 4))
         expect = straighten((4, -2, -2)).get((), CZERO)
         # [L_4, L_{-2}] = 6 L_2 and <0|L_2 L_{-2}|0> = c/2, hence 3c
         assert got == expect == C * 3
@@ -157,64 +172,64 @@ class TestShapovalov:
 class TestBoundaryState:
     def test_level4_exact(self):
         b = boundary_state(4)
-        assert b.terms == {(): CONE, (2,): -CONE, (4,): cpoly(F(-1, 2)),
+        assert b.polys() == {(): CONE, (2,): -CONE, (4,): cpoly(F(-1, 2)),
                            (2, 2): cpoly(F(1, 2))}
 
     def test_level0(self):
-        assert boundary_state(0).terms == {(): CONE}
+        assert boundary_state(0).polys() == {(): CONE}
 
     def test_level6_against_expansion_oracle(self):
         expect = expand_exponentials_oracle([(2, F(-1)), (4, F(-1, 2))], 6)
-        assert boundary_state(6).terms == expect
+        assert boundary_state(6).polys() == expect
 
     def test_truncation_stability(self):
         b12 = boundary_state(12)
         for cut in (0, 2, 4, 7, 10):
-            assert restrict(b12, cut).terms == boundary_state(cut).terms
+            assert restrict(b12, cut).polys() == boundary_state(cut).polys()
 
     def test_finitized_n1(self):
         v = finitized_state(1, 4)
-        assert v.terms == {(): CONE, (2,): -CONE, (2, 2): cpoly(F(1, 2))}
+        assert v.polys() == {(): CONE, (2,): -CONE, (2, 2): cpoly(F(1, 2))}
 
     def test_finitized_n2_adds_lm4(self):
         v = finitized_state(2, 4)
         assert v.coeff((4,)) == cpoly(F(-1, 2))
 
     def test_finitized_saturates(self):
-        assert finitized_state(7, 10).terms == boundary_state(10).terms
+        assert finitized_state(7, 10).polys() == boundary_state(10).polys()
 
 
 class TestCutoff:
     """`apply_mode` drops terms above the cutoff where it makes them, so no
     vector re-checks its partitions: every vector it makes, and every
     state built from them, stays at level <= cutoff.  The adjoint pass of
-    `product_amplitude` keeps every slot it holds at a level <= the order
-    and a degree in h = c/2 <= level / 2, the bound its slot width rests on.  It
-    holds slots only from cutoff 4 on, where a factor e^{x L_4} runs; the
-    last factor, e^{-L_2}, holds none."""
+    `product_amplitude` runs its raising modes through the same
+    `apply_mode` on the qhat-tagged vector, and keeps every slot it holds
+    at a level <= the order and a degree in h = c/2 <= level / 2, the
+    bound its slot width (order // 2 + 1) rests on.  It holds slots only
+    from cutoff 4 on, where a factor e^{x L_4} runs; the last factor,
+    e^{-L_2}, holds none."""
 
     @pytest.mark.parametrize("cutoff", range(13))
     def test_max_level_within_cutoff(self, cutoff, monkeypatch):
-        made, slots = [], []
+        made, calls = [], []
 
         def checked(n, v):
             out = apply_mode(n, v)
             made.append(max_level(out) <= v.cutoff)
-            return out
-
-        def adjoint_checked(k, g):
-            out = adjoint_mode(k, g)
-            for vec in (g, out):
-                for lam, terms in vec.terms.items():
-                    slots.extend((sum(lam),) + divmod(t, vec.width) for t in terms)
+            calls.append((n, v, out))
             return out
 
         monkeypatch.setattr(virasoro, "apply_mode", checked)
-        monkeypatch.setattr(virasoro, "adjoint_mode", adjoint_checked)
         b = boundary_state(cutoff)
         states = [b] + [finitized_state(n, cutoff) for n in range(1, 4)]
         states += [gluing_residual(b, homogeneous_gluing(n)) for n in range(1, cutoff + 2)]
-        product_amplitude(None, cutoff)  # its raising modes pass through `adjoint_checked`
+        start = len(calls)
+        product_amplitude(None, cutoff)  # its raising modes act on the tagged vector
+        width = cutoff // 2 + 1
+        slots = [(sum(lam),) + divmod(t, width)
+                 for n, g, out in calls[start:] if n > 0
+                 for vec in (g, out) for lam, terms in vec.terms.items() for t in terms]
         assert made and all(made)
         assert all(max_level(v) <= cutoff for v in states)
         assert bool(slots) == (cutoff >= 4)
@@ -234,21 +249,21 @@ class TestGluing:
         g = homogeneous_gluing(1)
         assert (g.htilde_left + g.htilde_right * (-1)).is_zero()
         r = gluing_residual(boundary_state(6), g)
-        assert all(co.is_zero() for lam, co in r.terms.items() if sum(lam) <= 5)
+        assert all(co.is_zero() for lam, co in r.polys().items() if sum(lam) <= 5)
 
     def test_residuals_vanish(self):
         lam_cut = 12
         b = boundary_state(lam_cut)
         for n in range(1, 7):
             r = gluing_residual(b, homogeneous_gluing(n))
-            bad = {lam: co for lam, co in r.terms.items()
+            bad = {lam: co for lam, co in r.polys().items()
                    if sum(lam) <= lam_cut - n and not co.is_zero()}
             assert not bad, (n, bad)
 
     def test_inhomogeneous_params_change_residual(self):
         g = GluingParams(2, htilde_left=CZERO, htilde_right=CZERO)
         r = gluing_residual(boundary_state(8), g)
-        assert not all(co.is_zero() for lam, co in r.terms.items() if sum(lam) <= 6)
+        assert not all(co.is_zero() for lam, co in r.polys().items() if sum(lam) <= 6)
 
 
 # ---------------------------------------------------------------- amplitude
@@ -298,15 +313,28 @@ class TestAmplitude:
             assert got == want and repr(got) == repr(want), (n, order)
 
     def test_last_factor_runs_no_adjoint_mode(self, monkeypatch):
-        ks = []
+        # the adjoint of e^{-L_{-2}} is read through `vacuum_functional`:
+        # no apply_mode(2, .) runs, only the raising modes of the other factors
+        ns = []
 
-        def recorded(k, g):
-            ks.append(k)
-            return adjoint_mode(k, g)
+        def recorded(n, v):
+            ns.append(n)
+            return apply_mode(n, v)
 
-        monkeypatch.setattr(virasoro, "adjoint_mode", recorded)
+        monkeypatch.setattr(virasoro, "apply_mode", recorded)
         product_amplitude(None, 40)
-        assert set(ks) == {4, 8, 16, 32}
+        assert {n for n in ns if n > 0} == {4, 8, 16, 32}
+
+    def test_runs_no_cpoly_arithmetic(self, monkeypatch):
+        # the whole route runs on integers in h; CPolys are only built for the output
+        def refused(*args):
+            raise AssertionError("CPoly arithmetic inside product_amplitude")
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            monkeypatch.setattr(CPoly, name, refused)
+        amp = product_amplitude(None, 24)
+        monkeypatch.undo()
+        assert amp == eta_inverse_power(C * F(1, 2), "qhat", 24).series
 
     def test_covectors_are_shapovalov_entries(self):
         # phi(mu) = <0|L_2^j|mu> = <L_{-2}^j 0|mu>, on every partition with
@@ -319,8 +347,8 @@ class TestAmplitude:
             assert all(type(m) is int for m in phi) and phi[-1:] != (0,), lam
             assert len(phi) <= j + 1, lam  # one h per L_2
             got = CPoly(tuple(F(m, 2 ** e) for e, m in enumerate(phi)))
-            want = shapovalov(VermaVector({(2,) * j: CONE}, 2 * j),
-                              VermaVector({lam: CONE}, 2 * j))
+            want = shapovalov(VermaVector({(2,) * j: {0: 1}}, 2 * j),
+                              VermaVector({lam: {0: 1}}, 2 * j))
             assert got == want, lam
 
     def test_p_series_equals_level_by_level(self, monkeypatch):
