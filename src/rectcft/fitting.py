@@ -131,3 +131,15 @@ def extract_overlap(result: FitResult) -> float:
     proportionality constant alpha instead, since the ground-state overlap
     is 1 in the continuum normalization."""
     return float(np.exp(-result.coefficient("1")))
+
+
+def ground_state_fit(data) -> tuple[FitResult, dict]:
+    """The fit of the ground-state -log <B|0>_N to ABSOLUTE_BASIS, with its
+    summary block: a1 (the log N coefficient), the lattice constant alpha
+    (see `extract_overlap`) and their window spreads."""
+    gfit = fit(data, ABSOLUTE_BASIS)
+    alpha = extract_overlap(gfit)
+    return gfit, {"a1": gfit.coefficient("logN"),
+                  "a1_spread": gfit.window_spread["logN"],
+                  "alpha": alpha,
+                  "alpha_spread": alpha * np.expm1(gfit.window_spread["1"])}

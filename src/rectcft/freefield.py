@@ -8,9 +8,10 @@ antisymmetric quadratic form G, which is computed two independent ways
 
 Exact arithmetic runs on Python integers over one denominator: the
 bivariate series for G is dyadic and built as integers over one power of
-two, and the mode-word sums and amplitudes fold integer numerators over
-the least common denominator of their inputs.  Every result is returned
-in Fractions.
+two, and a free-field vector (`GradedVector`) holds integer numerators
+over one denominator, which the mode-word sums, `add_scaled` and the
+amplitudes fold directly.  Fractions are made only for output: a
+coefficient read through `coeff`, a G entry, an amplitude coefficient.
 
 Conventions.  Fermion basis states are psi_{-m1-1/2} ... psi_{-mk-1/2}|O>
 with m1 > m2 > ... (descending); reordering picks up the permutation sign.
@@ -30,8 +31,55 @@ from fractions import Fraction
 
 import numpy as np
 
-from .series import GradedVector, Series, exp_truncated
+from .series import Series, exp_truncated
 from .virasoro import slit_product
+
+
+class GradedVector:
+    """Finite combination of basis states, truncated at level `cutoff`.
+
+    `terms` maps a basis key (a tuple of mode labels) to a nonzero integer
+    numerator, all over the one positive denominator `den`.  A realization
+    subclasses this with the integer grade of a key (`grade`) and the grade
+    of one level (`grade_per_level`), and supplies its monomial action to
+    `mode_sum`.  Equality is by value, whatever the common factor."""
+
+    __slots__ = ("terms", "cutoff", "den")
+
+    def __init__(self, terms: dict, cutoff: int, den: int = 1):
+        self.terms, self.cutoff, self.den = terms, cutoff, den
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and self.terms.keys() == other.terms.keys()
+                and all(n * other.den == other.terms[key] * self.den
+                        for key, n in self.terms.items()))
+
+    def coeff(self, key) -> Fraction:
+        return Fraction(self.terms.get(tuple(key), 0), self.den)
+
+    def is_zero(self) -> bool:
+        return not any(self.terms.values())
+
+    def add_scaled(self, other, s):
+        """self + s * other for a rational s, over the lcm of the denominators."""
+        num, sden = s.numerator, s.denominator
+        den = math.lcm(self.den, sden * other.den)
+        f, num = den // self.den, num * (den // (sden * other.den))
+        acc = {key: n * f for key, n in self.terms.items()}
+        for key, n in other.terms.items():
+            acc[key] = acc.get(key, 0) + n * num
+        return _reduced(type(self), acc, max(self.cutoff, other.cutoff), den)
+
+
+def _reduced(cls, acc: dict, cutoff: int, den: int) -> GradedVector:
+    """cls(acc / den) with the zero numerators dropped and the gcd of the
+    rest and den taken out."""
+    if not all(acc.values()):
+        acc = {key: n for key, n in acc.items() if n}
+    g = math.gcd(den, *acc.values())
+    if g != 1:
+        acc = {key: n // g for key, n in acc.items()}
+    return cls(acc, cutoff, den // g)
 
 
 def mode_sum(act, words, v: GradedVector, keep) -> GradedVector:
@@ -48,15 +96,12 @@ def mode_sum(act, words, v: GradedVector, keep) -> GradedVector:
     with its annihilator (if any) first: then no partial product rises
     above both its start and its end.
 
-    The fold runs on integers: the coefficients of v are put over their
-    least common denominator once, the word weights over theirs, and each
-    result key is summed as an integer numerator, made a Fraction once at
-    the end."""
+    The fold runs on integers: the numerators of v times the word weights
+    over their least common denominator, the result over v.den times that
+    denominator, reduced once."""
     grade = v.grade
     top = math.floor(v.grade_per_level * keep)
-    den = math.lcm(*(co.denominator for co in v.terms.values()))
-    starts = [(key, co.numerator * (den // co.denominator), grade(key))
-              for key, co in v.terms.items()]
+    starts = [(key, co, grade(key)) for key, co in v.terms.items()]
     wden = math.lcm(*(w.denominator for w, _ in words))
     acc: dict = {}
     for w, word in words:
@@ -75,31 +120,29 @@ def mode_sum(act, words, v: GradedVector, keep) -> GradedVector:
                 f *= s
             else:
                 acc[key] = acc.get(key, 0) + co * w * f
-    den *= wden
-    return type(v)({key: Fraction(n, den) for key, n in acc.items() if n}, v.cutoff)
+    return _reduced(type(v), acc, v.cutoff, v.den * wden)
 
 
 def level_operator(v: GradedVector) -> GradedVector:
-    """L_0 of a free field: each term times its level (zero-point constants
-    dropped, prefactors are carried by the amplitudes)."""
-    level = v.level
-    return type(v)({key: co * level(key) for key, co in v.terms.items()}, v.cutoff)
+    """L_0 of a free field: each term times its level, that is its integer
+    grade over `grade_per_level` (zero-point constants dropped, prefactors
+    are carried by the amplitudes)."""
+    grade = v.grade
+    return type(v)({key: n * g for key, n in v.terms.items() if (g := grade(key))},
+                   v.cutoff, v.den * v.grade_per_level)
 
 
 def _amplitude(v: GradedVector, norm_sq, order: int) -> Series:
     """<v|qhat^{L_0}|v> over a basis orthogonal with <key|key> = norm_sq(key)
-    (an integer): co^2 * norm_sq binned by level in one pass, integer
-    levels <= order, as integer numerators over the square of the least
-    common denominator of the coefficients."""
+    (an integer): numerator^2 * norm_sq binned by level in one pass, integer
+    levels <= order, over den^2."""
     grade, per = v.grade, v.grade_per_level
-    den = math.lcm(*(co.denominator for co in v.terms.values()))
     bins = [0] * (order + 1)
-    for key, co in v.terms.items():
+    for key, n in v.terms.items():
         lev, rest = divmod(grade(key), per)
         if not rest and lev <= order:
-            n = co.numerator * (den // co.denominator)
             bins[lev] += n * n * norm_sq(key)
-    den *= den
+    den = v.den * v.den
     return Series("qhat", tuple(Fraction(n, den) for n in bins), order=order)
 
 
@@ -112,12 +155,13 @@ class BosonVector(GradedVector):
     """Combination of a_{-l1}...a_{-lk}|0> indexed by partitions (parts >= 1).
     The integer grade of a key (see `mode_sum`) is its level."""
 
+    __slots__ = ()
     grade = staticmethod(sum)
     grade_per_level = 1
 
 
 def boson_vacuum(cutoff: int) -> BosonVector:
-    return BosonVector({(): Fraction(1)}, cutoff)
+    return BosonVector({(): 1}, cutoff)
 
 
 def _boson_act(m: int, lam):
@@ -313,17 +357,13 @@ def g_from_amatrix(cutoff: int) -> np.ndarray:
     return 0.5 * (g - g.T)
 
 
-def fermion_level(modes) -> Fraction:
-    return sum(modes, 0) + Fraction(len(modes), 2)
-
-
 class FermionVector(GradedVector):
     """Combination of psi_{-m1-1/2}...psi_{-mk-1/2}|O> over strictly
     decreasing mode tuples; level = sum(m_i + 1/2).  The cutoff is an
     integer level (states used here have integer level).  The integer
     grade of a key (see `mode_sum`) is twice its level, 2 sum(m_i) + k."""
 
-    level = staticmethod(fermion_level)
+    __slots__ = ()
     grade_per_level = 2
 
     @staticmethod
@@ -332,7 +372,7 @@ class FermionVector(GradedVector):
 
 
 def fermion_vacuum(cutoff: int) -> FermionVector:
-    return FermionVector({(): Fraction(1)}, cutoff)
+    return FermionVector({(): 1}, cutoff)
 
 
 def _fermion_act(r2: int, modes):

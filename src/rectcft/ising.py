@@ -42,7 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from .fitting import (ABSOLUTE_BASIS, DROP_FIRST_EXCITED, RATIO_BASIS, FitError, extract_overlap,
-                      fit, points_needed)
+                      fit, ground_state_fit, points_needed)
 
 
 @dataclass
@@ -289,16 +289,9 @@ def ising_fit_summary(records) -> dict:
         by_k.setdefault(r.k, []).append(r)
     ground = sorted(by_k[0], key=lambda r: r.n_sites)
     gdata = [(r.n_sites, r.neg_log_overlap) for r in ground]
-    gfit = fit(gdata, ABSOLUTE_BASIS)
+    gfit, block = ground_state_fit(gdata)
     g_by_n = {r.n_sites: r.neg_log_overlap for r in ground}
-    summary = {
-        "a1": gfit.coefficient("logN"),
-        "a1_spread": gfit.window_spread["logN"],
-        "alpha": extract_overlap(gfit),
-        "alpha_spread": extract_overlap(gfit) * np.expm1(gfit.window_spread["1"]),
-        "ground_fit": gfit.to_json(),
-        "overlaps": {},
-    }
+    summary = {**block, "ground_fit": gfit.to_json(), "overlaps": {}}
     for k in sorted(by_k):
         if k == 0:
             continue

@@ -36,7 +36,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
-from .fitting import ABSOLUTE_BASIS, DROP_FIRST_EXCITED, RATIO_BASIS, FitError, extract_overlap, fit
+from .fitting import (DROP_FIRST_EXCITED, RATIO_BASIS, FitError, extract_overlap, fit,
+                      ground_state_fit)
 
 
 @dataclass(frozen=True)
@@ -485,11 +486,7 @@ def loop_fit_summary(records) -> dict:
         "overlaps": {},
     }
     try:
-        gfit = fit(gdata, ABSOLUTE_BASIS)
-        summary["a1"] = gfit.coefficient("logN")
-        summary["a1_spread"] = gfit.window_spread["logN"]
-        summary["alpha"] = extract_overlap(gfit)
-        summary["alpha_spread"] = summary["alpha"] * math.expm1(gfit.window_spread["1"])
+        summary.update(ground_state_fit(gdata)[1])
     except FitError as exc:
         summary["fit_error"] = str(exc)
     if 1 in by_k:

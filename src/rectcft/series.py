@@ -7,9 +7,10 @@ over one common denominator (`CPoly`), and series are dense coefficient
 lists over either ring, tagged by their expansion variable ('q' or 'qhat',
 the half-period nome).  Fractional symbolic prefactors such as q^{-c/48} are
 never folded into a series; they are carried separately as an exponent (see
-`EtaPower`).  The free fields' sparse graded vectors over Q
-(`GradedVector`) live here, and the truncated exponential
-(`exp_truncated`) that they and the Verma module share.
+`EtaPower`).  The truncated exponential (`exp_truncated`) that the Verma
+module and the free fields share lives here too; each brings its own
+vector type (integer numerators over one denominator), which only has to
+offer `is_zero` and `add_scaled`.
 """
 
 from __future__ import annotations
@@ -458,44 +459,7 @@ def eta_inverse_power(exponent, var: str, order: int) -> EtaPower:
 
 
 # ---------------------------------------------------------------------------
-# graded vectors
-
-
-@dataclass
-class GradedVector:
-    """Finite combination of basis states, truncated at level `cutoff`.
-
-    `terms` maps a basis key (a tuple of mode labels) to its rational
-    coefficient; zero coefficients are dropped on construction.  A
-    realization subclasses this with the level of a key (`level`), and
-    supplies its mode action separately.
-    """
-
-    terms: dict
-    cutoff: int
-
-    level = staticmethod(sum)
-
-    def __post_init__(self):
-        self.terms = {key: co for key, co in self.terms.items() if co}
-
-    def __eq__(self, other):
-        return isinstance(other, type(self)) and self.terms == other.terms
-
-    def coeff(self, key):
-        return self.terms.get(tuple(key), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add_scaled(self, other, s):
-        """self + s * other."""
-        out = dict(self.terms)
-        for key, co in other.terms.items():
-            v = co * s
-            acc = out.get(key)
-            out[key] = v if acc is None else acc + v
-        return type(self)(out, max(self.cutoff, other.cutoff))
+# exponential of an operator on a graded vector
 
 
 def exp_truncated(op, v, x, n_max: int):

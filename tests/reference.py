@@ -22,8 +22,9 @@
   Fractions, against which the dyadic integer recurrence of
   `freefield.g_series` is checked.
 - The partitions of n, and the level component and top level of a graded
-  vector, which only the references and the tests read.  And a Verma
-  vector built from CPoly coefficients.
+  vector, which only the references and the tests read.  A Verma vector
+  built from CPoly coefficients, a free-field vector built from rational
+  ones, and the level of a free-field key as a Fraction.
 - The Ising chain's 2^N brute-force diagonalization (N <= 12), the 2^N
   free-fermion spectrum it is compared with, and the orthogonality of the
   single-particle modes.  And the N x N mode-space route to the overlap
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -99,7 +101,8 @@ def level_component(v, n):
     if isinstance(v, VermaVector):
         return VermaVector({lam: s for lam, s in v.terms.items() if sum(lam) == n},
                            v.cutoff, v.den)
-    return type(v)({key: co for key, co in v.terms.items() if v.level(key) == n}, v.cutoff)
+    return type(v)({key: co for key, co in v.terms.items() if free_level(v, key) == n},
+                   v.cutoff, v.den)
 
 
 def max_level(v: VermaVector) -> int:
@@ -401,14 +404,37 @@ def link_sector_spectrum(n_sites: int, beta: float, count: int):
 # ------------------------------------------------------------ free fields
 
 
+def free_vector(cls, coefficients: dict, cutoff: int):
+    """A free-field vector of type cls from {key: rational coefficient}:
+    integer numerators over the lcm of the denominators, zeros dropped."""
+    fracs = {key: Fraction(co) for key, co in coefficients.items() if co}
+    den = math.lcm(*(co.denominator for co in fracs.values()))
+    return cls({key: co.numerator * (den // co.denominator) for key, co in fracs.items()},
+               cutoff, den)
+
+
+def coeffs(v) -> dict:
+    """{key: Fraction coefficient} of a free-field vector, read through `coeff`."""
+    return {key: v.coeff(key) for key in v.terms}
+
+
+def free_level(v, key) -> Fraction:
+    """The level of a basis key of the free-field vector v."""
+    return Fraction(v.grade(key), v.grade_per_level)
+
+
+def fermion_level(modes) -> Fraction:
+    """The level of psi_{-m1-1/2}...psi_{-mk-1/2}|O>, sum(m_i + 1/2)."""
+    return sum(modes, 0) + Fraction(len(modes), 2)
+
+
 def mode_sum(act, words, v, keep):
-    """`freefield.mode_sum` with every word acted on every key of v, each
-    final key then kept if its level is <= `keep`."""
-    level = v.level
+    """`freefield.mode_sum` in Fractions, with every word acted on every
+    key of v, each final key then kept if its level is <= `keep`."""
     acc: dict = {}
     for w, word in words:
-        for start, co in v.terms.items():
-            key, f = start, 1
+        for start in v.terms:
+            co, key, f = v.coeff(start), start, 1
             for j in reversed(word):
                 hit = act(j, key)
                 if hit is None:
@@ -416,19 +442,20 @@ def mode_sum(act, words, v, keep):
                 s, key = hit
                 f *= s
             else:
-                if level(key) <= keep:
+                if free_level(v, key) <= keep:
                     acc[key] = acc.get(key, 0) + co * w * f
-    return type(v)(acc, v.cutoff)
+    return free_vector(type(v), acc, v.cutoff)
 
 
 def free_amplitude(v, norm_sq, order: int) -> Series:
     """`freefield._amplitude` binned in Fractions."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for key, co in v.terms.items():
+    bins = [Fraction(0)] * (order + 1)
+    for key in v.terms:
         lev, rest = divmod(v.grade(key), v.grade_per_level)
         if not rest and lev <= order:
-            coeffs[lev] += co * co * norm_sq(key)
-    return Series("qhat", tuple(coeffs), order=order)
+            co = v.coeff(key)
+            bins[lev] += co * co * norm_sq(key)
+    return Series("qhat", tuple(bins), order=order)
 
 
 def sqrt_one_minus_sq(order: int) -> list[Fraction]:

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction as F
@@ -16,11 +17,12 @@ from rectcft.freefield import (BosonVector, FermionVector, boson_amplitude,
                                boson_mode, boson_norm_sq, boson_product_formula,
                                boson_vacuum, boson_virasoro, fermion_amplitude,
                                fermion_annihilation_check, fermion_boundary_state,
-                               fermion_level, fermion_mode,
+                               fermion_mode,
                                fermion_vacuum, fermion_virasoro, g_from_amatrix,
                                g_series, level_operator, mode_sum,
                                virasoro_product_state)
 from rectcft.series import eta_inverse_power
+from reference import coeffs, fermion_level, free_vector, level_component
 
 
 class Counting:
@@ -42,28 +44,28 @@ class Counting:
 
 def lifted_boson_virasoro(n, v):
     bound = v.cutoff + abs(n) + 1
-    lifted = BosonVector(dict(v.terms), v.cutoff + 2 * bound)
+    lifted = BosonVector(dict(v.terms), v.cutoff + 2 * bound, v.den)
     res = {}
     for m in range(-bound, bound + 1):
         if m == 0 or n - m == 0:
             continue
         w = boson_mode(n - m, boson_mode(m, lifted))
-        for lam, co in w.terms.items():
+        for lam, co in coeffs(w).items():
             if sum(lam) <= v.cutoff:
                 res[lam] = res.get(lam, F(0)) + co * F(1, 2)
-    return BosonVector(res, v.cutoff)
+    return free_vector(BosonVector, res, v.cutoff)
 
 
 def lifted_fermion_virasoro(n, v):
     bound = 2 * (v.cutoff + abs(n) + 2)
-    lifted = FermionVector(dict(v.terms), v.cutoff + bound)
+    lifted = FermionVector(dict(v.terms), v.cutoff + bound, v.den)
     res = {}
     for k2 in range(-bound + 1, bound, 2):
         w = fermion_mode(2 * n - k2, fermion_mode(k2, lifted))
-        for modes, co in w.terms.items():
+        for modes, co in coeffs(w).items():
             if fermion_level(modes) <= v.cutoff:
                 res[modes] = res.get(modes, F(0)) + co * F(k2, 4)
-    return FermionVector(res, v.cutoff)
+    return free_vector(FermionVector, res, v.cutoff)
 
 
 def random_vectors(cutoff, seed):
@@ -74,10 +76,115 @@ def random_vectors(cutoff, seed):
     fkeys = [t for r in range(cutoff + 1)
              for t in itertools.combinations(range(cutoff, -1, -1), r)
              if fermion_level(t) <= cutoff]
-    return (BosonVector({k: F(rng.randint(-3, 3), rng.randint(1, 3)) for k in bkeys},
-                        cutoff),
-            FermionVector({k: F(rng.randint(-3, 3), rng.randint(1, 3)) for k in fkeys},
-                          cutoff))
+    return (free_vector(BosonVector,
+                        {k: F(rng.randint(-3, 3), rng.randint(1, 3)) for k in bkeys}, cutoff),
+            free_vector(FermionVector,
+                        {k: F(rng.randint(-3, 3), rng.randint(1, 3)) for k in fkeys}, cutoff))
+
+
+# basis keys of each realization with their levels, all within cutoff 4
+REALIZATIONS = [
+    pytest.param(BosonVector, {(1,): 1, (2,): 2, (1, 1): 2, (3, 1): 4}, id="boson"),
+    pytest.param(FermionVector, {(0,): F(1, 2), (1,): F(3, 2), (1, 0): 2, (2,): F(5, 2),
+                                 (3, 0): 4}, id="fermion"),
+]
+
+
+@pytest.mark.parametrize("cls, levels", REALIZATIONS)
+class TestGradedVector:
+    def test_cancelling_add_scaled_leaves_no_zero(self, cls, levels):
+        first, second = list(levels)[:2]
+        v = free_vector(cls, {first: F(1, 3), second: 1}, 4)
+        w = v.add_scaled(cls({first: 1}, 4), F(-1, 3))
+        assert coeffs(w) == {second: 1}
+        assert all(co != 0 for co in w.terms.values())
+        zero = w.add_scaled(w, -1)
+        assert coeffs(zero) == {} and zero.is_zero()
+        assert cls({first: 0}, 4).is_zero()
+
+    def test_coeff_of_missing_key_is_zero(self, cls, levels):
+        first, second = list(levels)[:2]
+        v = cls({first: 2}, 4)
+        assert v.coeff(second) == 0
+        assert v.coeff(first) == 2
+        assert cls({}, 4).coeff(()) == 0
+
+    def test_level_component(self, cls, levels):
+        v = cls(dict.fromkeys(levels, 1), 4)
+        for lev in set(levels.values()) | {0, 1, 3, F(7, 2)}:
+            want = {key for key, kl in levels.items() if kl == lev}
+            comp = level_component(v, lev)
+            assert type(comp) is cls
+            assert set(comp.terms) == want
+
+
+def assert_integer_format(v, reduced=True):
+    """Nonzero int numerators over one positive int denominator, and with
+    `reduced` no common factor left."""
+    assert type(v.den) is int and v.den > 0
+    assert all(type(n) is int and n for n in v.terms.values())
+    if reduced:
+        assert math.gcd(v.den, *v.terms.values()) == 1
+
+
+class TestIntegerFormat:
+    """Every free-field operation returns integer numerators over one
+    denominator; `mode_sum` and `add_scaled` take the common factor out."""
+
+    WORDS = {"boson": [(F(1, 2), (-1, -1)), (F(2, 3), (1,)), (3, (-2,)), (F(-5, 6), (2, -1))],
+             "fermion": [(F(1, 2), (-1, -3)), (F(2, 3), (1,)), (3, (-5,)), (F(-5, 6), (3, -1))]}
+
+    def test_mode_sum_and_add_scaled_are_reduced(self):
+        for seed in range(3):
+            for v, act, field in zip(random_vectors(5, seed),
+                                     (freefield._boson_act, freefield._fermion_act),
+                                     ("boson", "fermion")):
+                out = mode_sum(act, self.WORDS[field], v, 5)
+                assert_integer_format(out)
+                assert not out.is_zero()
+                for s in (1, -2, F(3, 4), F(-7, 6)):
+                    assert_integer_format(v.add_scaled(out, s))
+                    assert_integer_format(out.add_scaled(v, s))
+                zero = out.add_scaled(out, -1)
+                assert_integer_format(zero)
+                assert (zero.terms, zero.den) == ({}, 1)
+
+    def test_level_operator(self):
+        for v in random_vectors(5, 1):
+            out = level_operator(v)
+            assert_integer_format(out, reduced=False)
+            assert () not in out.terms
+        # half-integer levels: psi_{-3/2}|O> at level 3/2, psi_{-1/2}|O> at 1/2
+        v = FermionVector({(1,): 1, (0,): 3}, 4)
+        out = level_operator(v)
+        assert_integer_format(out, reduced=False)
+        assert coeffs(out) == {(1,): F(3, 2), (0,): F(3, 2)}
+
+    def test_boundary_states(self):
+        assert_integer_format(boson_boundary_state(12))
+        assert_integer_format(fermion_boundary_state(10, g_series(10)))
+
+    def test_equality_is_by_value(self):
+        assert BosonVector({(1,): 2}, 4, 4) == BosonVector({(1,): 1}, 4, 2)
+        assert BosonVector({(1,): 2}, 4, 4) != BosonVector({(1,): 1}, 4, 4)
+        assert BosonVector({(1,): 1, (2,): 1}, 4, 2) != BosonVector({(1,): 1}, 4, 2)
+        assert FermionVector({(1,): 1}, 4, 2) != BosonVector({(1,): 1}, 4, 2)
+        # L_0 leaves psi_{-3/2} psi_{-1/2}|O> (level 2) as 4/2, not reduced
+        out = level_operator(FermionVector({(1, 0): 1}, 4))
+        assert (out.terms, out.den) == ({(1, 0): 4}, 2)
+        assert out == FermionVector({(1, 0): 2}, 4)
+
+    def test_fold_builds_no_fraction(self, monkeypatch):
+        vb, vf = random_vectors(5, 2)
+
+        def forbidden(*args):
+            raise AssertionError("Fraction built on the fold path")
+
+        monkeypatch.setattr(freefield, "Fraction", forbidden)
+        mode_sum(freefield._boson_act, self.WORDS["boson"], vb, 5)
+        mode_sum(freefield._fermion_act, self.WORDS["fermion"], vf, F(9, 2))
+        vb.add_scaled(vb, F(-1, 3))
+        level_operator(vf)
 
 
 class TestModeSum:
@@ -97,30 +204,30 @@ class TestModeSum:
         act = freefield._boson_act
         words = [(1, (1, -1)), (3, (-3,))]
         # a_1 a_{-1}|0> = |0> (a_{-1} a_1|0> would be 0), plus 3 a_{-3}|0>
-        assert mode_sum(act, words, boson_vacuum(6), 6).terms == {(): 1, (3,): 3}
-        assert mode_sum(act, words, boson_vacuum(6), 2).terms == {(): 1}
+        assert coeffs(mode_sum(act, words, boson_vacuum(6), 6)) == {(): 1, (3,): 3}
+        assert coeffs(mode_sum(act, words, boson_vacuum(6), 2)) == {(): 1}
 
     def test_word_stops_at_first_zero(self):
         count = Counting(freefield._boson_act)
         out = mode_sum(count, [(1, (-1, 2)), (F(1, 2), (-1, -1))], boson_vacuum(4), 4)
         assert count.calls == 1 + 2  # a_2|0> = 0 ends the first word
-        assert out.terms == {(1, 1): F(1, 2)}
+        assert coeffs(out) == {(1, 1): F(1, 2)}
 
     def test_word_stops_per_key(self):
         # a_{-1} a_2 on |0> + a_{-2}|0>: the vacuum stops after one step
         count = Counting(freefield._boson_act)
-        v = BosonVector({(): F(1), (2,): F(3)}, 4)
+        v = free_vector(BosonVector, {(): F(1), (2,): F(3)}, 4)
         out = mode_sum(count, [(1, (-1, 2))], v, 4)
         assert count.calls == 1 + 2
-        assert out.terms == {(1,): F(6)}
+        assert coeffs(out) == {(1,): F(6)}
 
     def test_odd_r2_only(self):
         with pytest.raises(ValueError):
             fermion_mode(2, fermion_vacuum(4))
 
     def test_level_operator(self):
-        v = FermionVector({(): F(2), (1, 0): F(1), (2,): F(3)}, 4)
-        assert level_operator(v).terms == {(1, 0): F(2), (2,): F(15, 2)}
+        v = free_vector(FermionVector, {(): F(2), (1, 0): F(1), (2,): F(3)}, 4)
+        assert coeffs(level_operator(v)) == {(1, 0): F(2), (2,): F(15, 2)}
 
 
 def mode_words(creators, annihilators, rng):
@@ -144,8 +251,8 @@ class TestModeSumAgainstReference:
     def check(act, words, v, keep):
         new, ref = Counting(act), Counting(act)
         out = mode_sum(new, words, v, keep)
-        assert list(out.terms.items()) == list(
-            reference.mode_sum(ref, words, v, keep).terms.items()), keep
+        assert list(coeffs(out).items()) == list(
+            coeffs(reference.mode_sum(ref, words, v, keep)).items()), keep
         assert new.calls <= ref.calls
         return new.calls, ref.calls
 
@@ -183,7 +290,7 @@ class TestModeSumAgainstReference:
         words = [(1, (1, -1)), (2, (-2,)), (-1, (1,)), (1, (-1, -1))]
         self.check(freefield._boson_act, words, v, 6)
         out = mode_sum(freefield._boson_act, words, v, 6)
-        assert out.terms and all(type(co) is F for co in out.terms.values())
+        assert out.terms and all(type(co) is F for co in coeffs(out).values())
 
     def test_mixed_int_and_fraction_weights(self):
         vb, vf = random_vectors(4, 1)
@@ -269,7 +376,7 @@ def test_freefield_workload_series_match_benchmark_digest(monkeypatch):
 class TestBosonState:
     def test_level2(self):
         b = boson_boundary_state(2)
-        assert b.terms == {(): F(1), (1, 1): F(-1, 2)}
+        assert coeffs(b) == {(): F(1), (1, 1): F(-1, 2)}
 
     def test_level4_direct_expansion(self):
         # exp(-a_{-1}^2/2 - a_{-2}^2/4)|0> at level 4:
@@ -296,27 +403,27 @@ class TestBosonState:
         lhs = boson_mode(p, boson_mode(p, b))
         rhs = boson_mode(-p, boson_mode(-p, b)).add_scaled(b, F(-p))
         keep = b.cutoff - 2 * p
-        lhs_t = {k: v for k, v in lhs.terms.items() if sum(k) <= keep}
-        rhs_t = {k: v for k, v in rhs.terms.items() if sum(k) <= keep}
+        lhs_t = {k: v for k, v in coeffs(lhs).items() if sum(k) <= keep}
+        rhs_t = {k: v for k, v in coeffs(rhs).items() if sum(k) <= keep}
         assert lhs_t == rhs_t
 
 
 class TestBosonVirasoro:
     def test_l0(self):
-        v = BosonVector({(3,): F(1)}, 4)
-        assert boson_virasoro(0, v).terms == {(3,): F(3)}
+        v = free_vector(BosonVector, {(3,): F(1)}, 4)
+        assert coeffs(boson_virasoro(0, v)) == {(3,): F(3)}
 
     def test_l2_on_a1a1(self):
-        v = BosonVector({(1, 1): F(1)}, 4)
+        v = free_vector(BosonVector, {(1, 1): F(1)}, 4)
         out = boson_virasoro(2, v)
-        assert out.terms == {(): F(1)}  # = c/2 at c = 1
+        assert coeffs(out) == {(): F(1)}  # = c/2 at c = 1
 
     def test_algebra_on_random_vectors(self):
         rng = random.Random(3)
         cutoff = 8
         for _ in range(5):
             lams = [(), (1,), (2, 1), (3,), (2, 2)]
-            v = BosonVector({lam: F(rng.randint(-3, 3)) for lam in lams}, cutoff)
+            v = free_vector(BosonVector, {lam: F(rng.randint(-3, 3)) for lam in lams}, cutoff)
             for m in (-2, -1, 1, 2, 3):
                 for n in (-3, -1, 1, 2):
                     if m == -n:
@@ -325,8 +432,8 @@ class TestBosonVirasoro:
                         boson_virasoro(n, boson_virasoro(m, v)), F(-1))
                     rhs = boson_virasoro(m + n, v)
                     keep = cutoff - max(0, -(m + n)) - max(abs(m), abs(n))
-                    lt = {k: c for k, c in lhs.terms.items() if sum(k) <= keep}
-                    rt = {k: c for k, c in rhs.terms.items() if sum(k) <= keep}
+                    lt = {k: c for k, c in coeffs(lhs).items() if sum(k) <= keep}
+                    rt = {k: c for k, c in coeffs(rhs).items() if sum(k) <= keep}
                     rt = {k: c * (m - n) for k, c in rt.items() if c}
                     assert lt == {k: c for k, c in rt.items() if c}, (m, n)
 
@@ -427,7 +534,7 @@ class TestGSeries:
 class TestFermionState:
     def test_level0(self):
         b = fermion_boundary_state(0, g_series(1))
-        assert b.terms == {(): F(1)}
+        assert coeffs(b) == {(): F(1)}
 
     def test_level2_matches_g01(self):
         b = fermion_boundary_state(2, g_series(2))
@@ -458,13 +565,13 @@ class TestFermionState:
 
 class TestFermionVirasoro:
     def test_l0_eigenvalue(self):
-        v = FermionVector({(1, 0): F(1)}, 4)
-        assert fermion_virasoro(0, v).terms == {(1, 0): F(2)}
+        v = free_vector(FermionVector, {(1, 0): F(1)}, 4)
+        assert coeffs(fermion_virasoro(0, v)) == {(1, 0): F(2)}
 
     def test_shapovalov_quarter(self):
         # <L_{-2} O | L_{-2} O> = c/2 = 1/4 at c = 1/2
         v = fermion_virasoro(-2, fermion_vacuum(4))
-        assert v.terms == {(1, 0): F(1, 2)}
+        assert coeffs(v) == {(1, 0): F(1, 2)}
         w = fermion_virasoro(2, v)
         assert w.coeff(()) == F(1, 4)
 
@@ -473,7 +580,7 @@ class TestFermionVirasoro:
         cutoff = 7
         basis = [(), (1, 0), (2, 1), (3, 0), (2, 0), (1,)]
         for _ in range(4):
-            v = FermionVector({b: F(rng.randint(-2, 2)) for b in basis}, cutoff)
+            v = free_vector(FermionVector, {b: F(rng.randint(-2, 2)) for b in basis}, cutoff)
             for m in (-3, -2, -1, 1, 2, 3):
                 for n in (-2, 1, 3):
                     if m == -n:
@@ -482,8 +589,8 @@ class TestFermionVirasoro:
                         fermion_virasoro(n, fermion_virasoro(m, v)), F(-1))
                     rhs = fermion_virasoro(m + n, v)
                     keep = cutoff - max(0, -(m + n)) - max(abs(m), abs(n))
-                    lt = {k: c for k, c in lhs.terms.items() if fermion_level(k) <= keep}
-                    rt = {k: c * (m - n) for k, c in rhs.terms.items()
+                    lt = {k: c for k, c in coeffs(lhs).items() if fermion_level(k) <= keep}
+                    rt = {k: c * (m - n) for k, c in coeffs(rhs).items()
                           if fermion_level(k) <= keep}
                     assert lt == {k: c for k, c in rt.items() if c}, (m, n)
 
