@@ -18,7 +18,9 @@ beta^{N/2}, so <B|k> = beta^{-N/4} |u_k[B]| for a unit eigenvector u_k.
 The reflection x -> N-1-x (the bit-reversed complement of a word) commutes
 with H and fixes B, so every solve runs in the even sector, (s + Rs)/sqrt(2)
 per pair and the fixed s, and the odd one, (s - Rs)/sqrt(2): `eigsh` where
-its Lanczos space fits, dense `eigh` otherwise.  Their states are merged in
+its Lanczos space fits, dense `eigh` otherwise.  Both sectors' CSR arrays
+are assembled one block of columns at a time, from one generator pass per
+block, so the build holds little more than its output.  Their states are merged in
 energy order, even first inside a degenerate cluster, which is rotated so
 that B couples only to its first member.  An odd state's overlap is a
 structural 0.0.  The link basis and its Gram form stay for the checks of
@@ -284,6 +286,9 @@ def rsos_hamiltonian(basis: RSOSBasis) -> sp.csr_matrix:
     return -sp.coo_matrix((values, (rows, cols)), shape=(d, d)).tocsr()
 
 
+_BLOCK = 1 << 10  # even columns per block of `reflection_sectors`
+
+
 def reflection_sectors(basis: RSOSBasis) -> dict:
     """H on the sector of each parity (+1 even, -1 odd), as {parity: (op,
     reps)}: the sector's coordinate j is the unit vector (s + parity*Rs)/sqrt(2)
@@ -291,24 +296,61 @@ def reflection_sectors(basis: RSOSBasis) -> dict:
     entry H[m, t] at t in reps adds to m's orbit, times the parity when
     m > Rm and sqrt(|orbit of t| / |orbit of m|); an off-diagonal sector
     entry is one or two such terms, so the sector is exactly symmetric too.
-    One generator pass over the even columns serves both sectors: the odd
-    columns are the same less the fixed rows, in the same order."""
+
+    The even columns are walked in blocks of _BLOCK, one generator pass per
+    block serving both sectors: the odd columns are the same less the fixed
+    rows, in the same order.  A block's entries go to sector coordinates
+    with H's minus sign, the duplicates in each column are summed in
+    generator order, and its columns are appended to each sector's arrays.
+    A sector is symmetric, so its columns are its rows: those arrays are its
+    CSR, the same for every block size, and the transient memory is one
+    block's."""
     mirror = basis.reflection
     rows = np.arange(len(mirror))
     size = np.where(rows == mirror, 1.0, 2.0)
-    to, col, value = rsos_generators(basis, np.flatnonzero(rows <= mirror))[1:]
-    sectors = {}
+    even = np.flatnonzero(rows <= mirror)
+    parts = {}
     for parity in (1, -1):
-        reps = np.flatnonzero(rows <= mirror if parity > 0 else rows < mirror)
+        reps = even if parity > 0 else np.flatnonzero(rows < mirror)
         coord = np.full(len(mirror), -1)
         coord[reps] = coord[mirror[reps]] = np.arange(len(reps))
-        if parity < 0:  # the odd sector has no fixed row or column
-            hit = (coord[col] >= 0) & (coord[to] >= 0)
-            to, col, value = to[hit], col[hit], value[hit]
-        weight = value * np.where(to > mirror[to], parity, 1) * np.sqrt(size[col] / size[to])
-        sectors[parity] = (-sp.coo_matrix((weight, (coord[to], coord[col])),
-                                          shape=(len(reps),) * 2).tocsr(), reps)
+        parts[parity] = (reps, coord, [], [], [])
+    for start in range(0, len(even), _BLOCK):
+        block = even[start:start + _BLOCK]
+        to, col, value = rsos_generators(basis, block)[1:]
+        value = -value * np.sqrt(size[col] / size[to])
+        for parity, (reps, coord, data, indices, counts) in parts.items():
+            row, column, weight = coord[to], coord[col], value
+            if parity < 0:  # the odd sector has no fixed row or column
+                hit = (row >= 0) & (column >= 0)
+                row, column = row[hit], column[hit]
+                weight = np.where(to > mirror[to], -value, value)[hit]
+            # sorted by column, then row; a stable sort keeps each column's
+            # generator order, in which its duplicates are summed
+            key = column * len(reps) + row
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            new = np.diff(key, prepend=-1) != 0
+            data.append(np.bincount(np.cumsum(new) - 1, weights=weight[order]))
+            key = key[new]
+            indices.append((key % len(reps)).astype(np.int32))
+            # the block's sector columns are reps[lo:hi]
+            lo, hi = np.searchsorted(reps, block[0]), np.searchsorted(reps, block[-1], "right")
+            counts.append(np.bincount(key // len(reps) - lo, minlength=hi - lo))
+    sectors = {}
+    for parity, (reps, _, data, indices, counts) in parts.items():
+        indptr = np.zeros(len(reps) + 1, dtype=np.int32)
+        np.cumsum(_joined(counts), out=indptr[1:])
+        sectors[parity] = (sp.csr_matrix((_joined(data), _joined(indices), indptr),
+                                         shape=(len(reps),) * 2), reps)
     return sectors
+
+
+def _joined(pieces: list) -> np.ndarray:
+    """The pieces as one array; the list is emptied, so that they are freed."""
+    out = np.concatenate(pieces)
+    pieces.clear()
+    return out
 
 
 class DegenerateNormError(ArithmeticError):
@@ -349,7 +391,8 @@ def _sector_states(basis, beta, parity, sector, k):
     when k is None or 5k does not fit inside the sector.  A degenerate
     cluster is rotated so that B couples only to its first member, whatever
     basis the solver returned; a state whose eigen-residual exceeds
-    1e-8 * max(1, |E|) raises."""
+    1e-8 * max(1, |E|) raises.  A state's vector is in sector coordinates,
+    with y[B] >= 0: `_embed` takes it to the height basis."""
     op, reps = sector
     n_sites, dim = basis.heights.shape[1] - 1, len(reps)
     if dim == 0:  # N = 2, 4: every state is its own mirror image
@@ -369,8 +412,6 @@ def _sector_states(basis, beta, parity, sector, k):
         stop, top = dim, math.inf
     # B is a fixed row: a coordinate of the even sector, with no odd part
     at = int(np.searchsorted(reps, basis.boundary)) if parity > 0 else None
-    mirror = basis.reflection[reps]
-    norm = np.sqrt(np.where(reps == mirror, 1.0, 2.0))
     out = []
     for i, j in eigenvalue_clusters(energies[:stop]):
         y = vectors[:, i:j]
@@ -384,12 +425,20 @@ def _sector_states(basis, beta, parity, sector, k):
                                       f"N={n_sites}: a degenerate cluster mixes eigenvalues")
         for t in range(y.shape[1]):
             sign = -1.0 if at is not None and y[at, t] < 0 else 1.0
-            u = np.zeros(len(basis.words))
-            u[mirror] = parity * sign * y[:, t] / norm
-            u[reps] = sign * y[:, t] / norm
             ovl = 0.0 if at is None else beta ** (-n_sites / 4) * abs(float(y[at, t]))
-            out.append(SpectrumEntry(0, energy, u, ovl, parity))
+            out.append(SpectrumEntry(0, energy, sign * y[:, t], ovl, parity))
     return out, top
+
+
+def _embed(basis, reps, parity, y) -> np.ndarray:
+    """The height-basis vector of sector coordinates y: y_j / sqrt(|orbit|)
+    at reps[j] and the parity times that at its mirror image."""
+    mirror = basis.reflection[reps]
+    y = y / np.sqrt(np.where(reps == mirror, 1.0, 2.0))
+    u = np.zeros(len(basis.words))
+    u[mirror] = parity * y
+    u[reps] = y
+    return u
 
 
 def _spectrum(n_sites, beta, count, k) -> list[SpectrumEntry]:
@@ -422,9 +471,11 @@ def _spectrum(n_sites, beta, count, k) -> list[SpectrumEntry]:
     if len(out) <= count:
         raise ShortfallError(f"only {len(out)} of the {count + 1} requested "
                              f"physical states exist at N={n_sites}")
+    out = out[:count + 1]
     for label, state in enumerate(out):
         state.k = label
-    return out[:count + 1]
+        state.vector = _embed(basis, sectors[state.parity][1], state.parity, state.vector)
+    return out
 
 
 def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import cmath
 
-import mpmath as mp
-
 
 class BranchCutError(ValueError):
     """Evaluation point too close to the slits for principal branches."""
@@ -66,7 +64,11 @@ def asymptotic_decay_slope(n: int) -> float:
 
     Uses extended precision internally (the N=4 correction is ~|z|^-31,
     far below double noise at usable radii).  Expected slope: 1 - 2^(N+1).
+    mpmath is imported here, its only use, so that importing rectcft does
+    not load it.
     """
+    import mpmath as mp
+
     with mp.workdps(60):
         pts = []
         for r in [6.0 * 10 ** (0.06 * k) for k in range(6)]:

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -217,6 +219,15 @@ def test_symbolic_workload_outputs_match_benchmark_digests(capsys, tmp_path):
         code, _, _ = run(capsys, *argv, "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[name], name
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # only slitmaps.asymptotic_decay_slope needs mpmath, and it imports it
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, rectcft.cli; print('mpmath' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert done.stdout == "False\n"
 
 
 def test_readme_examples_parse():
