@@ -1,7 +1,9 @@
 """Free-boson and NS-Majorana realizations of the rectangle boundary state.
 
 Boson: oscillators [a_m, a_n] = m delta_{m+n,0}, a_0 = 0 on the sector used
-here; coherent state exp(-sum a_{-n}^2 / 2n)|0>.  Fermion: NS modes
+here; coherent state exp(-sum a_{-n}^2 / 2n)|0>, built as the product over
+the commuting modes, prod_n sum_k (-1/2n)^k / k! a_{-n}^{2k}|0>, each term
+written down directly rather than exponentiated.  Fermion: NS modes
 {psi_r, psi_s} = delta_{r+s,0}, r in Z+1/2; coherent state built from the
 antisymmetric quadratic form G, which is computed two independent ways
 (exact bivariate series, truncated A-matrix inversion).
@@ -181,12 +183,26 @@ def boson_mode(m: int, v: BosonVector) -> BosonVector:
 
 
 def boson_boundary_state(cutoff: int) -> BosonVector:
-    """exp(-sum_{n>0} a_{-n}^2 / 2n)|0>, truncated at `cutoff`."""
-    words = [(Fraction(-1, 2 * n), (-n, -n)) for n in range(1, cutoff // 2 + 1)]
-    # the form raises the level by at least 2, so a zero term ends the sum
-    # before the cap of `cutoff` applications
-    return exp_truncated(lambda term: mode_sum(_boson_act, words, term, cutoff),
-                         boson_vacuum(cutoff), 1, cutoff)
+    """exp(-sum_{n>0} a_{-n}^2 / 2n)|0>, truncated at `cutoff`.
+
+    The modes commute, so the exponential is the product over n of
+    sum_k (-1/2n)^k / k! a_{-n}^{2k}|0>, written down term by term: the
+    key holding each part n with multiplicity 2 k_n has coefficient 1/d,
+    d = prod_n (-2n)^{k_n} k_n!.  The parts are taken largest first, so
+    each key is built as a descending tuple, and the signed d is carried
+    as an integer; the terms go over the lcm of the |d|."""
+    terms = [((), 1, 0)]  # (key, signed d, level)
+    for n in range(cutoff // 2, 0, -1):
+        ext = []
+        for key, d, lev in terms:
+            k = 0
+            while lev <= cutoff:
+                ext.append((key, d, lev))
+                k += 1
+                key, d, lev = key + (n, n), d * -2 * n * k, lev + 2 * n
+        terms = ext
+    den = math.lcm(*(abs(d) for _, d, _ in terms))
+    return _reduced(BosonVector, {key: den // d for key, d, _ in terms}, cutoff, den)
 
 
 def boson_gluing_check(v: BosonVector, m: int) -> BosonVector:

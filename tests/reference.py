@@ -20,7 +20,9 @@
   integer numerators) is checked.  The free-field amplitude binned in
   Fractions.  And the O(cutoff^3) route to the Majorana table G_mn in
   Fractions, against which the dyadic integer recurrence of
-  `freefield.g_series` is checked.
+  `freefield.g_series` is checked.  The boson coherent state by
+  exponentiating its mode sum through `exp_truncated`, against which the
+  product form of `freefield.boson_boundary_state` is checked.
 - The partitions of n, and the level component and top level of a graded
   vector, which only the references and the tests read.  A Verma vector
   built from CPoly coefficients, a free-field vector built from rational
@@ -43,6 +45,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from rectcft import freefield
 from rectcft.freefield import GMatrix
 from rectcft.ising import FreeFermionSolution, _mode_angles
 from rectcft.looplattice import (DegenerateNormError, SpectrumEntry, eigenvalue_clusters,
@@ -445,6 +448,20 @@ def mode_sum(act, words, v, keep):
                 if free_level(v, key) <= keep:
                     acc[key] = acc.get(key, 0) + co * w * f
     return free_vector(type(v), acc, v.cutoff)
+
+
+def boson_boundary_state(cutoff: int):
+    """`freefield.boson_boundary_state` by exponentiating the mode sum:
+    exp(-sum_{n>0} a_{-n}^2 / 2n)|0> through `exp_truncated`, each step one
+    `freefield.mode_sum` of the words (-1/2n, (-n, -n)) over the last term.
+    The action is read from the module at call time, so a wrapped
+    `freefield._boson_act` counts its calls."""
+    words = [(Fraction(-1, 2 * n), (-n, -n)) for n in range(1, cutoff // 2 + 1)]
+    # the form raises the level by at least 2, so a zero term ends the sum
+    # before the cap of `cutoff` applications
+    return exp_truncated(
+        lambda term: freefield.mode_sum(freefield._boson_act, words, term, cutoff),
+        freefield.boson_vacuum(cutoff), 1, cutoff)
 
 
 def free_amplitude(v, norm_sq, order: int) -> Series:

@@ -199,6 +199,8 @@ class TestExactBytes:
          "95078ffd041650fb7c2361686555f0a50666fe8d8da33d3913e0b034b31f6f86"),
         (("majorana", "--amplitude-order", "10", "--format", "plain"),
          "b8ff0453f0634b322534a74172bc0a3a84f098f6e09ce1c8a8e72ecd7fb222ab"),
+        (("boson", "--amplitude-order", "60"),
+         "3c653fe55c4eb5cf7029af55c31d015d27107e3c102194764fb3d13cb9f82aca"),
     ])
     def test_output_digest(self, capsys, tmp_path, argv, digest):
         out = tmp_path / "out"

@@ -300,13 +300,16 @@ class TestModeSumAgainstReference:
         self.check(freefield._fermion_act, words, vf, 4)
 
     def test_mode_calls_of_coherent_states(self, monkeypatch):
+        # the boson half runs the exp route of tests/reference.py, which
+        # folds its mode sum through `mode_sum` like the fermion state
         g = g_series(20)
-        bref, fref = boson_boundary_state(24), fermion_boundary_state(20, g)
+        bref, fref = reference.boson_boundary_state(24), fermion_boundary_state(20, g)
         boson = Counting(freefield._boson_act)
         fermion = Counting(freefield._fermion_act)
         monkeypatch.setattr(freefield, "_boson_act", boson)
         monkeypatch.setattr(freefield, "_fermion_act", fermion)
-        bstate, fstate = boson_boundary_state(24), fermion_boundary_state(20, g)
+        bstate = reference.boson_boundary_state(24)
+        fstate = fermion_boundary_state(20, g)
         monkeypatch.undo()
         # acting every (word, key) pair made 6528 and 14310 calls
         assert (boson.calls, fermion.calls) == (1236, 1363)
@@ -374,6 +377,12 @@ def test_freefield_workload_series_match_benchmark_digest(monkeypatch):
 # ------------------------------------------------------------------- boson
 
 class TestBosonState:
+    @pytest.mark.parametrize("cutoff", [*range(31), 48])
+    def test_product_form_matches_exp_route(self, cutoff):
+        b, ref = boson_boundary_state(cutoff), reference.boson_boundary_state(cutoff)
+        assert b.terms == ref.terms
+        assert (b.den, b.cutoff) == (ref.den, ref.cutoff)
+
     def test_level2(self):
         b = boson_boundary_state(2)
         assert coeffs(b) == {(): F(1), (1, 1): F(-1, 2)}

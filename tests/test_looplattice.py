@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from rectcft import looplattice
+from rectcft import ising, looplattice
 from rectcft.looplattice import (DegenerateNormError, ShortfallError, _sector_states,
                                  dyck_words, enumerate_links, gram, gram_row, hamiltonian,
                                  link_basis, loop_fit_summary, overlap_table, parse_p,
@@ -645,6 +645,42 @@ class TestSpectrum:
             entries = spectrum(n, BETA3, 2)
             assert entries[2].parity == -1
             assert entries[2].boundary_overlap == 0.0
+
+
+class TestIsingAtP3:
+    """At p = 3 (beta = sqrt 2) the loop model on N sites is the free Ising
+    chain on N/2 sites restricted to excitation sets S of even size: the
+    2^{N/2-1} A_3 height paths are the even half of its 2^{N/2} spin states.
+    Row k is the k-th even S by energy, with
+
+        E_k = sqrt2 (E_0 + sum_{j in S} Lambda_j) - (N - 1)/sqrt2,
+        E_0 = -(1/2) sum_j Lambda_j,   beta^{N/4} <B|k> = |<all up|S>|."""
+
+    @pytest.mark.parametrize("n", range(8, 25, 2))
+    def test_rows_are_the_even_ising_states(self, n):
+        m = n // 2
+        kmax = min(10, 2 ** (m - 1) - 1)
+        if kmax < 10:
+            with pytest.raises(ShortfallError):
+                spectrum(n, BETA3, 10)
+        rows = spectrum(n, BETA3, kmax)
+        lam = ising.mode_energies(m)
+        e0 = -0.5 * lam.sum()
+        # the Ising overlap table over enough of the lowest sets (of either
+        # size) to hold kmax + 1 even ones
+        table = ising.ising_overlap_table([m], min(2 ** m - 1, 4 * (kmax + 1)))
+        even = [r for r in table if len(r.excitation) % 2 == 0][:kmax + 1]
+        assert len(even) == kmax + 1
+        for row, ref in zip(rows, even):
+            s = ref.excitation
+            energy = BETA3 * (e0 + sum(lam[j - 1] for j in s)) - (n - 1) / BETA3
+            # measured max over N = 8..24: 1.2e-13 (energies), 1.1e-13 (overlaps)
+            assert abs(row.energy - energy) < 1e-12, (row.k, s)
+            assert abs(BETA3 ** (n / 4) * row.boundary_overlap - ref.overlap) < 1e-12, (row.k, s)
+            # B is reflection-even: an odd-sector row is a set the Ising
+            # selection rule forbids
+            if row.parity < 0:
+                assert not ising.overlap_allowed(s), (row.k, s)
 
 
 @pytest.fixture(scope="module")
