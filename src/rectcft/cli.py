@@ -236,13 +236,9 @@ def cmd_loop(args):
 
 def _loop_weight(text):
     try:
-        weight = looplattice.parse_p(text)
+        return looplattice.parse_p(text)
     except ValueError:
-        weight = None
-    # the solver's height basis exists for integer p only
-    if weight is None or not weight.p >= 2 or not (weight.p.is_integer() or math.isinf(weight.p)):
-        raise UsageError(f"--p {text!r}: expected an integer >= 2 or inf")
-    return weight
+        raise UsageError(f"--p {text!r}: expected an integer >= 2 or inf") from None
 
 
 def cmd_ising(args):

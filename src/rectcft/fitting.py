@@ -143,3 +143,11 @@ def ground_state_fit(data) -> tuple[FitResult, dict]:
                   "a1_spread": gfit.window_spread["logN"],
                   "alpha": alpha,
                   "alpha_spread": alpha * np.expm1(gfit.window_spread["1"])}
+
+
+def ratio_fit(data) -> tuple[float, float]:
+    """The fit of an excited -log(<B|k>_N/<B|0>_N) to RATIO_BASIS, dropping
+    its DROP_FIRST_EXCITED smallest-N points: the overlap exp(-a2) (see
+    `extract_overlap`) and the window spread of a2."""
+    rfit = fit(data, RATIO_BASIS, drop_first=DROP_FIRST_EXCITED)
+    return extract_overlap(rfit), rfit.window_spread["1"]

@@ -41,8 +41,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .fitting import (ABSOLUTE_BASIS, DROP_FIRST_EXCITED, RATIO_BASIS, FitError, extract_overlap,
-                      fit, ground_state_fit, points_needed)
+from .fitting import (ABSOLUTE_BASIS, DROP_FIRST_EXCITED, RATIO_BASIS, FitError,
+                      ground_state_fit, points_needed, ratio_fit)
 
 
 @dataclass
@@ -303,9 +303,9 @@ def ising_fit_summary(records) -> dict:
                                       "max_det": worst}
             continue
         data = [(r.n_sites, r.neg_log_overlap - g_by_n[r.n_sites]) for r in rows]
-        rfit = fit(data, RATIO_BASIS, drop_first=DROP_FIRST_EXCITED)
+        value, spread = ratio_fit(data)
         summary["overlaps"][k] = {"h": str(rows[0].h_label),
-                                  "value": extract_overlap(rfit),
-                                  "a2_spread": rfit.window_spread["1"],
+                                  "value": value,
+                                  "a2_spread": spread,
                                   "parity_forbidden": False}
     return summary

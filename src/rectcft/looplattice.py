@@ -3,17 +3,21 @@
 The loop form <s1|s2> = beta^{#loops} on link states makes H = -sum_i e_i
 self-adjoint.  At beta = 2cos(pi/(p+1)) the link module modulo the form's
 radical is the A_p RSOS representation (Pasquier-Saleur), where H is real
-symmetric and the loop form is the dot product; the solver works there.
+symmetric and the loop form is the dot product; the solver works there,
+keyed by p, an integer >= 2 or inf (`parse_p`).
 
 Its basis is the Dyck words of length N (bit x set iff step x goes up, the
 opener bit of a link state) of height <= p - 1, heights a_x in 1..p; at
 p = inf, every Dyck word.  One sorted word table per N, with its heights,
-is shared by every p (`dyck_words`), and rows are ranked by `searchsorted`.
+is shared by every p and by the link basis (`dyck_words`): link row k is
+the matching whose opener word is Dyck row k.  Rows are ranked by
+`searchsorted` in that table.
 e_i acts where steps i and i+1 differ: with a = a_i = a_{i+2}, b = a_{i+1}
 and S_a = sin(pi a/(p+1)) (a at p = inf), it puts S_b/S_a on the diagonal
 and sqrt(S_b S_b')/S_a on the word with the two steps swapped, b' = 2a - b,
-when 1 <= b' <= p.  B = (12)(34)... is the word 1010...10, of loop norm^2
-beta^{N/2}, so <B|k> = beta^{-N/4} |u_k[B]| for a unit eigenvector u_k.
+when 1 <= b' <= p.  B = (12)(34)... is the word 1010...10, the row
+`dyck_words(N).boundary` in both bases, of loop norm^2 beta^{N/2}, so
+<B|k> = beta^{-N/4} |u_k[B]| for a unit eigenvector u_k.
 
 The reflection x -> N-1-x (the bit-reversed complement of a word) commutes
 with H and fixes B, so every solve runs in the even sector, (s + Rs)/sqrt(2)
@@ -24,7 +28,8 @@ block, so the build holds little more than its output.  Their states are merged 
 energy order, even first inside a degenerate cluster, which is rotated so
 that B couples only to its first member.  An odd state's overlap is a
 structural 0.0.  The link basis and its Gram form stay for the checks of
-the TL relations; no solver builds them.
+the TL relations; no solver builds them.  They are keyed by beta, as the
+link module exists at any beta.
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
-from .fitting import (DROP_FIRST_EXCITED, RATIO_BASIS, FitError, extract_overlap, fit,
-                      ground_state_fit)
+from .fitting import FitError, ground_state_fit, ratio_fit
 
 
 @dataclass(frozen=True)
@@ -62,37 +66,35 @@ class LoopWeight:
 
 
 def parse_p(text) -> LoopWeight:
-    if isinstance(text, (int, float)):
-        return LoopWeight(float(text))
-    if str(text).lower() in ("inf", "infinity", "oo"):
-        return LoopWeight(math.inf)
-    return LoopWeight(float(text))
+    """The weight of p, a number or its text ("inf", "infinity" or "oo" for
+    inf).  Only an integer p >= 2 or inf has a height basis; any other p
+    raises ValueError."""
+    p = math.inf if str(text).lower() == "oo" else float(text)
+    if not (p == math.inf or p >= 2 and p.is_integer()):
+        raise ValueError(f"p = {text!r} is neither an integer >= 2 nor inf")
+    return LoopWeight(p)
 
 
 def enumerate_links(n_sites: int) -> np.ndarray:
     """All non-crossing perfect matchings of 0..N-1 as one read-only int32
-    (Catalan(N/2), N) array of partner indices, rows in lexicographic order.
+    (Catalan(N/2), N) array of partner indices; row k is the matching whose
+    opener word is row k of `dyck_words`.
 
-    Built by the first-arc split, smallest N first: the matchings with arc
-    (0, p) are every inner matching of 1..p-1 (major) paired with every
-    outer matching of p+1..N-1, broadcast into their block of rows."""
-    if n_sites % 2:
-        raise ValueError("need an even number of sites")
-    tables = [np.zeros((1, 0), dtype=np.int32)]  # tables[m]: matchings of 2m sites
-    for m in range(1, n_sites // 2 + 1):
-        pairs = [(tables[j], tables[m - 1 - j]) for j in range(m)]
-        out = np.empty((sum(len(i) * len(o) for i, o in pairs), 2 * m), dtype=np.int32)
-        row = 0
-        for p, (inner, outer) in zip(range(1, 2 * m, 2), pairs):
-            size = len(inner) * len(outer)
-            block = out[row:row + size].reshape(len(inner), len(outer), 2 * m)
-            block[..., 0], block[..., p] = p, 0
-            block[..., 1:p] = inner[:, None] + 1
-            block[..., p + 1:] = outer + (p + 1)
-            row += size
-        tables.append(out)
-    tables[-1].flags.writeable = False
-    return tables[-1]
+    Read off the Dyck heights in one sweep of the sites: an up step at
+    height h opens the arc at h, and a down step to h closes it."""
+    heights = dyck_words(n_sites).heights
+    rows = np.arange(len(heights))
+    partners = np.empty((len(heights), n_sites), dtype=np.int32)
+    opener = np.empty((len(heights), n_sites // 2), dtype=np.int32)  # [k, h]: of row k's arc at h
+    for x in range(n_sites):
+        h, after = heights[:, x], heights[:, x + 1]
+        up = after > h
+        opener[rows[up], h[up]] = x
+        down = rows[~up]
+        a = opener[down, after[~up]]
+        partners[down, x], partners[down, a] = a, x
+    partners.flags.writeable = False
+    return partners
 
 
 @dataclass(frozen=True)
@@ -107,27 +109,23 @@ class LinkBasis:
 
 @lru_cache(maxsize=None)
 def link_basis(n_sites: int) -> LinkBasis:
-    """One beta-independent basis per N, shared by every p.
+    """One beta-independent basis per N, in the rows of `dyck_words`.
 
     A matching is fixed by its opener word (bit x set iff site x opens an
-    arc, P[x] > x), so rows are ranked by a sorted word array.  e_i pairs
-    (i, i+1) and joins the former partners a, b of i and i+1; applied to
-    every row at once, it rewrites those four bits and the result is ranked
-    by `searchsorted`.  On a closed loop (a = i+1, b = i) the rewrite gives
+    arc, P[x] > x), its Dyck word.  e_i pairs (i, i+1) and joins the former
+    partners a, b of i and i+1; applied to every row at once, it rewrites
+    those four bits and the result is ranked in the sorted word table by
+    `searchsorted`.  On a closed loop (a = i+1, b = i) the rewrite gives
     the word back, so the row stays."""
     partners = enumerate_links(n_sites)
-    word = np.uint32 if n_sites <= 32 else np.uint64
+    words = dyck_words(n_sites).words
+    word = words.dtype.type
     one = word(1)
-    words = np.zeros(len(partners), dtype=word)
-    for x in range(n_sites):
-        words |= (partners[:, x] > x).astype(word) << x
-    rank = np.argsort(words)
-    ranked = words[rank]
     moves = np.empty((len(partners), n_sites - 1), dtype=np.int32)
     for i in range(n_sites - 1):
         a, b = partners[:, i].astype(word), partners[:, i + 1].astype(word)
         kept = words & ~((one << i) | (one << (i + 1)) | (one << a) | (one << b))
-        moves[:, i] = rank[np.searchsorted(ranked, kept | (one << i) | (one << np.minimum(a, b)))]
+        moves[:, i] = np.searchsorted(words, kept | (one << i) | (one << np.minimum(a, b)))
     moves.flags.writeable = False
     return LinkBasis(partners, moves)
 
@@ -196,17 +194,6 @@ def hamiltonian(n_sites: int, beta: float) -> np.ndarray:
     return sparse_structure(n_sites, beta).toarray()
 
 
-def rsos_p(beta: float) -> float:
-    """The integer p >= 2 with beta = 2cos(pi/(p+1)), or inf at beta = 2;
-    any other beta has no height basis and raises ValueError."""
-    if beta == 2.0:
-        return math.inf
-    p = round(math.pi / math.acos(beta / 2)) - 1 if 0 < beta < 2 else 0
-    if p < 2 or abs(2 * math.cos(math.pi / (p + 1)) - beta) > 1e-12:
-        raise ValueError(f"beta = {beta} is not 2cos(pi/(p+1)) for an integer p >= 2")
-    return float(p)
-
-
 @dataclass(frozen=True)
 class RSOSBasis:
     """The A_p height paths as sorted Dyck words and their heights
@@ -248,10 +235,15 @@ def dyck_words(n_sites: int) -> RSOSBasis:
 
 
 def rsos_basis(n_sites: int, p: float) -> RSOSBasis:
-    """The rows of `dyck_words` whose height stays <= p - 1, in its order."""
+    """The rows of `dyck_words` whose height stays <= p - 1, in its order,
+    for a p that `parse_p` accepts.  A p whose beta rounds to 2 gets the
+    p = inf table: its sine weights equal those of inf to rounding, and
+    from p ~ 1e154 on their products underflow."""
+    weight = parse_p(p)
     table = dyck_words(n_sites)
-    if math.isinf(p):
+    if weight.beta == 2.0:
         return table
+    p = weight.p
     keep = table.heights.max(axis=1) < p
     words = table.words[keep]
     return RSOSBasis(p, words, table.heights[keep],
@@ -383,7 +375,7 @@ def eigenvalue_clusters(energies):
         i = j
 
 
-def _sector_states(basis, beta, parity, sector, k):
+def _sector_states(basis, parity, sector, k):
     """The lowest states of the `reflection_sectors` entry of `parity`, and the
     energy below which they are all of the sector's: eigsh's k lowest
     eigenpairs, in a Lanczos space of 5k vectors, less their last cluster
@@ -395,6 +387,7 @@ def _sector_states(basis, beta, parity, sector, k):
     with y[B] >= 0: `_embed` takes it to the height basis."""
     op, reps = sector
     n_sites, dim = basis.heights.shape[1] - 1, len(reps)
+    beta = LoopWeight(basis.p).beta
     if dim == 0:  # N = 2, 4: every state is its own mirror image
         return [], math.inf
     if k is not None and 5 * k < dim:
@@ -441,7 +434,7 @@ def _embed(basis, reps, parity, y) -> np.ndarray:
     return u
 
 
-def _spectrum(n_sites, beta, count, k) -> list[SpectrumEntry]:
+def _spectrum(n_sites, p, count, k) -> list[SpectrumEntry]:
     """The lowest `count`+1 states of both reflection sectors in global
     energy order below the lower of the two sectors' edges, from eigsh's k
     per sector or, when k is None, dense eigh.  The cluster that reaches
@@ -449,11 +442,10 @@ def _spectrum(n_sites, beta, count, k) -> list[SpectrumEntry]:
     couples to the first member of a degenerate pair.  While the list is
     short, the sector whose edge cut it runs again with k doubled; fewer
     states in the whole basis than requested raise ShortfallError."""
-    basis = rsos_basis(n_sites, rsos_p(beta))
+    basis = rsos_basis(n_sites, p)
     sectors = reflection_sectors(basis)
     ks = dict.fromkeys(sectors, k)
-    runs = {parity: _sector_states(basis, beta, parity, sectors[parity], k)
-            for parity in sectors}
+    runs = {parity: _sector_states(basis, parity, sectors[parity], k) for parity in sectors}
     while True:
         top = min(edge for _, edge in runs.values())
         states = sorted((s for run, _ in runs.values() for s in run if s.energy < top),
@@ -467,7 +459,7 @@ def _spectrum(n_sites, beta, count, k) -> list[SpectrumEntry]:
             break
         parity = min(runs, key=lambda q: runs[q][1])
         ks[parity] *= 2
-        runs[parity] = _sector_states(basis, beta, parity, sectors[parity], ks[parity])
+        runs[parity] = _sector_states(basis, parity, sectors[parity], ks[parity])
     if len(out) <= count:
         raise ShortfallError(f"only {len(out)} of the {count + 1} requested "
                              f"physical states exist at N={n_sites}")
@@ -478,24 +470,24 @@ def _spectrum(n_sites, beta, count, k) -> list[SpectrumEntry]:
     return out
 
 
-def spectrum_dense(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
+def spectrum_dense(n_sites: int, p: float, count: int) -> list[SpectrumEntry]:
     """The lowest `count`+1 states from dense eigh of each reflection sector."""
-    return _spectrum(n_sites, beta, count, None)
+    return _spectrum(n_sites, p, count, None)
 
 
-def spectrum_sparse(n_sites: int, beta: float, count: int, k: int) -> list[SpectrumEntry]:
+def spectrum_sparse(n_sites: int, p: float, count: int, k: int) -> list[SpectrumEntry]:
     """The lowest `count`+1 states from eigsh's k lowest eigenpairs of each
     reflection sector, k doubling in a sector whose edge cuts the list and
     dense eigh for a sector that 5k does not fit."""
-    return _spectrum(n_sites, beta, count, k)
+    return _spectrum(n_sites, p, count, k)
 
 
-def spectrum(n_sites: int, beta: float, count: int) -> list[SpectrumEntry]:
-    """The lowest `count`+1 states in the A_p height basis of
-    beta = 2cos(pi/(p+1)): eigsh with k = count + 2 per reflection sector,
-    so that each sector holds count + 1 states below its edge unless that
-    edge is degenerate."""
-    return spectrum_sparse(n_sites, beta, count, count + 2)
+def spectrum(n_sites: int, p: float, count: int) -> list[SpectrumEntry]:
+    """The lowest `count`+1 states in the A_p height basis (p an integer
+    >= 2 or inf, see `parse_p`): eigsh with k = count + 2 per reflection
+    sector, so that each sector holds count + 1 states below its edge
+    unless that edge is degenerate."""
+    return spectrum_sparse(n_sites, p, count, count + 2)
 
 
 @dataclass
@@ -511,7 +503,7 @@ def overlap_table(p, n_values, kmax: int = 3) -> list[LoopOverlapRecord]:
     weight = parse_p(p)
     return [LoopOverlapRecord(p=weight.p, n_sites=n, k=e.k, energy=e.energy,
                               overlap=e.boundary_overlap)
-            for n in sorted(n_values) for e in spectrum(n, weight.beta, kmax)]
+            for n in sorted(n_values) for e in spectrum(n, weight.p, kmax)]
 
 
 def loop_fit_summary(records) -> dict:
@@ -544,10 +536,10 @@ def loop_fit_summary(records) -> dict:
         rows = sorted(by_k[1], key=lambda r: r.n_sites)
         data = [(r.n_sites, -math.log(r.overlap / g_by_n[r.n_sites])) for r in rows]
         try:
-            rfit = fit(data, RATIO_BASIS, drop_first=DROP_FIRST_EXCITED)
+            value, spread = ratio_fit(data)
             summary["overlaps"][1] = {
-                "value": extract_overlap(rfit),
-                "spread": rfit.window_spread["1"],
+                "value": value,
+                "spread": spread,
                 "cft": math.sqrt(weight.central_charge / 2),
             }
         except FitError as exc:

@@ -48,8 +48,8 @@ import scipy.sparse as sp
 from rectcft import freefield
 from rectcft.freefield import GMatrix
 from rectcft.ising import FreeFermionSolution, _mode_angles
-from rectcft.looplattice import (DegenerateNormError, SpectrumEntry, eigenvalue_clusters,
-                                 gram_row, hamiltonian, link_basis)
+from rectcft.looplattice import (DegenerateNormError, SpectrumEntry, dyck_words,
+                                 eigenvalue_clusters, gram_row, hamiltonian, link_basis)
 from rectcft.series import CZERO, CPoly, Series, exp_truncated, series_pow_scalar
 from rectcft.virasoro import (VermaVector, _slit_factors, apply_mode, slit_factor_count,
                               slit_product, vacuum)
@@ -252,21 +252,9 @@ def loops_between(s1, s2) -> int:
 
 
 def adjacent_state(n_sites: int) -> np.ndarray:
-    """(12)(34)...: every site paired with its neighbor (row 0 of the link basis)."""
+    """(12)(34)...: every site paired with its neighbor (the link-basis row
+    `dyck_words(n).boundary`)."""
     return np.arange(n_sites, dtype=np.int32) ^ 1
-
-
-def link_reflection(n_sites: int) -> np.ndarray:
-    """The row of the mirror image under x -> N-1-x of each link-basis row.
-    A site opens in the mirror image exactly when its mirror site closes,
-    so the mirrored opener word is the bit-reversed closer word, ranked
-    like the rows' own opener words."""
-    partners = link_basis(n_sites).partners
-    sites = np.arange(n_sites, dtype=np.uint64)
-    words = ((partners > sites).astype(np.uint64) << sites).sum(axis=1)
-    mirrored = ((partners < sites).astype(np.uint64) << (n_sites - 1 - sites)).sum(axis=1)
-    rank = np.argsort(words)
-    return rank[np.searchsorted(words[rank], mirrored)]
 
 
 def boundary_link_state(n_sites: int, beta: float) -> np.ndarray:
@@ -356,7 +344,7 @@ def link_reflection_sector(n_sites: int, beta: float, parity: int):
     sums of |E|), H^T E D^-1 = E D^-1 M^T, so E D^-1 carries the left
     eigenvectors of M to those of H."""
     basis = link_basis(n_sites)
-    mirror = link_reflection(n_sites)
+    mirror = dyck_words(n_sites).reflection
     rows = np.arange(len(mirror))
     lower, upper = rows <= mirror, rows >= mirror
     reps = np.flatnonzero(lower if parity > 0 else rows < mirror)

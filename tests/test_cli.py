@@ -415,6 +415,8 @@ class TestErrorPaths:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("rectcft: ")
+        if argv == ("loop", "--p", "1.5"):
+            assert err == "rectcft: --p '1.5': expected an integer >= 2 or inf\n"
 
     def test_arpack_failure_is_runtime_error(self, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from rectcft import ising, looplattice
+from rectcft import fitting, ising, looplattice
 from rectcft.looplattice import (DegenerateNormError, ShortfallError, _sector_states,
                                  dyck_words, enumerate_links, gram, gram_row, hamiltonian,
                                  link_basis, loop_fit_summary, overlap_table, parse_p,
                                  reflection_sectors, rsos_basis, rsos_generators,
-                                 rsos_hamiltonian, rsos_p, sparse_structure, spectrum,
+                                 rsos_hamiltonian, sparse_structure, spectrum,
                                  spectrum_dense, spectrum_sparse, spl, tl_generator_matrix)
 from reference import (adjacent_state, apply_tl, boundary_link_state, full_space_spectrum,
-                       link_reflection, link_reflection_sector, link_sector_spectrum,
-                       loops_between)
+                       link_reflection_sector, link_sector_spectrum, loops_between)
 
 BETA3 = 2 * math.cos(math.pi / 4)  # p = 3
 
@@ -40,20 +39,32 @@ class TestLinkStates:
             assert len(enumerate_links(n)) == catalan(n // 2)
 
     def test_n4_states(self):
-        # (12)(34) and (14)(23), in lexicographic order
-        assert enumerate_links(4).tolist() == [[1, 0, 3, 2], [3, 2, 1, 0]]
+        # (12)(34) and (14)(23), each once
+        rows = enumerate_links(4).tolist()
+        assert sorted(rows) == [[1, 0, 3, 2], [3, 2, 1, 0]]
+        adjacent, nested = rows.index([1, 0, 3, 2]), rows.index([3, 2, 1, 0])
         # the cached basis is shared by every caller, so it is read-only
         basis = link_basis(4)
         assert basis is link_basis(4)
         assert np.array_equal(basis.partners, enumerate_links(4))
         # e_1 and e_3 close a loop on (12)(34); e_2 takes it to (14)(23)
-        assert basis.moves[0].tolist() == [0, 1, 0]
+        assert basis.moves[adjacent].tolist() == [adjacent, nested, adjacent]
         with pytest.raises(ValueError):
             basis.moves[0, 0] = 1
         with pytest.raises(ValueError):
             basis.partners[0, 0] = 1
         with pytest.raises(ValueError):
             enumerate_links(4)[0, 0] = 1
+
+    def test_rows_follow_the_dyck_table(self):
+        # link row k is Dyck row k: its opener word is the table's word k, B
+        # is the table's boundary row and the mirror image its reflection row
+        for n in range(2, 17, 2):
+            table, partners = dyck_words(n), enumerate_links(n)
+            opener = ((partners > np.arange(n)).astype(np.int64) << np.arange(n)).sum(axis=1)
+            assert np.array_equal(opener, table.words)
+            assert partners[table.boundary].tolist() == adjacent_state(n).tolist()
+            assert np.array_equal(partners[table.reflection], n - 1 - partners[:, ::-1])
 
     def test_planarity(self):
         for s in enumerate_links(8):
@@ -76,14 +87,13 @@ class TestAgainstScalarReferences:
     def test_partner_rows_in_enumeration_order(self):
         for n in range(2, 15, 2):
             rows = [tuple(r) for r in enumerate_links(n).tolist()]
-            # Catalan(N/2) distinct non-crossing matchings are all of them;
-            # sorted means lexicographic order, the order of the first-arc split
-            assert len(rows) == catalan(n // 2)
-            assert rows == sorted(set(rows))
+            # Catalan(N/2) distinct non-crossing matchings are all of them
+            assert len(rows) == len(set(rows)) == catalan(n // 2)
             for s in rows:
                 assert all(s[s[x]] == x != s[x] for x in range(n))
                 assert not crossing(s)
-            assert rows[0] == tuple(adjacent_state(n).tolist())
+            # B's row in the enumeration order is the Dyck table's
+            assert rows.index(tuple(adjacent_state(n).tolist())) == dyck_words(n).boundary
 
     def test_moves_against_apply_tl(self):
         for n in range(2, 15, 2):
@@ -114,36 +124,32 @@ class TestAgainstScalarReferences:
 
 
 class TestReflection:
-    """x -> N-1-x on the link basis (the reference's `link_reflection` and
-    link sectors) and on the height basis: an involution that commutes
-    with every e_i (e_i goes to e_{N-2-i}) and fixes B."""
+    """x -> N-1-x, `dyck_words(n).reflection` on the link basis (see
+    `test_rows_follow_the_dyck_table`) and on the height basis: an
+    involution that commutes with every e_i (e_i goes to e_{N-2-i}) and
+    fixes B."""
 
     def test_involution_and_mirror_image(self):
         for n in range(2, 17, 2):
-            basis = link_basis(n)
-            r = link_reflection(n)
-            assert np.array_equal(r[r], np.arange(len(r)))
-            # the mirror image of partner row s is x -> N-1-s[N-1-x]
-            assert np.array_equal(basis.partners[r], n - 1 - basis.partners[:, ::-1])
             # in the height basis the mirror image reverses the heights
             table = dyck_words(n)
-            assert np.array_equal(table.reflection[table.reflection], np.arange(len(r)))
+            assert np.array_equal(table.reflection[table.reflection], np.arange(len(table.words)))
             assert np.array_equal(table.heights[table.reflection], table.heights[:, ::-1])
         with pytest.raises(ValueError):
             dyck_words(6).reflection[0] = 1
 
     def test_commutes_with_moves(self):
         for n in range(2, 17, 2):
-            r, moves = link_reflection(n), link_basis(n).moves
+            r, moves = dyck_words(n).reflection, link_basis(n).moves
             for i in range(n - 1):
                 assert np.array_equal(moves[r, n - 2 - i], r[moves[:, i]])
 
     def test_fixes_the_boundary_state(self):
         for n in range(2, 19, 2):
             basis = link_basis(n)
-            r = link_reflection(n)
-            assert basis.partners[0].tolist() == adjacent_state(n).tolist()
-            assert r[0] == 0
+            r = dyck_words(n).reflection
+            b, = np.flatnonzero((basis.partners == adjacent_state(n)).all(axis=1))
+            assert r[b] == b
             for beta in (BETA3, 2.0):
                 row = gram_row(basis.partners, beta, adjacent_state(n))
                 assert row[r].tolist() == row.tolist()
@@ -155,12 +161,10 @@ class TestReflection:
     def test_fixed_state_count(self):
         # a fixed matching is fixed by its left half: C(N/2, floor(N/4)); so
         # is a fixed Dyck word, the opener word of a fixed matching
-        fixed = {n: int(np.count_nonzero(link_reflection(n) == np.arange(catalan(n // 2))))
+        fixed = {n: int(np.count_nonzero(dyck_words(n).reflection == np.arange(catalan(n // 2))))
                  for n in range(2, 25, 2)}
         assert fixed == {n: math.comb(n // 2, n // 4) for n in fixed}
         assert (fixed[20], fixed[22], fixed[24]) == (252, 462, 924)
-        table = dyck_words(24)
-        assert np.count_nonzero(table.reflection == np.arange(len(table.words))) == 924
 
     def test_sector_operators_restrict_h(self):
         # link sectors: H E = E M and H^T E D^-1 = E D^-1 M^T on each
@@ -297,7 +301,8 @@ class TestGram:
     def test_n4_gram(self):
         g = gram(4, 1.5)
         b = 1.5
-        adj, other = 0, 1  # (12)(34), (14)(23)
+        rows = enumerate_links(4).tolist()
+        adj, other = rows.index([1, 0, 3, 2]), rows.index([3, 2, 1, 0])  # (12)(34), (14)(23)
         assert g[adj, adj] == pytest.approx(b ** 2)
         assert g[adj, other] == pytest.approx(b)
 
@@ -324,7 +329,8 @@ class TestHamiltonian:
 
     def test_n4_by_hand(self):
         beta = 1.5
-        a, b = 0, 1  # (12)(34), (14)(23)
+        rows = enumerate_links(4).tolist()
+        a, b = rows.index([1, 0, 3, 2]), rows.index([3, 2, 1, 0])  # (12)(34), (14)(23)
         h = hamiltonian(4, beta)
         # e1+e3 act diagonally on (12)(34); e2 maps it to (14)(23), and v.v.
         expect = np.zeros((2, 2))
@@ -335,7 +341,7 @@ class TestHamiltonian:
         assert np.abs(h - expect).max() < 1e-14
 
     def test_ground_energy_n2(self):
-        entries = spectrum(2, BETA3, 0)
+        entries = spectrum(2, 3, 0)
         assert entries[0].energy == pytest.approx(-BETA3)
 
     def test_ground_energy_n4_closed_form(self):
@@ -343,15 +349,15 @@ class TestHamiltonian:
         # E^2 + 3b E + 2b^2 - 2 = 0, ground root (-3b - sqrt(b^2 + 8))/2
         beta = BETA3
         expect = (-3 * beta - math.sqrt(beta ** 2 + 8)) / 2
-        entries = spectrum(4, beta, 0)
+        entries = spectrum(4, 3, 0)
         assert entries[0].energy == pytest.approx(expect, rel=1e-12)
 
 
 class TestBoundaryState:
     def test_coefficient(self):
         v = boundary_link_state(4, BETA3)
-        assert enumerate_links(4)[0].tolist() == adjacent_state(4).tolist()
-        assert v[0] == pytest.approx(BETA3 ** -2)
+        b = enumerate_links(4).tolist().index(adjacent_state(4).tolist())
+        assert v[b] == pytest.approx(BETA3 ** -2)
         assert np.count_nonzero(v) == 1
 
     def test_loop_norm(self):
@@ -372,10 +378,6 @@ class TestRSOS:
             assert len(table.words) == catalan(n // 2)
             assert np.all(np.diff(table.words.astype(np.int64)) > 0)
             assert table.heights.min() == 0 and not table.heights[:, [0, -1]].any()
-            # the words are the link states' opener words
-            partners = link_basis(n).partners
-            opener = ((partners > np.arange(n)) << np.arange(n)).sum(axis=1)
-            assert np.array_equal(np.sort(opener), table.words)
         with pytest.raises(ValueError):
             dyck_words(6).heights[0, 0] = 1
 
@@ -414,20 +416,28 @@ class TestRSOS:
                 h = rsos_hamiltonian(rsos_basis(n, p))
                 assert (h != h.T).nnz == 0
 
-    def test_rsos_p(self):
+    def test_p_rule(self):
+        # the one rule of `parse_p`, which the height basis and the solver
+        # apply: an integer p >= 2, or inf
         for p in (2, 3, 4, 5, 6, 17, math.inf):
-            assert rsos_p(parse_p(p).beta) == p
-        assert rsos_p(1.0) == 2
-        for beta in (1.5, parse_p(3.5).beta, 0.0, 2.5):
-            with pytest.raises(ValueError, match="integer p"):
-                rsos_p(beta)
+            assert parse_p(p).p == parse_p(str(p)).p == p
+            assert rsos_basis(8, p).p == p
+            assert len(spectrum(8, p, 0)) == 1
+        for p in (0, 1, 1.5, 3.5, math.nan, -math.inf):
+            for call in (parse_p, lambda p: rsos_basis(8, p), lambda p: spectrum(8, p, 0)):
+                with pytest.raises(ValueError, match="neither an integer >= 2 nor inf"):
+                    call(p)
+        # beta rounds to 2 from p ~ 2e8 on: such a p is solved at inf
+        assert rsos_basis(8, 1e200) is dyck_words(8)
+        assert [(e.energy, e.boundary_overlap) for e in spectrum(10, 1e200, 1)] == \
+            [(e.energy, e.boundary_overlap) for e in spectrum(10, math.inf, 1)]
 
     def test_boundary_sum_rule(self):
         # sum_k <B|k>^2 over every state is |B|^2 / beta^N = beta^{-N/2}
         for p in (3, 4, 5, 6, math.inf):
             beta = parse_p(p).beta
             for n in range(2, 13, 2):
-                states = spectrum_dense(n, beta, len(rsos_basis(n, p).words) - 1)
+                states = spectrum_dense(n, p, len(rsos_basis(n, p).words) - 1)
                 total = sum(e.boundary_overlap ** 2 for e in states)
                 assert abs(total - beta ** (-n / 2)) < 1e-14
 
@@ -463,27 +473,25 @@ def assert_same_rows(got, ref):
 class TestSpectrum:
     def test_eigenvalues_real_and_sorted(self):
         for p in (3, 4, 5, math.inf):
-            beta = parse_p(p).beta
-            entries = spectrum(8, beta, 3)
+            entries = spectrum(8, p, 3)
             energies = [e.energy for e in entries]
             assert energies == sorted(energies)
 
     def test_loop_normalization(self):
         # the loop form is the dot product of the height basis
-        for e in spectrum(10, BETA3, 3):
+        for e in spectrum(10, 3, 3):
             assert e.vector @ e.vector == pytest.approx(1.0, abs=1e-8)
 
     def test_eigen_residual(self):
         h = rsos_hamiltonian(rsos_basis(12, 3))
-        for e in spectrum(12, BETA3, 3):
+        for e in spectrum(12, 3, 3):
             assert np.abs(h @ e.vector - e.energy * e.vector).max() < 1e-8
 
     def test_dense_vs_sparse(self):
         for p in (3, 5, math.inf):
-            beta = parse_p(p).beta
             for n in (12, 14, 16):
-                d = spectrum_dense(n, beta, 3)
-                s = spectrum_sparse(n, beta, 3, 10)
+                d = spectrum_dense(n, p, 3)
+                s = spectrum_sparse(n, p, 3, 10)
                 assert len(d) == len(s) == 4
                 for a, b in zip(d, s):
                     assert a.energy == pytest.approx(b.energy, abs=1e-9)
@@ -495,12 +503,12 @@ class TestSpectrum:
         # states) go dense and those of N = 14 (36, 28) sparse; at p = inf,
         # N = 10 runs eigsh on its 26 even states and dense eigh on its 16
         # odd ones
-        spectrum(12, BETA3, 3)
+        spectrum(12, 3, 3)
         assert eigsh_calls == []
-        spectrum(14, BETA3, 3)
+        spectrum(14, 3, 3)
         assert eigsh_calls == [(36, 5), (28, 5)]
         eigsh_calls.clear()
-        spectrum(10, 2.0, 3)
+        spectrum(10, math.inf, 3)
         assert eigsh_calls == [(26, 5)]
 
     def test_one_rule_through_degenerate_clusters(self, eigsh_calls):
@@ -510,9 +518,9 @@ class TestSpectrum:
         # space no longer fits.  Both agree row by row with the link route
         # (in sectors and in one eig of the whole H), two degenerate pairs
         # among the rows
-        got = spectrum(14, BETA3, 20)
+        got = spectrum(14, 3, 20)
         assert eigsh_calls == []
-        sparse = spectrum_sparse(14, BETA3, 20, 7)
+        sparse = spectrum_sparse(14, 3, 20, 7)
         assert eigsh_calls == [(36, 7)]
         for ref in (sparse, link_sector_spectrum(14, BETA3, 20),
                     full_space_spectrum(14, BETA3, 20)):
@@ -536,7 +544,7 @@ class TestSpectrum:
             beta = parse_p(p).beta
             for n in range(2, 13, 2):
                 count = min(8, len(full_space_spectrum(n, beta, 8)) - 1)
-                got, ref = spectrum(n, beta, count), full_space_spectrum(n, beta, count)
+                got, ref = spectrum(n, p, count), full_space_spectrum(n, beta, count)
                 assert len(got) == len(ref) == count + 1
                 assert_same_rows(got, ref)
 
@@ -545,21 +553,19 @@ class TestSpectrum:
         # every request up to N = 16 has the link route's rows, or runs short
         # exactly where the link route has too few physical states
         for (p, n), ref in link_route.items():
-            beta = parse_p(p).beta
             if len(ref) <= kmax:
                 with pytest.raises(ShortfallError, match=f"only {len(ref)} of the {kmax + 1}"):
-                    spectrum(n, beta, kmax)
+                    spectrum(n, p, kmax)
             else:
-                assert_same_rows(spectrum(n, beta, kmax), ref[:kmax + 1])
+                assert_same_rows(spectrum(n, p, kmax), ref[:kmax + 1])
 
     def test_odd_states_are_structural_zeros(self):
         # B is reflection-even: an odd state's overlap is 0.0, and its
         # height-basis vector is antisymmetric under R and 0.0 at B
         for p in (3, math.inf):
-            beta = parse_p(p).beta
             for n in range(10, 17, 2):
                 basis = rsos_basis(n, p)
-                odd = [e for e in spectrum(n, beta, 10) if e.parity < 0]
+                odd = [e for e in spectrum(n, p, 10) if e.parity < 0]
                 assert odd
                 for e in odd:
                     assert e.boundary_overlap == 0.0
@@ -572,13 +578,13 @@ class TestSpectrum:
         # again with k = 12.  At p = 3, N = 14 from k = 7 the even sector's
         # doubled Lanczos space does not fit, and dense eigh answers there
         # as it does in the 28 odd states from the start
-        got = spectrum_sparse(14, 2.0, 10, 6)
+        got = spectrum_sparse(14, math.inf, 10, 6)
         assert eigsh_calls == [(232, 6), (197, 6), (232, 12)]
-        assert_same_rows(got, spectrum_dense(14, 2.0, 10))
+        assert_same_rows(got, spectrum_dense(14, math.inf, 10))
         eigsh_calls.clear()
-        got = spectrum_sparse(14, BETA3, 20, 7)
+        got = spectrum_sparse(14, 3, 20, 7)
         assert eigsh_calls == [(36, 7)]
-        assert [e.energy for e in got] == [e.energy for e in spectrum_dense(14, BETA3, 20)]
+        assert [e.energy for e in got] == [e.energy for e in spectrum_dense(14, 3, 20)]
 
     def test_cluster_at_arpacks_edge_is_left_out(self):
         # at p = 3, N = 20 the odd sector's 16th eigenvalue is the first of a
@@ -586,37 +592,37 @@ class TestSpectrum:
         # that cluster is not read and its energy is the sector's edge
         basis = rsos_basis(20, 3)
         odd = reflection_sectors(basis)[-1]
-        ref, top = _sector_states(basis, BETA3, -1, odd, None)
+        ref, top = _sector_states(basis, -1, odd, None)
         assert top == math.inf
         assert ref[16].energy == ref[15].energy
-        got, top = _sector_states(basis, BETA3, -1, odd, 16)
+        got, top = _sector_states(basis, -1, odd, 16)
         assert len(got) == 15
         assert top == pytest.approx(ref[15].energy, abs=1e-9)
         assert_same_rows(got, ref[:15])
-        assert_same_rows(spectrum_sparse(20, BETA3, 40, 16), spectrum_dense(20, BETA3, 40))
+        assert_same_rows(spectrum_sparse(20, 3, 40, 16), spectrum_dense(20, 3, 40))
 
     def test_shortfall_when_doubling_finds_no_new_state(self, eigsh_calls):
         # p = 2 (beta = 1) has one height path, and so one physical state,
         # at every N: dense eigh finds it and the request runs short
         with pytest.raises(ShortfallError,
                            match="only 1 of the 2 requested physical states exist at N=12"):
-            spectrum(12, 1.0, 1)
+            spectrum(12, 2, 1)
         assert eigsh_calls == []
 
     def test_dense_shortfall_raises(self):
         # N = 4 has two link states in all, both in the even sector
         with pytest.raises(ShortfallError, match="only 2 of the 4 .* at N=4"):
-            spectrum(4, BETA3, 3)
+            spectrum(4, 3, 3)
         # at p = 3, N = 12 the 32 height paths are too few for kmax 40
         with pytest.raises(ShortfallError, match="only 32 of the 41 .* at N=12"):
-            spectrum(12, BETA3, 40)
+            spectrum(12, 3, 40)
 
     def test_gap_ratios_approach_field_content(self):
         # scaled gaps carry a nonuniversal velocity; their ratios approach
         # h/h' for the j=0 tower h = 2, 3, 4
         prev = None
         for n in (8, 12, 16):
-            entries = spectrum(n, BETA3, 3)
+            entries = spectrum(n, 3, 3)
             g1 = entries[1].energy - entries[0].energy
             g2 = entries[2].energy - entries[0].energy
             ratio = g2 / g1
@@ -637,12 +643,12 @@ class TestSpectrum:
 
         monkeypatch.setattr(spl, "eigsh", doubled_ground)
         with pytest.raises(DegenerateNormError, match="degenerate"):
-            spectrum_sparse(12, 2.0, 2, 6)
+            spectrum_sparse(12, math.inf, 2, 6)
 
     def test_h3_state_decouples(self):
         # the h = 3 state is reflection-odd: its overlap is a structural zero
         for n in (10, 12, 14):
-            entries = spectrum(n, BETA3, 2)
+            entries = spectrum(n, 3, 2)
             assert entries[2].parity == -1
             assert entries[2].boundary_overlap == 0.0
 
@@ -662,8 +668,8 @@ class TestIsingAtP3:
         kmax = min(10, 2 ** (m - 1) - 1)
         if kmax < 10:
             with pytest.raises(ShortfallError):
-                spectrum(n, BETA3, 10)
-        rows = spectrum(n, BETA3, kmax)
+                spectrum(n, 3, 10)
+        rows = spectrum(n, 3, kmax)
         lam = ising.mode_energies(m)
         e0 = -0.5 * lam.sum()
         # the Ising overlap table over enough of the lowest sets (of either
@@ -691,7 +697,7 @@ def table_p3():
 class TestOverlapTableAndFits:
     def test_summary_values(self, table_p3, monkeypatch):
         # small-window smoke check; the full N=8..24 run is in acceptance
-        monkeypatch.setattr(looplattice, "DROP_FIRST_EXCITED", 1)
+        monkeypatch.setattr(fitting, "DROP_FIRST_EXCITED", 1)
         s = loop_fit_summary(table_p3)
         assert s["a1"] == pytest.approx(-0.0625, abs=5e-3)
         assert s["overlaps"][1]["value"] == pytest.approx(0.5, abs=2e-2)
