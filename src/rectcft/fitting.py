@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TERMS = ("N", "logN", "1", "1/N", "1/N^2", "1/N^3")
+_COLUMNS = {
+    "N": lambda n: n,
+    "logN": np.log,
+    "1": np.ones_like,
+    "1/N": lambda n: 1.0 / n,
+    "1/N^2": lambda n: 1.0 / n ** 2,
+    "1/N^3": lambda n: 1.0 / n ** 3,
+}
+TERMS = tuple(_COLUMNS)
 
 ABSOLUTE_BASIS = ("N", "logN", "1", "1/N", "1/N^2")
 RATIO_BASIS = ("1", "1/N", "1/N^2", "1/N^3")
@@ -26,22 +34,6 @@ N_WINDOWS = 4  # fit windows: the central one and up to three that drop more poi
 
 class FitError(ValueError):
     pass
-
-
-def _design_column(term: str, n: np.ndarray) -> np.ndarray:
-    if term == "N":
-        return n
-    if term == "logN":
-        return np.log(n)
-    if term == "1":
-        return np.ones_like(n)
-    if term == "1/N":
-        return 1.0 / n
-    if term == "1/N^2":
-        return 1.0 / n ** 2
-    if term == "1/N^3":
-        return 1.0 / n ** 3
-    raise FitError(f"unknown basis term {term!r}")
 
 
 @dataclass
@@ -69,12 +61,24 @@ def points_needed(basis, drop_first: int = 0) -> int:
     return len(basis) + drop_first + 1
 
 
-def _check_finite(pts, basis) -> None:
-    """FitError naming the first (N, y) point whose y or design row is not
-    finite."""
-    ns, ys = np.array(pts).reshape(-1, 2).T
+def fit(data, basis, drop_first: int = 0) -> FitResult:
+    """Least-squares fit of (N, y) pairs after dropping `drop_first` points.
+
+    `basis` is a sequence drawn from {N, logN, 1, 1/N, 1/N^2, 1/N^3} with at
+    least two terms; a point whose y or design row is not finite raises
+    FitError naming the first such point in input order.  The design
+    matrix is built once; the window family drops 0..N_WINDOWS-1 further
+    points from it, and spreads are max |coefficient - central|.
+    """
+    basis = tuple(basis)
+    if len(basis) < 2:
+        raise FitError("need at least two basis terms")
+    for t in basis:
+        if t not in _COLUMNS:
+            raise FitError(f"unknown basis term {t!r}")
+    ns, ys = np.array([(float(n), float(y)) for n, y in data]).reshape(-1, 2).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        design = np.column_stack([_design_column(t, ns) for t in basis])
+        design = np.column_stack([_COLUMNS[t](ns) for t in basis])
     finite = np.isfinite(design)
     bad = np.flatnonzero(~finite.all(axis=1) | ~np.isfinite(ys))
     if len(bad):
@@ -82,46 +86,27 @@ def _check_finite(pts, basis) -> None:
         what = "y" if not np.isfinite(ys[i]) else ", ".join(np.array(basis)[~finite[i]])
         raise FitError(f"point {i + 1} (N={ns[i]:g}, y={ys[i]:g}) cannot be fitted: "
                        f"{what} not finite")
-
-
-def _solve(ns: np.ndarray, ys: np.ndarray, basis) -> tuple[dict, float]:
-    a = np.column_stack([_design_column(t, ns) for t in basis])
-    coef, _, rank, _ = np.linalg.lstsq(a, ys, rcond=None)
-    if rank < len(basis):
-        raise FitError(f"design matrix rank {rank} < {len(basis)} terms on these N")
-    resid = ys - a @ coef
-    return dict(zip(basis, coef.tolist())), float(np.linalg.norm(resid))
-
-
-def fit(data, basis, drop_first: int = 0) -> FitResult:
-    """Least-squares fit of (N, y) pairs after dropping `drop_first` points.
-
-    `basis` is a sequence drawn from {N, logN, 1, 1/N, 1/N^2, 1/N^3} with at
-    least two terms; a point whose y or design row is not finite raises
-    FitError.  The window family drops 0..N_WINDOWS-1 further points;
-    spreads are max |coefficient - central|.
-    """
-    basis = tuple(basis)
-    if len(basis) < 2:
-        raise FitError("need at least two basis terms")
-    pts = [(float(n), float(y)) for n, y in data]
-    _check_finite(pts, basis)
-    if len(pts) < points_needed(basis, drop_first):
-        raise FitError(f"{max(0, len(pts) - drop_first)} points after dropping is too few "
+    if len(ys) < points_needed(basis, drop_first):
+        raise FitError(f"{max(0, len(ys) - drop_first)} points after dropping is too few "
                        f"for {len(basis)} terms")
-    pts = sorted(pts)[drop_first:]
-    ns = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    central, resid = _solve(ns, ys, basis)
-    spread = {t: 0.0 for t in basis}
-    for extra in range(1, N_WINDOWS):
-        if len(pts) < points_needed(basis, extra):
+    rows = np.lexsort((ys, ns))[drop_first:]  # by N, then y
+    design, ys = design[rows], ys[rows]
+    windows = []
+    for extra in range(N_WINDOWS):
+        if extra and len(ys) < points_needed(basis, extra):
             break
-        sub, _ = _solve(ns[extra:], ys[extra:], basis)
-        for t in basis:
-            spread[t] = max(spread[t], abs(sub[t] - central[t]))
-    return FitResult(basis=basis, coefficients=central, residual_norm=resid,
-                     window_spread=spread, points_used=len(pts))
+        coef, _, rank, _ = np.linalg.lstsq(design[extra:], ys[extra:], rcond=None)
+        if rank < len(basis):
+            raise FitError(f"design matrix rank {rank} < {len(basis)} terms on these N")
+        windows.append(coef)
+    central = dict(zip(basis, windows[0].tolist()))
+    spread = {t: 0.0 for t in basis}
+    for coef in windows[1:]:
+        for t, c in zip(basis, coef.tolist()):
+            spread[t] = max(spread[t], abs(c - central[t]))
+    return FitResult(basis=basis, coefficients=central,
+                     residual_norm=float(np.linalg.norm(ys - design @ windows[0])),
+                     window_spread=spread, points_used=len(ys))
 
 
 def extract_overlap(result: FitResult) -> float:
@@ -131,6 +116,15 @@ def extract_overlap(result: FitResult) -> float:
     proportionality constant alpha instead, since the ground-state overlap
     is 1 in the continuum normalization."""
     return float(np.exp(-result.coefficient("1")))
+
+
+def rows_by_k(records) -> dict:
+    """{k: the records of state k sorted by N}, in ascending k, for lattice
+    records with fields `k` and `n_sites`."""
+    by_k: dict = {}
+    for r in records:
+        by_k.setdefault(r.k, []).append(r)
+    return {k: sorted(by_k[k], key=lambda r: r.n_sites) for k in sorted(by_k)}
 
 
 def ground_state_fit(data) -> tuple[FitResult, dict]:

@@ -452,7 +452,6 @@ def fermion_virasoro(n: int, v: FermionVector) -> FermionVector:
     return mode_sum(_fermion_act, words, v, v.cutoff)
 
 
-def fermion_amplitude(order: int, g: GMatrix | None = None) -> Series:
+def fermion_amplitude(order: int) -> Series:
     """<B|qhat^{L_0}|B> (prefactor qhat^{-1/48} carried separately)."""
-    g = g if g is not None else g_series(order)
-    return _amplitude(fermion_boundary_state(order, g), lambda modes: 1, order)
+    return _amplitude(fermion_boundary_state(order, g_series(order)), lambda modes: 1, order)

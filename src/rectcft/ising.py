@@ -42,7 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from .fitting import (ABSOLUTE_BASIS, DROP_FIRST_EXCITED, RATIO_BASIS, FitError,
-                      ground_state_fit, points_needed, ratio_fit)
+                      ground_state_fit, points_needed, ratio_fit, rows_by_k)
 
 
 @dataclass
@@ -284,18 +284,13 @@ def ising_fit_summary(records) -> dict:
 
     States forbidden by `overlap_allowed` are reported as exact zeros
     without fitting; `parity_forbidden` marks the parity-odd ones."""
-    by_k: dict = {}
-    for r in records:
-        by_k.setdefault(r.k, []).append(r)
-    ground = sorted(by_k[0], key=lambda r: r.n_sites)
+    by_k = rows_by_k(records)
+    ground = by_k.pop(0)
     gdata = [(r.n_sites, r.neg_log_overlap) for r in ground]
     gfit, block = ground_state_fit(gdata)
     g_by_n = {r.n_sites: r.neg_log_overlap for r in ground}
     summary = {**block, "ground_fit": gfit.to_json(), "overlaps": {}}
-    for k in sorted(by_k):
-        if k == 0:
-            continue
-        rows = sorted(by_k[k], key=lambda r: r.n_sites)
+    for k, rows in by_k.items():
         if not overlap_allowed(rows[0].excitation):
             worst = max(r.overlap_det for r in rows)
             summary["overlaps"][k] = {"h": str(rows[0].h_label), "value": 0.0,

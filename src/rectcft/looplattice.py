@@ -43,7 +43,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
-from .fitting import FitError, ground_state_fit, ratio_fit
+from .fitting import FitError, ground_state_fit, ratio_fit, rows_by_k
 
 
 @dataclass(frozen=True)
@@ -345,7 +345,7 @@ def _joined(pieces: list) -> np.ndarray:
     return out
 
 
-class DegenerateNormError(ArithmeticError):
+class DegenerateNormError(AssertionError):
     """A reported state is no eigenvector of H."""
 
 
@@ -434,11 +434,12 @@ def _embed(basis, reps, parity, y) -> np.ndarray:
     return u
 
 
-def _spectrum(n_sites, p, count, k) -> list[SpectrumEntry]:
+def spectrum_sparse(n_sites: int, p: float, count: int, k: int | None) -> list[SpectrumEntry]:
     """The lowest `count`+1 states of both reflection sectors in global
     energy order below the lower of the two sectors' edges, from eigsh's k
-    per sector or, when k is None, dense eigh.  The cluster that reaches
-    that edge is left out, and inside a cluster even states come first: B
+    lowest eigenpairs per sector (dense eigh for a sector that 5k does not
+    fit) or, when k is None, dense eigh.  The cluster that reaches that
+    edge is left out, and inside a cluster even states come first: B
     couples to the first member of a degenerate pair.  While the list is
     short, the sector whose edge cut it runs again with k doubled; fewer
     states in the whole basis than requested raise ShortfallError."""
@@ -472,14 +473,7 @@ def _spectrum(n_sites, p, count, k) -> list[SpectrumEntry]:
 
 def spectrum_dense(n_sites: int, p: float, count: int) -> list[SpectrumEntry]:
     """The lowest `count`+1 states from dense eigh of each reflection sector."""
-    return _spectrum(n_sites, p, count, None)
-
-
-def spectrum_sparse(n_sites: int, p: float, count: int, k: int) -> list[SpectrumEntry]:
-    """The lowest `count`+1 states from eigsh's k lowest eigenpairs of each
-    reflection sector, k doubling in a sector whose edge cuts the list and
-    dense eigh for a sector that 5k does not fit."""
-    return _spectrum(n_sites, p, count, k)
+    return spectrum_sparse(n_sites, p, count, None)
 
 
 def spectrum(n_sites: int, p: float, count: int) -> list[SpectrumEntry]:
@@ -512,14 +506,11 @@ def loop_fit_summary(records) -> dict:
     first DROP_FIRST_EXCITED points, plus the raw k=2 overlaps (expected to vanish for N >= 10;
     null when no N >= 10 is present).
     """
-    by_k: dict = {}
-    p = None
-    for r in records:
-        p = r.p
-        by_k.setdefault(r.k, []).append(r)
-    ground = sorted(by_k[0], key=lambda r: r.n_sites)
+    by_k = rows_by_k(records)
+    ground = by_k[0]
     gdata = [(r.n_sites, -math.log(r.overlap)) for r in ground]
     g_by_n = {r.n_sites: r.overlap for r in ground}
+    p = ground[0].p
     weight = LoopWeight(p)
     summary = {
         "p": p if not math.isinf(p) else "inf",
@@ -533,8 +524,7 @@ def loop_fit_summary(records) -> dict:
     except FitError as exc:
         summary["fit_error"] = str(exc)
     if 1 in by_k:
-        rows = sorted(by_k[1], key=lambda r: r.n_sites)
-        data = [(r.n_sites, -math.log(r.overlap / g_by_n[r.n_sites])) for r in rows]
+        data = [(r.n_sites, -math.log(r.overlap / g_by_n[r.n_sites])) for r in by_k[1]]
         try:
             value, spread = ratio_fit(data)
             summary["overlaps"][1] = {

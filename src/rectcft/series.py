@@ -99,6 +99,8 @@ class CPoly:
         return bool(self.nums)
 
     def __eq__(self, other):
+        if not isinstance(other, (CPoly, int, Fraction)):
+            return NotImplemented
         other = cpoly(other)
         return self.nums == other.nums and self.den == other.den
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import (C, CPoly, Series, cpoly, exp_truncated, partition_numbers,
@@ -209,37 +209,18 @@ def boundary_state(cutoff: int) -> VermaVector:
     return finitized_state(slit_factor_count(cutoff), cutoff)
 
 
-@dataclass(frozen=True)
-class GluingParams:
-    """Mode index and corner weights for L_n - L_{-n} - 2n(h_l + (-1)^n h_r)."""
+def gluing_residual(v: VermaVector, n: int) -> VermaVector:
+    """(L_n - L_{-n} + (n c / 8)[1 + (-1)^n]) v, n >= 1: the gluing condition
+    with the identity at both corners (corner weights -c/16 each).
 
-    n: int
-    htilde_left: CPoly = field(default_factory=lambda: C * Fraction(-1, 16))
-    htilde_right: CPoly = field(default_factory=lambda: C * Fraction(-1, 16))
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("mode index must be >= 1")
-
-
-def homogeneous_gluing(n: int) -> GluingParams:
-    """Identity at both corners: h = 0, so htilde = -c/16 each and the
-    constraint becomes L_n - L_{-n} + (n c / 8)[1 + (-1)^n]."""
-    return GluingParams(n)
-
-
-def gluing_residual(v: VermaVector, g: GluingParams) -> VermaVector:
-    """(L_n - L_{-n} - 2n(h_l + (-1)^n h_r)) v.
-
-    For v = boundary_state(cutoff) and homogeneous params the components at
-    level <= cutoff - n vanish identically in c; levels above that are not
-    meaningful because L_n reaches past the truncation.
+    For v = boundary_state(cutoff) the components at level <= cutoff - n
+    vanish identically in c; levels above that are not meaningful because
+    L_n reaches past the truncation.
     """
-    n = g.n
-    sign = 1 if n % 2 == 0 else -1
-    const = (g.htilde_left + g.htilde_right * sign) * Fraction(-2 * n)
+    if n < 1:
+        raise ValueError("mode index must be >= 1")
     res = apply_mode(n, v).add_scaled(apply_mode(-n, v), Fraction(-1))
-    return res.add_scaled(v, const)
+    return res.add_scaled(v, C * Fraction(n, 4)) if n % 2 == 0 else res
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,8 +322,6 @@ class PkDeviation:
 
     first_deviation: int | None
     deviation_sign: int  # +1 if p^{(N)}_{k0} > p_{k0}
-    value: Fraction | None
-    partition_number: int | None
 
 
 def pk_conjecture_check(p: Series) -> PkDeviation:
@@ -350,6 +329,5 @@ def pk_conjecture_check(p: Series) -> PkDeviation:
     pk = partition_numbers(p.order)
     for k in range(p.order + 1):
         if p[k] != pk[k]:
-            d = p[k] - pk[k]
-            return PkDeviation(k, 1 if d > 0 else -1, p[k], pk[k])
-    return PkDeviation(None, 0, None, None)
+            return PkDeviation(k, 1 if p[k] > pk[k] else -1)
+    return PkDeviation(None, 0)

@@ -10,6 +10,8 @@ import pytest
 
 from rectcft import cli, ising, looplattice
 from rectcft.cli import build_parser, main
+from rectcft.fitting import FitError
+from rectcft.series import DivisibilityError
 
 
 def run(capsys, *argv):
@@ -426,6 +428,27 @@ class TestErrorPaths:
         code, _, err = run(capsys, "loop", "--nmin", "18", "--nmax", "18", "--kmax", "1")
         assert code == 1
         assert err.startswith("rectcft: ")
+
+    @pytest.mark.parametrize("exc, code", [
+        pytest.param(exc, code, id=type(exc).__name__) for exc, code in (
+            (cli.UsageError("bad value"), 2),
+            (DivisibilityError("not divisible by c"), 3),
+            (AssertionError("identity failed"), 3),
+            (looplattice.DegenerateNormError("eigen-residual 1e-3"), 3),
+            (looplattice.ShortfallError("only 1 of the 2"), 1),
+            (looplattice.spl.ArpackNoConvergence("no convergence", [], []), 1),
+            (ArithmeticError("minor -1.0"), 1),
+            (FitError("too few points"), 1),
+            (OSError("no such file"), 1))])
+    def test_exit_code_by_error_class(self, capsys, monkeypatch, exc, code):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_boundary_state", failing)
+        got, _, err = run(capsys, "boundary-state")
+        assert got == code
+        prefix = "rectcft: structural check failed: " if code == 3 else "rectcft: "
+        assert err == f"{prefix}{exc}\n"
 
     def test_loop_arpack_shortfall_is_runtime_error(self, capsys):
         # p = 2 (beta = 1) has one physical state: its height basis holds

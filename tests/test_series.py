@@ -43,6 +43,13 @@ class TestCPoly:
         assert CPoly([1, 0, 0]) == CPoly([1])
         assert CPoly([0]).is_zero()
 
+    def test_eq_with_non_rational_is_false(self):
+        assert not C == None  # noqa: E711
+        assert C != None  # noqa: E711
+        assert C in [None, C]
+        assert not CPoly((1,)) == 1.0
+        assert CPoly((1,)) == 1 and CPoly((F(1, 2),)) == F(1, 2)
+
     def test_div_c(self):
         p = C * C + 8 * C
         assert p.div_c() == C + 8

@@ -6,10 +6,9 @@ import pytest
 
 from rectcft import virasoro
 from rectcft.series import C, CONE, CZERO, CPoly, cpoly, eta_inverse_power, partition_numbers
-from rectcft.virasoro import (GluingParams, VermaVector, act, apply_mode, boundary_state,
-                              finitized_state, gluing_residual, homogeneous_gluing, p_series,
-                              pk_conjecture_check, product_amplitude, vacuum,
-                              vacuum_functional)
+from rectcft.virasoro import (VermaVector, act, apply_mode, boundary_state, finitized_state,
+                              gluing_residual, p_series, pk_conjecture_check, product_amplitude,
+                              vacuum, vacuum_functional)
 from reference import (amplitude, max_level, p2_closed_form, partitions,
                        product_amplitude_by_chain, product_amplitude_by_level, restrict,
                        shapovalov, verma)
@@ -223,7 +222,7 @@ class TestCutoff:
         monkeypatch.setattr(virasoro, "apply_mode", checked)
         b = boundary_state(cutoff)
         states = [b] + [finitized_state(n, cutoff) for n in range(1, 4)]
-        states += [gluing_residual(b, homogeneous_gluing(n)) for n in range(1, cutoff + 2)]
+        states += [gluing_residual(b, n) for n in range(1, cutoff + 2)]
         start = len(calls)
         product_amplitude(None, cutoff)  # its raising modes act on the tagged vector
         width = cutoff // 2 + 1
@@ -241,29 +240,38 @@ class TestCutoff:
 
 class TestGluing:
     def test_vacuum_is_not_boundary_state(self):
-        r = gluing_residual(vacuum(4), homogeneous_gluing(2))
+        r = gluing_residual(vacuum(4), 2)
         assert r.coeff(()) == C * F(1, 2)
         assert r.coeff((2,)) == -CONE
 
     def test_odd_n_has_no_anomaly(self):
-        g = homogeneous_gluing(1)
-        assert (g.htilde_left + g.htilde_right * (-1)).is_zero()
-        r = gluing_residual(boundary_state(6), g)
+        b = boundary_state(6)
+        for n in (1, 3, 5):
+            bare = apply_mode(n, b).add_scaled(apply_mode(-n, b), -1)
+            assert gluing_residual(b, n).polys() == bare.polys()
+        r = gluing_residual(b, 1)
         assert all(co.is_zero() for lam, co in r.polys().items() if sum(lam) <= 5)
 
     def test_residuals_vanish(self):
         lam_cut = 12
         b = boundary_state(lam_cut)
         for n in range(1, 7):
-            r = gluing_residual(b, homogeneous_gluing(n))
+            r = gluing_residual(b, n)
             bad = {lam: co for lam, co in r.polys().items()
                    if sum(lam) <= lam_cut - n and not co.is_zero()}
             assert not bad, (n, bad)
 
     def test_inhomogeneous_params_change_residual(self):
-        g = GluingParams(2, htilde_left=CZERO, htilde_right=CZERO)
-        r = gluing_residual(boundary_state(8), g)
+        # corner weights 0 instead of -c/16 drop the constant term
+        b = boundary_state(8)
+        r = apply_mode(2, b).add_scaled(apply_mode(-2, b), -1)
         assert not all(co.is_zero() for lam, co in r.polys().items() if sum(lam) <= 6)
+        assert gluing_residual(b, 2).polys() == r.add_scaled(b, C * F(1, 2)).polys()
+
+    def test_mode_index_at_least_one(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="mode index"):
+                gluing_residual(vacuum(4), n)
 
 
 # ---------------------------------------------------------------- amplitude
@@ -381,10 +389,11 @@ class TestPSeries:
 
     def test_first_deviation(self):
         for n, k0, val, pk in ((1, 2, F(5, 2), 2), (2, 4, F(33, 4), 5), (3, 8, F(245, 8), 22)):
-            rep = pk_conjecture_check(p_series(n, k0))
+            p = p_series(n, k0)
+            rep = pk_conjecture_check(p)
             assert rep.first_deviation == k0
             assert rep.deviation_sign == 1
-            assert rep.value == val and rep.partition_number == pk
+            assert p[k0] == val and partition_numbers(k0)[k0] == pk
 
     def test_prefix_is_partition_numbers(self):
         p = p_series(3, 8)
