@@ -102,17 +102,13 @@ def cmd_amplitude(args):
     amp = virasoro.product_amplitude(None, order)
     eta = eta_inverse_power(C * Fraction(1, 2), "qhat", order).series
     matches = amp == eta
-    if c_val is not None:
-        coeffs = [str(cpoly(amp[n])(c_val)) for n in range(order + 1)]
-    else:
-        coeffs = [cpoly(amp[n]).to_json() for n in range(order + 1)]
-    payload = {"order": order, "variable": "qhat", "prefactor_exponent": "-c/24",
-               "coefficients": coeffs, "eta_identity_passes": bool(matches)}
+    shown = amp if c_val is None else amp.map_coeffs(lambda co: cpoly(co)(c_val))
     if args.format == "plain":
-        shown = amp if c_val is None else amp.map_coeffs(lambda co: cpoly(co)(c_val))
         _emit(args, repr(shown) + f"\n[eta identity: {'pass' if matches else 'FAIL'}]")
     else:
-        _emit(args, payload)
+        _emit(args, {"order": order, "variable": "qhat", "prefactor_exponent": "-c/24",
+                     "coefficients": shown.to_json()["coefficients"],
+                     "eta_identity_passes": bool(matches)})
     if not matches:
         raise AssertionError("amplitude does not match the eta power series")
 
@@ -125,7 +121,7 @@ def cmd_pn(args):
     p = virasoro.p_series(n, order)
     dev = virasoro.pk_conjecture_check(p)
     payload = {"slits_exponent": n, "order": order,
-               "coefficients": [str(p[k]) for k in range(order + 1)],
+               "coefficients": p.to_json()["coefficients"],
                "first_deviation": dev.first_deviation,
                "deviation_sign": dev.deviation_sign}
     if args.format == "plain":
@@ -179,7 +175,7 @@ def _free_amplitude(args, name, amplitude, s, cap):
         _emit(args, repr(amp))
     else:
         _emit(args, {"order": order, "variable": "qhat", "prefactor_exponent": str(-s / 12),
-                     "coefficients": [str(amp[n]) for n in range(order + 1)],
+                     "coefficients": amp.to_json()["coefficients"],
                      "eta_identity_passes": passes})
     if not passes:
         raise AssertionError(f"{name} amplitude does not match eta^{{-{s}}}")

@@ -242,21 +242,13 @@ def boson_amplitude(order: int) -> Series:
 def boson_product_formula(order: int) -> Series:
     """Independent closed form: prod_{m>0} sum_s (2s)!/(s! s!) (q^m/4)^s, in qhat."""
     qord = order // 2
-    out = [Fraction(0)] * (qord + 1)
-    out[0] = Fraction(1)
+    out = Series("q", (1,), order=qord)
     for m in range(1, qord + 1):
-        factor = [Fraction(0)] * (qord + 1)
-        for s in range(0, qord // m + 1):
-            factor[m * s] = Fraction(math.factorial(2 * s),
-                                     math.factorial(s) ** 2 * 4 ** s)
-        new = [Fraction(0)] * (qord + 1)
-        for i, x in enumerate(out):
-            if x:
-                for j in range(0, qord + 1 - i, 1):
-                    if factor[j]:
-                        new[i + j] += x * factor[j]
-        out = new
-    return Series("q", tuple(out), order=qord).substitute_square("qhat").truncate(order)
+        factor = [0] * (qord + 1)
+        for s in range(qord // m + 1):
+            factor[m * s] = Fraction(math.factorial(2 * s), math.factorial(s) ** 2 * 4 ** s)
+        out = out * Series("q", factor, order=qord)
+    return out.substitute_square("qhat").truncate(order)
 
 
 def virasoro_product_state(apply_l, vac, cutoff: int, n_factors: int):

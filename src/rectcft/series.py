@@ -75,11 +75,6 @@ class CPoly:
         """The coefficients of c^0, c^1, ... as Fractions."""
         return tuple(Fraction(n, self.den) for n in self.nums)
 
-    @property
-    def degree(self) -> int:
-        """Degree in c; -1 for the zero polynomial."""
-        return len(self.nums) - 1
-
     def is_zero(self) -> bool:
         return not self.nums
 
@@ -105,7 +100,8 @@ class CPoly:
         return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash((self.nums, self.den))
+        # a constant hashes as the Fraction it equals
+        return hash(self[0]) if self.is_constant() else hash((self.nums, self.den))
 
     def __add__(self, other):
         other = cpoly(other)
@@ -130,9 +126,6 @@ class CPoly:
     def __sub__(self, other):
         return self + (-cpoly(other))
 
-    def __rsub__(self, other):
-        return cpoly(other) + (-self)
-
     def __mul__(self, other):
         other = cpoly(other)
         a, b = self.nums, other.nums
@@ -149,13 +142,6 @@ class CPoly:
         return _new(out, den, math.gcd(den, *out))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, CPoly):
-            if not other.is_constant():
-                raise TypeError("CPoly division only by scalars; use div_c for /c")
-            other = other.constant()
-        return self * (1 / _as_fraction(other))
 
     def div_c(self) -> "CPoly":
         """Exact division by c; raises DivisibilityError if the c^0 term is nonzero."""
@@ -189,10 +175,6 @@ class CPoly:
     def to_json(self):
         return [str(x) for x in self.coeffs]
 
-    @staticmethod
-    def from_json(data) -> "CPoly":
-        return CPoly(tuple(Fraction(s) for s in data))
-
 
 _set = object.__setattr__
 
@@ -222,9 +204,9 @@ C = CPoly((0, 1))  # the symbol c itself
 class Series:
     """Truncated power series c_0 + c_1*x + ... + c_ord*x^ord over Fraction or CPoly.
 
-    `var` tags the expansion variable ('q' or 'qhat'); arithmetic between
-    different tags raises.  `order` is the largest retained exponent and
-    arithmetic truncates to the min of the operand orders — never silently
+    `var` tags the expansion variable ('q' or 'qhat'); a product of
+    different tags raises.  `order` is the largest retained exponent and a
+    product truncates to the min of the operand orders — never silently
     extends.
     """
 
@@ -261,34 +243,11 @@ class Series:
             return False
         return all(self[n] == other[n] for n in range(max(self.order, other.order) + 1))
 
-    def _check(self, other: "Series"):
-        if self.var != other.var:
-            raise VariableMismatchError(f"{self.var!r} vs {other.var!r}")
-
-    def __add__(self, other):
-        if not isinstance(other, Series):
-            other = Series(self.var, (other,), order=self.order)
-        self._check(other)
-        order = min(self.order, other.order)
-        return Series(self.var, tuple(self[n] + other[n] for n in range(order + 1)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series(self.var, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, Series):
-            other = Series(self.var, (other,), order=self.order)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Series):
-            return Series(self.var, tuple(c * other for c in self.coeffs))
-        self._check(other)
+            return NotImplemented
+        if self.var != other.var:
+            raise VariableMismatchError(f"{self.var!r} vs {other.var!r}")
         n_out = min(self.order, other.order) + 1
         out = [None] * n_out
         for i, x in enumerate(self.coeffs[:n_out]):
@@ -300,8 +259,6 @@ class Series:
                     out[i + j] = v if out[i + j] is None else out[i + j] + v
         zero = Fraction(0)
         return Series(self.var, tuple(zero if c is None else c for c in out))
-
-    __rmul__ = __mul__
 
     def truncate(self, order: int) -> "Series":
         return Series(self.var, self.coeffs, order=order)
@@ -335,18 +292,6 @@ class Series:
             return c.to_json() if isinstance(c, CPoly) else str(c)
         return {"variable": self.var, "offset": 0, "order": self.order,
                 "coefficients": [enc(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data) -> "Series":
-        def dec(c):
-            return CPoly.from_json(c) if isinstance(c, list) else Fraction(c)
-        if data["offset"] != 0:
-            raise SeriesError(f"series offset {data['offset']!r}: every series starts at x^0")
-        return Series(data["variable"], tuple(dec(c) for c in data["coefficients"]))
-
-
-def series_one(var: str, order: int) -> Series:
-    return Series(var, (Fraction(1),), order=order)
 
 
 def series_exp(a: Series) -> Series:
@@ -387,24 +332,15 @@ def series_log(a: Series) -> Series:
     return Series(a.var, tuple(l), order=order)
 
 
-def series_pow_scalar(a: Series, r) -> Series:
-    """a^r = exp(r log a) for scalar r (Fraction or CPoly); needs constant term 1."""
-    r = r if isinstance(r, CPoly) else cpoly(r)
-    if r.is_zero():
-        return series_one(a.var, a.order)
-    la = series_log(a)
-    return series_exp(la.map_coeffs(lambda c: r * c))
-
-
-def series_pow_c_ratio(a: Series, numerator=2) -> Series:
-    """a^(numerator/c): log, exact division of every coefficient by c, exp.
+def series_pow_c_ratio(a: Series) -> Series:
+    """a^(2/c): log, exact division of every coefficient by c, times 2, exp.
 
     Every log coefficient must be divisible by c (DivisibilityError if not);
     this holds for the amplitudes treated here, so a failure is a
     correctness alarm rather than a numeric issue.
     """
     la = series_log(a)
-    divided = la.map_coeffs(lambda c: cpoly(c).div_c() * numerator)
+    divided = la.map_coeffs(lambda c: cpoly(c).div_c() * 2)
     return series_exp(divided)
 
 

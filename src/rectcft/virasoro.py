@@ -306,7 +306,7 @@ def p_series(n_slit_exponent: int, order: int) -> Series:
         if not cpoly(amp_qhat[lev]).is_zero():
             raise AssertionError(f"odd level {lev} does not vanish")
     amp_q = Series("q", tuple(amp_qhat[2 * j] for j in range(order + 1)), order=order)
-    p = series_pow_c_ratio(amp_q, numerator=2)
+    p = series_pow_c_ratio(amp_q)
     out = []
     for j in range(order + 1):
         co = cpoly(p[j])

@@ -7,7 +7,8 @@
   e^{-L_2} applied transposed) is checked: the Shapovalov form, the
   adjoint exponentials run on each level component in turn, and the
   q-graded pass with e^{-L_2} run forward on every term like the other
-  factors.  And the closed form of P_2.
+  factors.  And the closed form of P_2, built from the scalar power of a
+  series, a^r = exp(r log a), which only it and the tests raise.
 - Scalar references for the vectorised loop-model code.  Each works on one
   link state at a time, given as a tuple (or row) of partner indices, the
   way the link basis was first written.  And the link route to the loop
@@ -50,7 +51,8 @@ from rectcft.freefield import GMatrix
 from rectcft.ising import FreeFermionSolution, _mode_angles
 from rectcft.looplattice import (DegenerateNormError, SpectrumEntry, dyck_words,
                                  eigenvalue_clusters, gram_row, hamiltonian, link_basis)
-from rectcft.series import CZERO, CPoly, Series, exp_truncated, series_pow_scalar
+from rectcft.series import (CZERO, CPoly, Series, cpoly, exp_truncated, series_exp,
+                            series_log)
 from rectcft.virasoro import (VermaVector, _slit_factors, apply_mode, slit_factor_count,
                               slit_product, vacuum)
 
@@ -199,6 +201,12 @@ def verma(polys: dict, cutoff: int) -> VermaVector:
     for lam, co in polys.items():
         v = v.add_scaled(VermaVector({lam: {0: 1}}, cutoff), co)
     return v
+
+
+def series_pow_scalar(a: Series, r) -> Series:
+    """a^r = exp(r log a) for a scalar r (Fraction or CPoly); needs constant term 1."""
+    r = cpoly(r)
+    return series_exp(series_log(a).map_coeffs(lambda co: r * co))
 
 
 def p2_closed_form(order: int) -> Series:

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from rectcft import cli, ising, looplattice
+from rectcft import cli, freefield, ising, looplattice, slitmaps, virasoro
 from rectcft.cli import build_parser, main
 from rectcft.fitting import FitError
+from rectcft.freefield import GMatrix, boson_vacuum
 from rectcft.series import DivisibilityError
+from rectcft.virasoro import finitized_state, product_amplitude
 
 
 def run(capsys, *argv):
@@ -66,6 +68,15 @@ class TestSubcommands:
         code, out, _ = run(capsys, "slitmap")
         assert code == 0
         assert json.loads(out)["N=1"]["composition_dev"] < 1e-12
+
+    def test_slitmap_check(self, capsys):
+        code, out, _ = run(capsys, "slitmap", "--check")
+        assert code == 0
+        data = json.loads(out)
+        for n in (1, 2, 3, 4):
+            entry = data[f"N={n}"]
+            assert entry["decay_slope_expected"] == 1 - 2 ** (n + 1)
+            assert abs(entry["decay_slope"] / entry["decay_slope_expected"] - 1) <= 0.05
 
     def test_majorana_table_csv(self, capsys):
         code, out, _ = run(capsys, "majorana", "--g-table", "1", "2", "--format", "csv")
@@ -449,6 +460,34 @@ class TestErrorPaths:
         assert got == code
         prefix = "rectcft: structural check failed: " if code == 3 else "rectcft: "
         assert err == f"{prefix}{exc}\n"
+
+    @pytest.mark.parametrize("argv, module, attr, wrong, message", [
+        pytest.param(("amplitude", "--order", "6"), virasoro, "product_amplitude",
+                     lambda _, order: product_amplitude(1, order),
+                     "amplitude does not match the eta power series", id="amplitude"),
+        pytest.param(("gluing-check", "--nmax", "4", "--level", "8"), virasoro,
+                     "boundary_state", lambda level: finitized_state(1, level),
+                     "gluing residual failed to vanish", id="gluing-check"),
+        pytest.param(("boson", "--amplitude-order", "4"), freefield, "boson_boundary_state",
+                     boson_vacuum, "boson amplitude does not match eta^{-1/2}", id="boson"),
+        pytest.param(("majorana", "--amplitude-order", "4"), freefield, "g_series",
+                     lambda cutoff: GMatrix({}, cutoff),
+                     "fermion amplitude does not match eta^{-1/4}", id="majorana"),
+        pytest.param(("majorana", "--compare-virasoro", "--level", "4"), freefield, "g_series",
+                     lambda cutoff: GMatrix({}, cutoff),
+                     "fermion Virasoro product disagrees with coherent state",
+                     id="majorana-compare-virasoro"),
+        pytest.param(("slitmap", "--check"), slitmaps, "asymptotic_decay_slope",
+                     lambda n: 0.0, "decay slope off at N=1: 0.0 vs -3", id="slitmap")])
+    def test_failed_identity_is_structural(self, capsys, monkeypatch, argv, module, attr,
+                                           wrong, message):
+        # each replacement breaks the identity its subcommand checks: the
+        # N = 1 slit state for the boundary state, the vacuum for the boson
+        # coherent state, a zero G table, a flat decay slope
+        monkeypatch.setattr(module, attr, wrong)
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err == f"rectcft: structural check failed: {message}\n"
 
     def test_loop_arpack_shortfall_is_runtime_error(self, capsys):
         # p = 2 (beta = 1) has one physical state: its height basis holds

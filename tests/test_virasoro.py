@@ -57,7 +57,7 @@ def expand_exponentials_oracle(factors, cutoff):
         for lam, co in out.items():
             jmax = (cutoff - sum(lam)) // k
             for j in range(jmax + 1):
-                w = co * F(x) ** j / math.factorial(j)
+                w = co * F(x) ** j * F(1, math.factorial(j))
                 key = (k,) * j + lam  # prepend: this factor is further left
                 new[key] = new.get(key, CZERO) + w
         out = new
@@ -299,7 +299,7 @@ class TestAmplitude:
         a = amplitude(boundary_state(10), 10)
         for n in range(11):
             co = cpoly(a[n])
-            assert co.degree <= n // 2
+            assert len(co.coeffs) - 1 <= n // 2
             if not co.is_zero():
                 assert co.coeffs[-1] > 0
 
