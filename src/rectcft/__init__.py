@@ -1,6 +1,6 @@
 """rectcft: the conformal boundary state of the rectangle, verified three ways.
 
-Subpackages by concern:
+Modules by concern:
   series      exact rationals, c-polynomials, truncated power series
   virasoro    Verma-module engine, boundary state, amplitudes, P_N
   slitmaps    conformal slit maps and their asymptotics (floating point)

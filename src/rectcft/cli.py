@@ -138,7 +138,8 @@ def cmd_gluing_check(args):
     ok = True
     for n in range(1, nmax + 1):
         res = virasoro.gluing_residual(state, n)
-        bad = sum(sum(lam) <= level - n for lam in res.polys())
+        bad = sum(sum(lam) <= level - n and any(slots.values())
+                  for lam, slots in res.terms.items())
         results[n] = {"vanishes_to_level": level - n, "nonzero_components": bad}
         ok = ok and not bad
     _emit(args, {"level": level, "modes": results, "all_vanish": ok})

@@ -125,15 +125,6 @@ def mode_sum(act, words, v: GradedVector, keep) -> GradedVector:
     return _reduced(type(v), acc, v.cutoff, v.den * wden)
 
 
-def level_operator(v: GradedVector) -> GradedVector:
-    """L_0 of a free field: each term times its level, that is its integer
-    grade over `grade_per_level` (zero-point constants dropped, prefactors
-    are carried by the amplitudes)."""
-    grade = v.grade
-    return type(v)({key: n * g for key, n in v.terms.items() if (g := grade(key))},
-                   v.cutoff, v.den * v.grade_per_level)
-
-
 def _amplitude(v: GradedVector, norm_sq, order: int) -> Series:
     """<v|qhat^{L_0}|v> over a basis orthogonal with <key|key> = norm_sq(key)
     (an integer): numerator^2 * norm_sq binned by level in one pass, integer
@@ -213,13 +204,12 @@ def boson_gluing_check(v: BosonVector, m: int) -> BosonVector:
 
 
 def boson_virasoro(n: int, v: BosonVector) -> BosonVector:
-    """L_n = (1/2) sum_m a_{n-m} a_m for n != 0, L_0 = sum_{m>=1} a_{-m} a_m.
+    """L_n = (1/2) sum_m :a_{n-m} a_m:, so L_0 = sum_{m>=1} a_{-m} a_m.
 
     For n != 0 the two modes commute, so each pair {n-k, k} is applied
-    once, larger index k first (the annihilator, if the pair has one);
-    a_0 = 0 here, and neither index goes beyond the cutoff."""
-    if n == 0:
-        return level_operator(v)
+    once, larger index k first (the annihilator, if the pair has one); at
+    n = 0 that order is the normal order.  a_0 = 0 here, and neither index
+    goes beyond the cutoff."""
     words = [(Fraction(1, 2) if 2 * k == n else 1, (n - k, k))
              for k in range(-(-n // 2), v.cutoff + min(n, 0) + 1) if k and k != n]
     return mode_sum(_boson_act, words, v, v.cutoff)
@@ -435,10 +425,9 @@ def fermion_virasoro(n: int, v: FermionVector) -> FermionVector:
 
     For n != 0 the two modes anticommute, so each pair {n-k, k} is applied
     once, larger index k first, with weight k - n/2 (the pair k = n/2 drops
-    out, psi_{n/2}^2 = 0), and neither index goes beyond the cutoff.  L_0 is
-    the level operator.  Indices are doubled below: k2 = 2k is odd."""
-    if n == 0:
-        return level_operator(v)
+    out, psi_{n/2}^2 = 0), and neither index goes beyond the cutoff; at
+    n = 0 that order is the normal order, L_0 = sum_{r>0} r psi_{-r} psi_r.
+    Indices are doubled below: k2 = 2k is odd."""
     words = [(Fraction(k2 - n, 2), (2 * n - k2, k2))
              for k2 in range(n + 1 + n % 2, 2 * (v.cutoff + min(n, 0)), 2)]
     return mode_sum(_fermion_act, words, v, v.cutoff)

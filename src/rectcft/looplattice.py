@@ -167,15 +167,6 @@ def gram(n_sites: int, beta: float) -> np.ndarray:
     return np.array([gram_row(partners, beta, s) for s in partners])
 
 
-def tl_generator_matrix(i: int, n_sites: int, beta: float) -> np.ndarray:
-    """Dense e_i in the link basis, read off the move table."""
-    moves = link_basis(n_sites).moves
-    cols = np.arange(len(moves))
-    e = np.zeros((len(moves), len(moves)))
-    e[moves[:, i], cols] = np.where(moves[:, i] == cols, beta, 1.0)
-    return e
-
-
 def sparse_structure(n_sites: int, beta: float) -> sp.csc_matrix:
     """H = -sum_i e_i = -(A + beta*diag(closed loops)) as a CSC matrix, read
     off the cached move table of `link_basis`: A[moves[k, i], k] counts the
@@ -269,13 +260,6 @@ def rsos_generators(basis: RSOSBasis, cols=None):
     return (np.r_[i, i[ok]], np.r_[cols[c], np.searchsorted(basis.words, swapped)],
             np.r_[cols[c], cols[c[ok]]],
             np.r_[s[b] / s[a], np.sqrt(s[b[ok]] * s[flip[ok]]) / s[a[ok]]])
-
-
-def rsos_hamiltonian(basis: RSOSBasis) -> sp.csr_matrix:
-    """H = -sum_i e_i in the height basis."""
-    _, rows, cols, values = rsos_generators(basis)
-    d = len(basis.words)
-    return -sp.coo_matrix((values, (rows, cols)), shape=(d, d)).tocsr()
 
 
 _BLOCK = 1 << 10  # even columns per block of `reflection_sectors`
@@ -388,8 +372,6 @@ def _sector_states(basis, parity, sector, k):
     op, reps = sector
     n_sites, dim = basis.heights.shape[1] - 1, len(reps)
     beta = LoopWeight(basis.p).beta
-    if dim == 0:  # N = 2, 4: every state is its own mirror image
-        return [], math.inf
     if k is not None and 5 * k < dim:
         # fixed start vector: ARPACK's default is random, which would break
         # the byte-identical-rerun guarantee

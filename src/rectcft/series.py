@@ -58,8 +58,6 @@ class CPoly:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        if isinstance(coeffs, (int, Fraction)):
-            coeffs = (coeffs,)
         cs = [_as_fraction(x) for x in coeffs]
         while cs and not cs[-1]:
             cs.pop()
@@ -342,28 +340,6 @@ def series_pow_c_ratio(a: Series) -> Series:
     la = series_log(a)
     divided = la.map_coeffs(lambda c: cpoly(c).div_c() * 2)
     return series_exp(divided)
-
-
-def partition_numbers(kmax: int) -> list[int]:
-    """p_0 .. p_kmax by the Euler pentagonal-number recurrence."""
-    p = [0] * (kmax + 1)
-    p[0] = 1
-    for n in range(1, kmax + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > n and g2 > n:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            if g1 <= n:
-                total += sign * p[n - g1]
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
-    return p
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import (C, CPoly, Series, cpoly, exp_truncated, partition_numbers,
+from .series import (C, CPoly, Series, cpoly, eta_inverse_power, exp_truncated,
                      series_pow_c_ratio)
 
 Partition = tuple  # descending tuple of ints >= 2; () is the vacuum
@@ -325,8 +325,8 @@ class PkDeviation:
 
 
 def pk_conjecture_check(p: Series) -> PkDeviation:
-    """Compare P_N = `p_series(N, order)` with the partition numbers."""
-    pk = partition_numbers(p.order)
+    """Compare P_N = `p_series(N, order)` with p(k), read off 1/eta's series."""
+    pk = eta_inverse_power(1, "q", p.order).series
     for k in range(p.order + 1):
         if p[k] != pk[k]:
             return PkDeviation(k, 1 if p[k] > pk[k] else -1)

@@ -11,10 +11,12 @@
   series, a^r = exp(r log a), which only it and the tests raise.
 - Scalar references for the vectorised loop-model code.  Each works on one
   link state at a time, given as a tuple (or row) of partner indices, the
-  way the link basis was first written.  And the link route to the loop
-  spectrum, against which the RSOS height-basis solve is checked: the
-  physical states picked from the Gram radical of the link basis, from
-  one dense eig of the whole H or of each of its reflection sectors.
+  way the link basis was first written.  The dense TL generator e_i of
+  the link basis and the whole RSOS H, which only the tests build.  And
+  the link route to the loop spectrum, against which the RSOS
+  height-basis solve is checked: the physical states picked from the
+  Gram radical of the link basis, from one dense eig of the whole H or of
+  each of its reflection sectors.
 - The free-field mode-word sum that acts every word on every key and
   tests the level once, on the final key, in Fractions, against which
   `freefield.mode_sum` (which acts only where the result is kept, on
@@ -49,8 +51,9 @@ import scipy.sparse as sp
 from rectcft import freefield
 from rectcft.freefield import GMatrix
 from rectcft.ising import FreeFermionSolution, _mode_angles
-from rectcft.looplattice import (DegenerateNormError, SpectrumEntry, dyck_words,
-                                 eigenvalue_clusters, gram_row, hamiltonian, link_basis)
+from rectcft.looplattice import (DegenerateNormError, RSOSBasis, SpectrumEntry, dyck_words,
+                                 eigenvalue_clusters, gram_row, hamiltonian, link_basis,
+                                 rsos_generators)
 from rectcft.series import (CZERO, CPoly, Series, cpoly, exp_truncated, series_exp,
                             series_log)
 from rectcft.virasoro import (VermaVector, _slit_factors, apply_mode, slit_factor_count,
@@ -271,6 +274,22 @@ def boundary_link_state(n_sites: int, beta: float) -> np.ndarray:
     v = np.zeros(len(partners))
     v[(partners == adjacent_state(n_sites)).all(axis=1)] = beta ** (-n_sites / 2)
     return v
+
+
+def tl_generator_matrix(i: int, n_sites: int, beta: float) -> np.ndarray:
+    """Dense e_i in the link basis, read off the move table."""
+    moves = link_basis(n_sites).moves
+    cols = np.arange(len(moves))
+    e = np.zeros((len(moves), len(moves)))
+    e[moves[:, i], cols] = np.where(moves[:, i] == cols, beta, 1.0)
+    return e
+
+
+def rsos_hamiltonian(basis: RSOSBasis) -> sp.csr_matrix:
+    """H = -sum_i e_i in the height basis, from all of `rsos_generators`."""
+    _, rows, cols, values = rsos_generators(basis)
+    d = len(basis.words)
+    return -sp.coo_matrix((values, (rows, cols)), shape=(d, d)).tocsr()
 
 
 NULL_TOL = 1e-8

@@ -12,7 +12,7 @@ from rectcft import cli, freefield, ising, looplattice, slitmaps, virasoro
 from rectcft.cli import build_parser, main
 from rectcft.fitting import FitError
 from rectcft.freefield import GMatrix, boson_vacuum
-from rectcft.series import DivisibilityError
+from rectcft.series import C, CONE, DivisibilityError, Series
 from rectcft.virasoro import finitized_state, product_amplitude
 
 
@@ -214,6 +214,9 @@ class TestExactBytes:
          "b8ff0453f0634b322534a74172bc0a3a84f098f6e09ce1c8a8e72ecd7fb222ab"),
         (("boson", "--amplitude-order", "60"),
          "3c653fe55c4eb5cf7029af55c31d015d27107e3c102194764fb3d13cb9f82aca"),
+        # P_4 first leaves p(k) at q^16: no deviation within order 12
+        (("pn", "--slits-exponent", "4", "--order", "12"),
+         "d8f244908c26c679bf1a8378d03c535c7215b46bf217ddd916b735fb771a4538"),
     ])
     def test_output_digest(self, capsys, tmp_path, argv, digest):
         out = tmp_path / "out"
@@ -400,6 +403,12 @@ class TestErrorPaths:
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + rows
 
+    @pytest.mark.parametrize("n", ["0", "7"])
+    def test_slits_exponent_out_of_range(self, capsys, n):
+        code, _, err = run(capsys, "pn", "--slits-exponent", n)
+        assert code == 2
+        assert err == "rectcft: slits-exponent must be in 1..6\n"
+
     def test_loop_empty_n_range(self, capsys):
         code, _, err = run(capsys, "loop", "--nmin", "20", "--nmax", "10")
         assert code == 2
@@ -478,12 +487,19 @@ class TestErrorPaths:
                      "fermion Virasoro product disagrees with coherent state",
                      id="majorana-compare-virasoro"),
         pytest.param(("slitmap", "--check"), slitmaps, "asymptotic_decay_slope",
-                     lambda n: 0.0, "decay slope off at N=1: 0.0 vs -3", id="slitmap")])
+                     lambda n: 0.0, "decay slope off at N=1: 0.0 vs -3", id="slitmap"),
+        pytest.param(("pn", "--slits-exponent", "2", "--order", "4"), virasoro,
+                     "product_amplitude", lambda n, order: Series("qhat", (1, 1), order=order),
+                     "odd level 1 does not vanish", id="pn-odd-level"),
+        pytest.param(("pn", "--slits-exponent", "2", "--order", "4"), virasoro,
+                     "series_pow_c_ratio", lambda a: Series("q", (CONE, C), order=a.order),
+                     "P_N coefficient of q^1 depends on c: c", id="pn-c-dependent")])
     def test_failed_identity_is_structural(self, capsys, monkeypatch, argv, module, attr,
                                            wrong, message):
         # each replacement breaks the identity its subcommand checks: the
         # N = 1 slit state for the boundary state, the vacuum for the boson
-        # coherent state, a zero G table, a flat decay slope
+        # coherent state, a zero G table, a flat decay slope, an amplitude
+        # with an odd level, a P_N coefficient linear in c
         monkeypatch.setattr(module, attr, wrong)
         code, _, err = run(capsys, *argv)
         assert code == 3

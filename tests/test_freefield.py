@@ -19,7 +19,7 @@ from rectcft.freefield import (BosonVector, FermionVector, boson_amplitude,
                                fermion_annihilation_check, fermion_boundary_state,
                                fermion_mode,
                                fermion_vacuum, fermion_virasoro, g_from_amatrix,
-                               g_series, level_operator, mode_sum,
+                               g_series, mode_sum,
                                virasoro_product_state)
 from rectcft.series import eta_inverse_power
 from reference import coeffs, fermion_level, free_vector, level_component
@@ -150,14 +150,14 @@ class TestIntegerFormat:
                 assert (zero.terms, zero.den) == ({}, 1)
 
     def test_level_operator(self):
-        for v in random_vectors(5, 1):
-            out = level_operator(v)
-            assert_integer_format(out, reduced=False)
+        for v, l_n in zip(random_vectors(5, 1), (boson_virasoro, fermion_virasoro)):
+            out = l_n(0, v)
+            assert_integer_format(out)
             assert () not in out.terms
         # half-integer levels: psi_{-3/2}|O> at level 3/2, psi_{-1/2}|O> at 1/2
         v = FermionVector({(1,): 1, (0,): 3}, 4)
-        out = level_operator(v)
-        assert_integer_format(out, reduced=False)
+        out = fermion_virasoro(0, v)
+        assert_integer_format(out)
         assert coeffs(out) == {(1,): F(3, 2), (0,): F(3, 2)}
 
     def test_boundary_states(self):
@@ -169,10 +169,8 @@ class TestIntegerFormat:
         assert BosonVector({(1,): 2}, 4, 4) != BosonVector({(1,): 1}, 4, 4)
         assert BosonVector({(1,): 1, (2,): 1}, 4, 2) != BosonVector({(1,): 1}, 4, 2)
         assert FermionVector({(1,): 1}, 4, 2) != BosonVector({(1,): 1}, 4, 2)
-        # L_0 leaves psi_{-3/2} psi_{-1/2}|O> (level 2) as 4/2, not reduced
-        out = level_operator(FermionVector({(1, 0): 1}, 4))
-        assert (out.terms, out.den) == ({(1, 0): 4}, 2)
-        assert out == FermionVector({(1, 0): 2}, 4)
+        # psi_{-3/2} psi_{-1/2}|O> times 4/2, not reduced, equals it times 2
+        assert FermionVector({(1, 0): 4}, 4, 2) == FermionVector({(1, 0): 2}, 4)
 
     def test_fold_builds_no_fraction(self, monkeypatch):
         vb, vf = random_vectors(5, 2)
@@ -184,7 +182,6 @@ class TestIntegerFormat:
         mode_sum(freefield._boson_act, self.WORDS["boson"], vb, 5)
         mode_sum(freefield._fermion_act, self.WORDS["fermion"], vf, F(9, 2))
         vb.add_scaled(vb, F(-1, 3))
-        level_operator(vf)
 
 
 class TestModeSum:
@@ -227,7 +224,7 @@ class TestModeSum:
 
     def test_level_operator(self):
         v = free_vector(FermionVector, {(): F(2), (1, 0): F(1), (2,): F(3)}, 4)
-        assert coeffs(level_operator(v)) == {(1, 0): F(2), (2,): F(15, 2)}
+        assert coeffs(fermion_virasoro(0, v)) == {(1, 0): F(2), (2,): F(15, 2)}
 
 
 def mode_words(creators, annihilators, rng):

@@ -10,10 +10,11 @@ from rectcft.looplattice import (DegenerateNormError, ShortfallError, _sector_st
                                  dyck_words, enumerate_links, gram, gram_row, hamiltonian,
                                  link_basis, loop_fit_summary, overlap_table, parse_p,
                                  reflection_sectors, rsos_basis, rsos_generators,
-                                 rsos_hamiltonian, sparse_structure, spectrum,
-                                 spectrum_dense, spectrum_sparse, spl, tl_generator_matrix)
+                                 sparse_structure, spectrum, spectrum_dense,
+                                 spectrum_sparse, spl)
 from reference import (adjacent_state, apply_tl, boundary_link_state, full_space_spectrum,
-                       link_reflection_sector, link_sector_spectrum, loops_between)
+                       link_reflection_sector, link_sector_spectrum, loops_between,
+                       rsos_hamiltonian, tl_generator_matrix)
 
 BETA3 = 2 * math.cos(math.pi / 4)  # p = 3
 

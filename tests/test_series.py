@@ -6,13 +6,12 @@ import pytest
 
 from rectcft import virasoro
 from rectcft.freefield import boson_mode, boson_vacuum
-from rectcft.series import (C, CONE, CPoly, DivisibilityError, Series, SeriesError,
+from rectcft.series import (C, CONE, CZERO, CPoly, DivisibilityError, Series, SeriesError,
                             VariableMismatchError, cpoly, eta_inverse_power,
-                            exp_truncated, partition_numbers, series_exp, series_log,
-                            series_pow_c_ratio)
+                            exp_truncated, series_exp, series_log, series_pow_c_ratio)
 from rectcft.virasoro import VermaVector
-from reference import (coeffs, level_component, poly, poly_add, poly_eval, poly_mul, poly_neg,
-                       series_pow_scalar, verma)
+from reference import (coeffs, level_component, partitions, poly, poly_add, poly_eval, poly_mul,
+                       poly_neg, series_pow_scalar, verma)
 
 
 def S(coeffs, order=None, var="q"):
@@ -107,6 +106,26 @@ class TestCPoly:
             if rp and rp[0]:
                 with pytest.raises(DivisibilityError):
                     p.div_c()
+
+
+@pytest.mark.parametrize("expr, outcome", [
+    pytest.param(lambda: S([1]) == S([1], var="qhat"), False, id="series-other-variable"),
+    pytest.param(lambda: S([1]) == 1, False, id="series-vs-non-series"),
+    pytest.param(lambda: S([1]) * 2, TypeError, id="series-times-int"),
+    pytest.param(lambda: (S([1, 2])[-1], S([1, 2])[5]), (0, 0), id="series-off-window"),
+    pytest.param(lambda: repr(CZERO), "0", id="cpoly-zero-repr"),
+    pytest.param(lambda: CPoly((0, 1)).constant(), ValueError, id="cpoly-constant-of-c"),
+    pytest.param(lambda: CPoly((1.5,)), TypeError, id="cpoly-float"),
+    pytest.param(lambda: setattr(CPoly((1,)), "den", 2), AttributeError, id="cpoly-immutable"),
+    pytest.param(lambda: setattr(S([1]), "var", "qhat"), AttributeError,
+                 id="series-immutable"),
+])
+def test_edge_cases(expr, outcome):
+    if isinstance(outcome, type) and issubclass(outcome, Exception):
+        with pytest.raises(outcome):
+            expr()
+    else:
+        assert expr() == outcome
 
 
 class TestSeriesRing:
@@ -226,21 +245,26 @@ class TestEtaInversePower:
 
     def test_partition_identity_to_40(self):
         eta = eta_inverse_power(1, "q", 40).series
-        p = partition_numbers(40)
-        assert [int(eta[k]) for k in range(41)] == p
+        assert [eta[k] for k in range(41)] == [count_partitions(k) for k in range(41)]
+
+
+def count_partitions(k: int) -> int:
+    return sum(1 for _ in partitions(k))
 
 
 class TestPartitionNumbers:
+    """p(k) is read off the series of eta_inverse_power(1, "q", k)."""
+
     def test_known_prefix(self):
-        assert partition_numbers(7) == [1, 1, 2, 3, 5, 7, 11, 15]
+        assert eta_inverse_power(1, "q", 7).series.coeffs == (1, 1, 2, 3, 5, 7, 11, 15)
 
     def test_brute_force_oracle(self):
-        p = partition_numbers(12)
+        p = eta_inverse_power(1, "q", 12).series
         for k in range(13):
-            assert p[k] == len(enumerate_partitions(k))
+            assert p[k] == count_partitions(k)
 
     def test_p26(self):
-        assert partition_numbers(26)[26] == 2436
+        assert eta_inverse_power(1, "q", 26).series[26] == 2436
 
 
 class Counting:
