@@ -40,19 +40,18 @@ def _check_range(name, value, hi, lo=0):
     return value
 
 
-def _emit(args, payload, csv_rows=None, csv_header=None):
-    """Write the result in the requested format to --out or stdout."""
-    if args.format == "csv":
+def _emit(args, payload, plain=None, table=None):
+    """Write the result to --out or stdout: `table`, a (header, *rows)
+    sequence, as CSV under --format csv or an --out ending in .csv; `plain`
+    (else the flattened payload) under --format plain; JSON otherwise."""
+    if table and (args.format == "csv" or (args.out or "").endswith(".csv")):
         buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(csv_header)
-        w.writerows(csv_rows)
+        csv.writer(buf).writerows(table)
         text = buf.getvalue()
     elif args.format == "plain":
-        if isinstance(payload, str):
-            text = payload + "\n"
-        else:
-            text = "\n".join(f"{k}: {v}" for k, v in _flatten(payload)) + "\n"
+        if plain is None:
+            plain = "\n".join(f"{k}: {v}" for k, v in _flatten(payload))
+        text = plain + "\n"
     else:
         text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     if args.out:
@@ -62,15 +61,11 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
         sys.stdout.write(text)
 
 
-def _emit_table(args, csv_rows, csv_header, summary, summary_key):
-    """A lattice table: CSV rows when asked for (or when --out ends in .csv),
-    else {"rows", summary_key} in the chosen format; --summary-out gets the
-    summary JSON whatever the format."""
-    if args.format == "csv" or args.out and args.out.endswith(".csv"):
-        args.format = "csv"
-        _emit(args, summary, csv_rows=csv_rows, csv_header=csv_header)
-    else:
-        _emit(args, {"rows": [list(r) for r in csv_rows], summary_key: summary})
+def _emit_table(args, header, rows, summary, summary_key):
+    """A lattice table: its rows (lists) as `_emit`'s table, or
+    {"rows", summary_key}; --summary-out gets the summary JSON whatever the
+    format."""
+    _emit(args, {"rows": rows, summary_key: summary}, table=(header, *rows))
     if args.summary_out:
         with open(args.summary_out, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True, default=str)
@@ -88,7 +83,7 @@ def _flatten(obj, prefix=""):
 
 
 def cmd_boundary_state(args):
-    level = _check_range("level", args.level, 40)
+    level = _check_range("level", args.level, max_order())
     state = virasoro.boundary_state(level)
     _emit(args, state.to_json())
 
@@ -103,12 +98,10 @@ def cmd_amplitude(args):
     eta = eta_inverse_power(C * Fraction(1, 2), "qhat", order).series
     matches = amp == eta
     shown = amp if c_val is None else amp.map_coeffs(lambda co: cpoly(co)(c_val))
-    if args.format == "plain":
-        _emit(args, repr(shown) + f"\n[eta identity: {'pass' if matches else 'FAIL'}]")
-    else:
-        _emit(args, {"order": order, "variable": "qhat", "prefactor_exponent": "-c/24",
-                     "coefficients": shown.to_json()["coefficients"],
-                     "eta_identity_passes": bool(matches)})
+    _emit(args, {"order": order, "variable": "qhat", "prefactor_exponent": "-c/24",
+                 "coefficients": shown.to_json()["coefficients"],
+                 "eta_identity_passes": bool(matches)},
+          plain=repr(shown) + f"\n[eta identity: {'pass' if matches else 'FAIL'}]")
     if not matches:
         raise AssertionError("amplitude does not match the eta power series")
 
@@ -124,14 +117,11 @@ def cmd_pn(args):
                "coefficients": p.to_json()["coefficients"],
                "first_deviation": dev.first_deviation,
                "deviation_sign": dev.deviation_sign}
-    if args.format == "plain":
-        _emit(args, repr(p))
-    else:
-        _emit(args, payload)
+    _emit(args, payload, plain=repr(p))
 
 
 def cmd_gluing_check(args):
-    level = _check_range("level", args.level, 40)
+    level = _check_range("level", args.level, max_order())
     nmax = _check_range("nmax", args.nmax, level)
     state = virasoro.boundary_state(level)
     results = {}
@@ -167,23 +157,20 @@ def cmd_slitmap(args):
     _emit(args, out)
 
 
-def _free_amplitude(args, name, amplitude, s, cap):
+def _free_amplitude(args, name, amplitude, s):
     """A free-field amplitude against eta^{-s} in qhat, c = 2s."""
-    order = _check_range("amplitude-order", args.amplitude_order, cap)
+    order = _check_range("amplitude-order", args.amplitude_order, max_order())
     amp = amplitude(order)
     passes = amp == eta_inverse_power(s, "qhat", order).series
-    if args.format == "plain":
-        _emit(args, repr(amp))
-    else:
-        _emit(args, {"order": order, "variable": "qhat", "prefactor_exponent": str(-s / 12),
-                     "coefficients": amp.to_json()["coefficients"],
-                     "eta_identity_passes": passes})
+    _emit(args, {"order": order, "variable": "qhat", "prefactor_exponent": str(-s / 12),
+                 "coefficients": amp.to_json()["coefficients"],
+                 "eta_identity_passes": passes}, plain=repr(amp))
     if not passes:
         raise AssertionError(f"{name} amplitude does not match eta^{{-{s}}}")
 
 
 def cmd_boson(args):
-    _free_amplitude(args, "boson", freefield.boson_amplitude, Fraction(1, 2), max_order())
+    _free_amplitude(args, "boson", freefield.boson_amplitude, Fraction(1, 2))
 
 
 def cmd_majorana(args):
@@ -195,10 +182,10 @@ def cmd_majorana(args):
         g = freefield.g_series(max(m_max, n_max))
         rows = [(m, n, str(g[m, n])) for m in range(m_max + 1) for n in range(n_max + 1)]
         _emit(args, {"entries": {f"G[{m},{n}]": s for m, n, s in rows}},
-              csv_rows=rows, csv_header=("m", "n", "G_mn"))
+              table=(("m", "n", "G_mn"), *rows))
         return
     if args.compare_virasoro:
-        level = _check_range("level", args.level, 12, lo=1)
+        level = _check_range("level", args.level, max_order(), lo=1)
         prod = freefield.virasoro_product_state(
             freefield.fermion_virasoro, freefield.fermion_vacuum(level), level,
             virasoro.slit_factor_count(level))
@@ -208,24 +195,30 @@ def cmd_majorana(args):
         if not same:
             raise AssertionError("fermion Virasoro product disagrees with coherent state")
         return
-    _free_amplitude(args, "fermion", freefield.fermion_amplitude, Fraction(1, 4), 20)
+    _free_amplitude(args, "fermion", freefield.fermion_amplitude, Fraction(1, 4))
 
 
-def cmd_loop(args):
+def _even_n(args, cap):
+    """The even N >= 2 in [--nmin, --nmax], --nmax at most `cap`."""
     nmin = _check_range("nmin", args.nmin, 1000)
-    nmax = _check_range("nmax", args.nmax, 26)
-    kmax = _check_range("kmax", args.kmax, 40)
+    nmax = _check_range("nmax", args.nmax, cap)
     n_values = range(nmin + nmin % 2, nmax + 1, 2)
     if not n_values or n_values[0] < 2:
         raise UsageError(f"no even N >= 2 in [{nmin}, {nmax}]")
+    return n_values
+
+
+def cmd_loop(args):
+    n_values = _even_n(args, 26)
+    kmax = _check_range("kmax", args.kmax, 40)
     weights = dict.fromkeys(_loop_weight(p) for p in args.p.split(","))
     tables = {w: looplattice.overlap_table(w.p, n_values, kmax) for w in weights}
-    csv_rows = [("inf" if math.isinf(r.p) else r.p, r.n_sites, r.k, repr(r.energy),
-                 repr(r.overlap))
+    csv_rows = [["inf" if math.isinf(r.p) else r.p, r.n_sites, r.k, repr(r.energy),
+                 repr(r.overlap)]
                 for w in sorted(tables, key=lambda w: w.p) for r in tables[w]]
     summaries = {("inf" if math.isinf(w.p) else str(w.p)): looplattice.loop_fit_summary(t)
                  for w, t in tables.items()}
-    _emit_table(args, csv_rows, ("p", "N", "k", "energy", "overlap"), summaries, "fits")
+    _emit_table(args, ("p", "N", "k", "energy", "overlap"), csv_rows, summaries, "fits")
 
 
 def _loop_weight(text):
@@ -236,21 +229,17 @@ def _loop_weight(text):
 
 
 def cmd_ising(args):
-    nmin = _check_range("nmin", args.nmin, 1000)
-    nmax = _check_range("nmax", args.nmax, 1000)
+    n_values = _even_n(args, 1000)
     kmax = _check_range("kmax", args.kmax, 30)
-    n_values = list(range(nmin + nmin % 2, nmax + 1, 2))
-    if not n_values or n_values[0] < 1:
-        raise UsageError(f"need even N >= 2 in [{nmin}, {nmax}]")
     labels = ising.table_labels(n_values, kmax)
     try:
         ising.check_fit_points(n_values, labels)
     except fitting.FitError as exc:
-        raise UsageError(f"{exc} in [{nmin}, {nmax}]") from None
+        raise UsageError(f"{exc} in [{args.nmin}, {args.nmax}]") from None
     records = ising.ising_overlap_table(n_values, kmax)
     summary = ising.ising_fit_summary(records)
-    csv_rows = [(r.n_sites, r.k, str(r.h_label), repr(r.overlap)) for r in records]
-    _emit_table(args, csv_rows, ("N", "k", "h_label", "overlap"), summary, "fit")
+    csv_rows = [[r.n_sites, r.k, str(r.h_label), repr(r.overlap)] for r in records]
+    _emit_table(args, ("N", "k", "h_label", "overlap"), csv_rows, summary, "fit")
 
 
 def cmd_fit(args):

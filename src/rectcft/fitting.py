@@ -100,7 +100,7 @@ def fit(data, basis, drop_first: int = 0) -> FitResult:
             raise FitError(f"design matrix rank {rank} < {len(basis)} terms on these N")
         windows.append(coef)
     central = dict(zip(basis, windows[0].tolist()))
-    spread = {t: 0.0 for t in basis}
+    spread = dict.fromkeys(basis, 0.0 if len(windows) > 1 else None)
     for coef in windows[1:]:
         for t, c in zip(basis, coef.tolist()):
             spread[t] = max(spread[t], abs(c - central[t]))
@@ -132,11 +132,11 @@ def ground_state_fit(data) -> tuple[FitResult, dict]:
     summary block: a1 (the log N coefficient), the lattice constant alpha
     (see `extract_overlap`) and their window spreads."""
     gfit = fit(data, ABSOLUTE_BASIS)
-    alpha = extract_overlap(gfit)
+    alpha, spread = extract_overlap(gfit), gfit.window_spread["1"]
     return gfit, {"a1": gfit.coefficient("logN"),
                   "a1_spread": gfit.window_spread["logN"],
                   "alpha": alpha,
-                  "alpha_spread": alpha * np.expm1(gfit.window_spread["1"])}
+                  "alpha_spread": None if spread is None else alpha * np.expm1(spread)}
 
 
 def ratio_fit(data) -> tuple[float, float]:

@@ -162,7 +162,7 @@ def _boson_act(m: int, lam):
     multiplicity of m) for m > 0, zero for m = 0 (no momentum sectors)."""
     if m < 0:
         return 1, tuple(sorted(lam + (-m,), reverse=True))
-    if m == 0 or m not in lam:
+    if m not in lam:
         return None
     i = lam.index(m)
     return m * lam.count(m), lam[:i] + lam[i + 1:]

@@ -36,8 +36,6 @@ def act(n: int, lam: Partition) -> dict:
     """
     if not lam:
         return {} if n >= -1 else {(-n,): (1,)}
-    if n == 0:
-        return {lam: (sum(lam),)}
     m1, rest = lam[0], lam[1:]
     if n <= -m1:
         # L_n commutes straight to the front of the descending word
@@ -251,8 +249,6 @@ def exp_l2_vacuum(g: VermaVector, x, order: int, width: int) -> Series:
     scale = math.lcm(*(w.denominator for w in weights))
     acc = [0] * ((order + 1) * width)
     for mu, slots in g.terms.items():
-        if sum(mu) % 2:
-            continue
         w = weights[sum(mu) // 2]
         f = w.numerator * (scale // w.denominator)
         for e, m in enumerate(vacuum_functional(mu)):

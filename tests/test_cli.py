@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rectcft import cli, freefield, ising, looplattice, slitmaps, virasoro
@@ -14,6 +15,15 @@ from rectcft.fitting import FitError
 from rectcft.freefield import GMatrix, boson_vacuum
 from rectcft.series import C, CONE, DivisibilityError, Series
 from rectcft.virasoro import finitized_state, product_amplitude
+
+SQRT_ONE_MINUS_SQ = freefield._sqrt_one_minus_sq
+
+
+def perturbed_sqrt(order):
+    """`_sqrt_one_minus_sq` with its x^2 numerator off by one."""
+    co, den = SQRT_ONE_MINUS_SQ(order)
+    co[2] += 1
+    return co, den
 
 
 def run(capsys, *argv):
@@ -84,6 +94,15 @@ class TestSubcommands:
         lines = out.strip().splitlines()
         assert lines[0] == "m,n,G_mn"
         assert "1,2,5/8" in lines
+
+    def test_majorana_table_csv_out(self, capsys, tmp_path):
+        # an --out ending in .csv picks the CSV form, as --format csv does
+        table = tmp_path / "x.csv"
+        code, out, _ = run(capsys, "majorana", "--g-table", "2", "2", "--out", str(table))
+        assert (code, out) == (0, "")
+        _, csv_out, _ = run(capsys, "majorana", "--g-table", "2", "2", "--format", "csv")
+        assert table.read_text().splitlines() == csv_out.splitlines()
+        assert csv_out.splitlines()[:3] == ["m,n,G_mn", "0,0,0", "0,1,1/2"]
 
     def test_majorana_compare_virasoro(self, capsys):
         code, out, _ = run(capsys, "majorana", "--compare-virasoro", "--level", "6")
@@ -305,6 +324,37 @@ class TestErrorPaths:
         assert len(lines) == 1 + 61 * 61
         assert lines[-1] == "60,60,0"
 
+    @pytest.mark.parametrize("argv, name, lo, cap, module, attr", [
+        (("boundary-state", "--level"), "level", 0, 4, virasoro, "boundary_state"),
+        (("gluing-check", "--nmax", "1", "--level"), "level", 0, 4, virasoro,
+         "boundary_state"),
+        (("amplitude", "--order"), "order", 0, 4, virasoro, "product_amplitude"),
+        (("pn", "--order"), "order", 0, 2, virasoro, "p_series"),
+        (("boson", "--amplitude-order"), "amplitude-order", 0, 4, freefield,
+         "boson_amplitude"),
+        (("majorana", "--amplitude-order"), "amplitude-order", 0, 4, freefield,
+         "fermion_amplitude"),
+        (("majorana", "--compare-virasoro", "--level"), "level", 1, 4, freefield,
+         "virasoro_product_state"),
+        (("majorana", "--g-table", "0"), "g-table max(M, N)", 0, 4, freefield, "g_series"),
+    ], ids=["boundary-state", "gluing-check", "amplitude", "pn", "boson", "majorana",
+            "majorana-compare-virasoro", "majorana-g-table"])
+    def test_every_exact_size_is_capped_by_max_order(self, capsys, monkeypatch, argv, name,
+                                                     lo, cap, module, attr):
+        # RECTCFT_MAX_ORDER is the one size limit of the exact paths (pn's
+        # order counts q = qhat^2, so half of it); one past it is refused
+        # before any work
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the result was computed")
+
+        monkeypatch.setenv("RECTCFT_MAX_ORDER", "4")
+        code, _, err = run(capsys, *argv, str(cap))
+        assert (code, err) == (0, "")
+        monkeypatch.setattr(module, attr, not_reached)
+        code, _, err = run(capsys, *argv, str(cap + 1))
+        assert code == 2
+        assert err == f"rectcft: {name}={cap + 1} outside [{lo}, {cap}]\n"
+
     @pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
     def test_max_order_env_must_be_non_negative_integer(self, capsys, monkeypatch, value):
         monkeypatch.setenv("RECTCFT_MAX_ORDER", value)
@@ -486,6 +536,9 @@ class TestErrorPaths:
                      lambda cutoff: GMatrix({}, cutoff),
                      "fermion Virasoro product disagrees with coherent state",
                      id="majorana-compare-virasoro"),
+        pytest.param(("majorana", "--g-table", "2", "2"), freefield, "_sqrt_one_minus_sq",
+                     perturbed_sqrt,
+                     "bivariate division by (u - v) left a remainder", id="majorana-g-table"),
         pytest.param(("slitmap", "--check"), slitmaps, "asymptotic_decay_slope",
                      lambda n: 0.0, "decay slope off at N=1: 0.0 vs -3", id="slitmap"),
         pytest.param(("pn", "--slits-exponent", "2", "--order", "4"), virasoro,
@@ -498,12 +551,22 @@ class TestErrorPaths:
                                            wrong, message):
         # each replacement breaks the identity its subcommand checks: the
         # N = 1 slit state for the boundary state, the vacuum for the boson
-        # coherent state, a zero G table, a flat decay slope, an amplitude
-        # with an odd level, a P_N coefficient linear in c
+        # coherent state, a zero G table, a sqrt(1 - x^2) whose x^2
+        # coefficient is off by one, a flat decay slope, an amplitude with an
+        # odd level, a P_N coefficient linear in c
         monkeypatch.setattr(module, attr, wrong)
         code, _, err = run(capsys, *argv)
         assert code == 3
         assert err == f"rectcft: structural check failed: {message}\n"
+
+    def test_ising_minor_not_positive_is_runtime_error(self, capsys, monkeypatch):
+        # a zero kernel gives the allowed state (1, 2) a zero minor
+        kernel = ising._overlap_kernel
+        monkeypatch.setattr(ising, "_overlap_kernel",
+                            lambda n, m: (kernel(n, m)[0], np.zeros((m, m))))
+        code, out, err = run(capsys, "ising", "--nmin", "2", "--nmax", "20", "--kmax", "3")
+        assert (code, out) == (1, "")
+        assert err == "rectcft: minor 0.0 of <B|(1, 2)> at N=20\n"
 
     def test_loop_arpack_shortfall_is_runtime_error(self, capsys):
         # p = 2 (beta = 1) has one physical state: its height basis holds

@@ -1,6 +1,8 @@
 """Each documented argument error of the module API, with its class and
-message."""
+message, and each alarm of a numerical path, reached by patching the numpy
+call it guards."""
 
+import numpy as np
 import pytest
 
 from rectcft import fitting, freefield, ising, looplattice, virasoro
@@ -35,3 +37,33 @@ def test_argument_error(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_overlap_sq_alarms_on_a_negative_determinant(monkeypatch):
+    # parity zeros may round to tiny negatives, which read 0; below -1e-12
+    # a determinant cannot be roundoff
+    sol = ising.solve_chain(4)
+    monkeypatch.setattr(ising.np.linalg, "det", lambda m: -1e-13)
+    assert ising.overlap_sq(sol) == 0.0
+    monkeypatch.setattr(ising.np.linalg, "det", lambda m: -1e-6)
+    with pytest.raises(ArithmeticError, match=r"^negative overlap determinant -1e-06 at N=4$"):
+        ising.overlap_sq(sol)
+
+
+def test_neg_log_overlap_is_inf_where_the_determinant_is_not_positive(monkeypatch):
+    sol = ising.solve_chain(6)
+    slogdet = np.linalg.slogdet
+    assert np.isfinite(ising.neg_log_overlap(sol))
+    monkeypatch.setattr(ising.np.linalg, "slogdet", lambda m: (-1.0, slogdet(m)[1]))
+    assert ising.neg_log_overlap(sol) == np.inf
+    monkeypatch.setattr(ising.np.linalg, "slogdet", lambda m: (0.0, -np.inf))
+    assert ising.neg_log_overlap(sol) == np.inf
+
+
+def test_g_from_amatrix_singular_solve(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(freefield.np.linalg, "solve", singular)
+    with pytest.raises(RuntimeError, match=r"^\(1\+a\) singular at truncation 4$"):
+        freefield.g_from_amatrix(4)

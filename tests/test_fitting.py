@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rectcft.fitting import (ABSOLUTE_BASIS, RATIO_BASIS, FitError, extract_overlap,
-                             fit)
+                             fit, ground_state_fit, points_needed, ratio_fit)
 
 
 def synth(ns, a0=2.0, a1=-0.0625, a2=1.0, a3=3.0):
@@ -67,6 +67,16 @@ class TestFit:
         r = fit(data, ("N", "1"))
         assert all(s >= 0 for s in r.window_spread.values())
         assert r.window_spread["N"] > 0
+
+    def test_one_window_has_no_spread(self):
+        # with no second window nothing was measured: null, not 0.0
+        data = synth(range(2, 2 * points_needed(ABSOLUTE_BASIS) + 1, 2))
+        gfit, block = ground_state_fit(data)
+        assert gfit.window_spread == dict.fromkeys(ABSOLUTE_BASIS, None)
+        assert block["a1_spread"] is None and block["alpha_spread"] is None
+        ratio = [(n, 0.5 + 1.0 / n) for n in range(2, 2 * points_needed(RATIO_BASIS, 3) + 1, 2)]
+        assert ratio_fit(ratio)[1] is None
+        assert ratio_fit(ratio + [(40, 0.5 + 1.0 / 40)])[1] >= 0
 
 
 class TestExtractOverlap:
