@@ -216,8 +216,7 @@ def cmd_loop(args):
     csv_rows = [["inf" if math.isinf(r.p) else r.p, r.n_sites, r.k, repr(r.energy),
                  repr(r.overlap)]
                 for w in sorted(tables, key=lambda w: w.p) for r in tables[w]]
-    summaries = {("inf" if math.isinf(w.p) else str(w.p)): looplattice.loop_fit_summary(t)
-                 for w, t in tables.items()}
+    summaries = {str(w.p): looplattice.loop_fit_summary(t) for w, t in tables.items()}
     _emit_table(args, ("p", "N", "k", "energy", "overlap"), csv_rows, summaries, "fits")
 
 
@@ -231,11 +230,6 @@ def _loop_weight(text):
 def cmd_ising(args):
     n_values = _even_n(args, 1000)
     kmax = _check_range("kmax", args.kmax, 30)
-    labels = ising.table_labels(n_values, kmax)
-    try:
-        ising.check_fit_points(n_values, labels)
-    except fitting.FitError as exc:
-        raise UsageError(f"{exc} in [{args.nmin}, {args.nmax}]") from None
     records = ising.ising_overlap_table(n_values, kmax)
     summary = ising.ising_fit_summary(records)
     csv_rows = [[r.n_sites, r.k, str(r.h_label), repr(r.overlap)] for r in records]

@@ -41,8 +41,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .fitting import (ABSOLUTE_BASIS, DROP_FIRST_EXCITED, RATIO_BASIS, FitError,
-                      ground_state_fit, points_needed, ratio_fit, rows_by_k)
+from .fitting import FitError, ground_state_fit, ratio_fit, rows_by_k
 
 
 @dataclass
@@ -115,13 +114,9 @@ def overlap_sq(sol: FreeFermionSolution, excitation=()) -> float:
     """|<all-up | k1..ks>|^2 = det((1 + G)/2); alarms on determinants below
     -1e-12 (parity zeros may round to tiny negatives)."""
     g = correlation_matrix(sol, excitation)
-    return _squared_overlap(np.linalg.det((np.eye(sol.n_sites) + g) / 2), sol.n_sites)
-
-
-def _squared_overlap(det, n_sites: int) -> float:
-    det = float(det)
+    det = float(np.linalg.det((np.eye(sol.n_sites) + g) / 2))
     if det < -1e-12:
-        raise ArithmeticError(f"negative overlap determinant {det} at N={n_sites}")
+        raise ArithmeticError(f"negative overlap determinant {det} at N={sol.n_sites}")
     return max(det, 0.0)
 
 
@@ -184,8 +179,8 @@ class OverlapRecord:
     overlap: float         # |<B|k>|; exact 0 for forbidden states
     neg_log_overlap: float
     overlap_det: float     # numeric |<B|k>|^2: overlap**2, or for forbidden
-                           # states det M0 * det A[S,S], A's same-parity
-                           # entries taken as computed (`_overlap_kernel`)
+                           # states det M0 * det A[S,S], signed, A's same-
+                           # parity entries as computed (`_overlap_kernel`)
 
 
 def _overlap_kernel(n_sites: int, m: int):
@@ -215,33 +210,13 @@ def _overlap_kernel(n_sites: int, m: int):
     return float(logdet0), a
 
 
-def table_labels(n_values, kmax: int) -> list[tuple]:
-    """The excitation sets that `ising_overlap_table` labels k = 0..kmax:
-    the kmax+1 lowest at the largest N."""
-    return [exc for _, exc in enumerate_low_states(mode_energies(max(n_values)), kmax)]
-
-
-def check_fit_points(n_values, labels) -> None:
-    """FitError unless each fit of `ising_fit_summary` gets more points than
-    terms: the ground state's on all N, an allowed excited state's on the N
-    >= its top mode less the DROP_FIRST_EXCITED smallest."""
-    for k, exc in enumerate(labels):
-        top = exc[-1] if exc else 2
-        need = (points_needed(RATIO_BASIS, DROP_FIRST_EXCITED) if k
-                else points_needed(ABSOLUTE_BASIS))
-        have = sum(n >= top for n in n_values)
-        if have < need and overlap_allowed(exc):
-            name = f"<B|{k}> ratio" if k else "ground-state"
-            raise FitError(f"the {name} fit needs at least {need} even N >= {top}, got {have}")
-
-
 def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
     """Overlap records for all N in `n_values` and the kmax+1 lowest states.
 
-    States are labelled by `table_labels` and tracked at every smaller N,
-    skipped where a mode index exceeds N.  This keeps each fit on one
-    physical state; near-degenerate pairs (the two h = 4 states) are split
-    by their exact energy sums.
+    States k = 0..kmax are the kmax+1 lowest at the largest N, tracked at
+    every smaller N and skipped where a mode index exceeds N.  This keeps
+    each fit on one physical state; near-degenerate pairs (the two h = 4
+    states) are split by their exact energy sums.
 
     Each N costs one Cholesky of the odd-mode block K = 1 - O_oo, built
     from the closed form of O = phi+ phi-^T (`mode_blocks`); no N x N
@@ -249,12 +224,12 @@ def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
     so det((1 + G_S)/2) = det M0 * det A[S,S] (matrix determinant lemma)
     with the Cayley transform A = (1 + O)(1 - O)^-1 = 2 (1 - O)^-1 - 1: one
     small principal minor per state.  States forbidden by `overlap_allowed`
-    are reported as exact 0, with det M0 * minor kept in `overlap_det` as
-    the numeric check; an allowed state whose minor is not positive raises
-    ArithmeticError.
+    are reported as exact 0, with det M0 * minor kept, signed, in
+    `overlap_det` as the numeric check (ArithmeticError below -1e-12); an
+    allowed state whose minor is not positive raises ArithmeticError.
     """
     n_values = sorted(n_values, reverse=True)
-    labels = table_labels(n_values, kmax)
+    labels = [exc for _, exc in enumerate_low_states(mode_energies(max(n_values)), kmax)]
     modes = max((exc[-1] for exc in labels if exc), default=0)
     h_labels = [conformal_label(exc) for exc in labels]
     records = []
@@ -272,7 +247,9 @@ def ising_overlap_table(n_values, kmax: int) -> list[OverlapRecord]:
                 ovl = float(np.exp(-nlo))
                 det = ovl ** 2
             else:
-                nlo, ovl, det = np.inf, 0.0, _squared_overlap(np.exp(logdet0) * minor, n)
+                nlo, ovl, det = np.inf, 0.0, float(np.exp(logdet0) * minor)
+                if det < -1e-12:
+                    raise ArithmeticError(f"negative overlap determinant {det} at N={n}")
             records.append(OverlapRecord(
                 n_sites=n, k=k, excitation=exc, h_label=h_labels[k], parity=len(exc) % 2,
                 overlap=ovl, neg_log_overlap=nlo, overlap_det=det))
@@ -283,24 +260,28 @@ def ising_fit_summary(records) -> dict:
     """a1, alpha from the ground-state series and <B|k> from ratio fits.
 
     States forbidden by `overlap_allowed` are reported as exact zeros
-    without fitting; `parity_forbidden` marks the parity-odd ones."""
+    without fitting, with the largest |overlap_det| as `max_det`;
+    `parity_forbidden` marks the parity-odd ones.  A fit that cannot be
+    made (too few N) is recorded as its `fit_error` text."""
     by_k = rows_by_k(records)
-    ground = by_k.pop(0)
-    gdata = [(r.n_sites, r.neg_log_overlap) for r in ground]
-    gfit, block = ground_state_fit(gdata)
-    g_by_n = {r.n_sites: r.neg_log_overlap for r in ground}
-    summary = {**block, "ground_fit": gfit.to_json(), "overlaps": {}}
+    g_by_n = {r.n_sites: r.neg_log_overlap for r in by_k.pop(0)}
+    try:
+        gfit, block = ground_state_fit(list(g_by_n.items()))
+        summary = {**block, "ground_fit": gfit.to_json(), "overlaps": {}}
+    except FitError as exc:
+        summary = {"fit_error": str(exc), "overlaps": {}}
     for k, rows in by_k.items():
+        h = str(rows[0].h_label)
         if not overlap_allowed(rows[0].excitation):
-            worst = max(r.overlap_det for r in rows)
-            summary["overlaps"][k] = {"h": str(rows[0].h_label), "value": 0.0,
+            summary["overlaps"][k] = {"h": h, "value": 0.0,
                                       "parity_forbidden": rows[0].parity == 1,
-                                      "max_det": worst}
+                                      "max_det": max(abs(r.overlap_det) for r in rows)}
             continue
         data = [(r.n_sites, r.neg_log_overlap - g_by_n[r.n_sites]) for r in rows]
-        value, spread = ratio_fit(data)
-        summary["overlaps"][k] = {"h": str(rows[0].h_label),
-                                  "value": value,
-                                  "a2_spread": spread,
-                                  "parity_forbidden": False}
+        try:
+            value, spread = ratio_fit(data)
+            fitted = {"value": value, "a2_spread": spread}
+        except FitError as exc:
+            fitted = {"fit_error": str(exc)}
+        summary["overlaps"][k] = {"h": h, **fitted, "parity_forbidden": False}
     return summary

@@ -48,20 +48,17 @@ from .fitting import FitError, ground_state_fit, ratio_fit, rows_by_k
 
 @dataclass(frozen=True)
 class LoopWeight:
-    """beta = 2 cos(pi/(p+1)) and c = 1 - 6/(p(p+1)); p = inf means beta = 2."""
+    """beta = 2 cos(pi/(p+1)) and c = 1 - 6/(p(p+1)); at p = inf the same
+    float formulas give exactly beta = 2 and c = 1."""
 
     p: float
 
     @property
     def beta(self) -> float:
-        if math.isinf(self.p):
-            return 2.0
         return 2.0 * math.cos(math.pi / (self.p + 1))
 
     @property
     def central_charge(self) -> float:
-        if math.isinf(self.p):
-            return 1.0
         return 1.0 - 6.0 / (self.p * (self.p + 1))
 
 

@@ -163,7 +163,7 @@ def test_criterion_8_ising_fits(ising_summary):
     ok = ok and abs(s["overlaps"][8]["value"] - 0.625) < 5e-4
     odd = [r for r in records if r.parity == 1]
     ok = ok and all(r.overlap < 1e-12 for r in odd)
-    ok = ok and max(r.overlap_det for r in odd) < 1e-12
+    ok = ok and max(abs(r.overlap_det) for r in odd) < 1e-12
     report(8, "Ising N<=500: a1 = -1/16 (1e-4, spread 1e-3), alpha = 1.01937 (2e-3), "
               "<B|3>,<B|7>,<B|8> within 5e-4, odd-parity overlaps < 1e-12", ok)
 

@@ -32,6 +32,32 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# like `loop`, `ising` writes its table with too few N and records each fit
+# it cannot make as the `fit_error` of `fitting.fit`: "<n> points after
+# dropping is too few for <terms> terms"
+ISING_GROUND_FIT_ERRORS = {
+    ("--nmin", "2", "--nmax", "2", "--kmax", "3"): "1 points",
+    ("--nmin", "1000", "--nmax", "1000"): "1 points",
+    ("--nmin", "2", "--nmax", "10", "--kmax", "0"): "5 points",
+}
+ISING_RATIO_FIT_ERRORS = {
+    ("--nmin", "2", "--nmax", "12", "--kmax", "3"): "3 points",
+    ("--nmin", "20", "--nmax", "32", "--kmax", "3"): "4 points",
+}
+
+
+def run_ising_table(capsys, tmp_path, argv):
+    """`ising` with a CSV --out and --summary-out: exit 0, the table
+    written; returns the summary."""
+    table, summary = tmp_path / "ising.csv", tmp_path / "fits.json"
+    code, out, err = run(capsys, "ising", *argv, "--out", str(table),
+                         "--summary-out", str(summary))
+    assert (code, out, err) == (0, "", "")
+    lines = table.read_text().splitlines()
+    assert lines[0] == "N,k,h_label,overlap" and len(lines) > 1
+    return json.loads(summary.read_text())
+
+
 class TestSubcommands:
     def test_boundary_state_json(self, capsys):
         code, out, _ = run(capsys, "boundary-state", "--level", "4")
@@ -103,6 +129,36 @@ class TestSubcommands:
         _, csv_out, _ = run(capsys, "majorana", "--g-table", "2", "2", "--format", "csv")
         assert table.read_text().splitlines() == csv_out.splitlines()
         assert csv_out.splitlines()[:3] == ["m,n,G_mn", "0,0,0", "0,1,1/2"]
+
+    def test_csv_form_is_one_rule(self, capsys, tmp_path):
+        # `main` refuses --format csv before any work, and `_emit` writes CSV
+        # for an --out ending in .csv: each subcommand and majorana mode
+        # must fall on the same side of both rules
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{n},{2 * n + 1}\n" for n in range(4, 20, 2)))
+        cases = [("boundary-state", "--level", "2"), ("amplitude", "--order", "2"),
+                 ("pn", "--order", "2"), ("gluing-check", "--nmax", "1", "--level", "2"),
+                 ("slitmap",), ("boson", "--amplitude-order", "2"),
+                 ("majorana", "--amplitude-order", "2"),
+                 ("majorana", "--compare-virasoro", "--level", "1"),
+                 ("majorana", "--g-table", "1", "1"),
+                 ("loop", "--nmin", "4", "--nmax", "4", "--kmax", "0"),
+                 ("ising", "--nmin", "2", "--nmax", "4", "--kmax", "1"),
+                 ("fit", "--data", str(data), "--basis", "N,1")]
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        assert {argv[0] for argv in cases} == set(commands.choices)
+        table = tmp_path / "x.csv"
+        for argv in cases:
+            assert run(capsys, *argv, "--out", str(table))[0] == 0, argv
+            try:
+                json.loads(table.read_text())
+                wrote_csv = False
+            except json.JSONDecodeError:
+                wrote_csv = True
+            code, out, _ = run(capsys, *argv, "--format", "csv")
+            assert code == (0 if wrote_csv else 2), argv
+            if wrote_csv:
+                assert out.splitlines() == table.read_text().splitlines(), argv
 
     def test_majorana_compare_virasoro(self, capsys):
         code, out, _ = run(capsys, "majorana", "--compare-virasoro", "--level", "6")
@@ -294,14 +350,6 @@ class TestErrorPaths:
         assert code == 2
         assert "outside" in err
 
-    def test_max_order_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("RECTCFT_MAX_ORDER", "4")
-        code, _, _ = run(capsys, "amplitude", "--order", "6")
-        assert code == 2
-        monkeypatch.setenv("RECTCFT_MAX_ORDER", "8")
-        code, _, _ = run(capsys, "amplitude", "--order", "6")
-        assert code == 0
-
     def test_g_table_capped_at_max_order_before_any_work(self, capsys, monkeypatch):
         def not_reached(*args, **kwargs):
             raise AssertionError("the table was computed")
@@ -311,10 +359,6 @@ class TestErrorPaths:
         code, _, err = run(capsys, "majorana", "--g-table", "0", "1000")
         assert code == 2
         assert "outside [0, 60]" in err
-        monkeypatch.setenv("RECTCFT_MAX_ORDER", "4")
-        code, _, err = run(capsys, "majorana", "--g-table", "5", "2")
-        assert code == 2
-        assert "outside [0, 4]" in err
 
     def test_g_table_at_the_cap(self, capsys, monkeypatch):
         monkeypatch.delenv("RECTCFT_MAX_ORDER", raising=False)
@@ -407,30 +451,22 @@ class TestErrorPaths:
         assert code == 1
         assert out == "" and err == f"rectcft: {bad}\n"
 
-    @pytest.mark.parametrize("argv", [("--nmin", "2", "--nmax", "2", "--kmax", "3"),
-                                      ("--nmin", "1000", "--nmax", "1000"),
-                                      ("--nmin", "2", "--nmax", "10", "--kmax", "0")])
-    def test_ising_too_few_n_for_ground_fit(self, capsys, monkeypatch, argv):
-        def not_reached(*args, **kwargs):
-            raise AssertionError("the table was computed")
+    @pytest.mark.parametrize("argv", list(ISING_GROUND_FIT_ERRORS))
+    def test_ising_too_few_n_for_ground_fit(self, capsys, tmp_path, argv):
+        fits = run_ising_table(capsys, tmp_path, argv)
+        assert "a1" not in fits and "ground_fit" not in fits
+        assert fits["fit_error"] == (f"{ISING_GROUND_FIT_ERRORS[argv]} after dropping "
+                                     "is too few for 5 terms")
 
-        monkeypatch.setattr(ising, "ising_overlap_table", not_reached)
-        code, _, err = run(capsys, "ising", *argv)
-        assert code == 2
-        assert "ground-state fit needs at least 6 even N" in err
-
-    @pytest.mark.parametrize("argv", [("--nmin", "2", "--nmax", "12", "--kmax", "3"),
-                                      ("--nmin", "20", "--nmax", "32", "--kmax", "3")])
-    def test_ising_too_few_n_for_ratio_fit(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv", list(ISING_RATIO_FIT_ERRORS))
+    def test_ising_too_few_n_for_ratio_fit(self, capsys, tmp_path, argv):
         # k = 3 is (1, 2), an allowed state: its ratio fit drops 3 of the N
         # and needs 5 more for its 4 terms
-        def not_reached(*args, **kwargs):
-            raise AssertionError("the table was computed")
-
-        monkeypatch.setattr(ising, "ising_overlap_table", not_reached)
-        code, _, err = run(capsys, "ising", *argv)
-        assert code == 2
-        assert "the <B|3> ratio fit needs at least 8 even N >= 2" in err
+        fits = run_ising_table(capsys, tmp_path, argv)
+        assert "fit_error" not in fits and fits["a1"] < 0
+        error = f"{ISING_RATIO_FIT_ERRORS[argv]} after dropping is too few for 4 terms"
+        assert fits["overlaps"]["3"] == {"h": "2", "fit_error": error,
+                                         "parity_forbidden": False}
 
     def test_loop_dense_shortfall_is_runtime_error(self, capsys):
         # p = 2 (beta = 1) has one physical state at every N: k = 1 cannot

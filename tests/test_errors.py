@@ -50,6 +50,26 @@ def test_overlap_sq_alarms_on_a_negative_determinant(monkeypatch):
         ising.overlap_sq(sol)
 
 
+def test_overlap_table_alarms_on_a_negative_witness(monkeypatch):
+    # the forbidden state (1,) has the minor A_11, exactly 0: the table keeps
+    # a tiny negative det M0 * A_11 as it is and raises below -1e-12
+    kernel = ising._overlap_kernel
+
+    def set_a11(value):
+        def patched(n_sites, m):
+            logdet0, a = kernel(n_sites, m)
+            a[0, 0] = value
+            return logdet0, a
+        monkeypatch.setattr(ising, "_overlap_kernel", patched)
+
+    set_a11(-1e-14)
+    (record,) = [r for r in ising.ising_overlap_table([4], 1) if r.k == 1]
+    assert -1e-14 < record.overlap_det < 0
+    set_a11(-1e-6)
+    with pytest.raises(ArithmeticError, match=r"^negative overlap determinant -[0-9.e-]+ at N=4$"):
+        ising.ising_overlap_table([4], 1)
+
+
 def test_neg_log_overlap_is_inf_where_the_determinant_is_not_positive(monkeypatch):
     sol = ising.solve_chain(6)
     slogdet = np.linalg.slogdet

@@ -178,7 +178,6 @@ class TestOverlapKernel:
         monkeypatch.setattr(ising, "mode_blocks", flipped)
         with pytest.raises(ArithmeticError):
             ising_overlap_table(range(2, 11, 2), 3)
-        # 8 even N: enough for the <B|3> ratio fit, so the table is reached
         assert main(["ising", "--nmax", "16", "--kmax", "3"]) == 1
         assert capsys.readouterr().err.startswith("rectcft: ")
 
@@ -306,3 +305,14 @@ class TestTableReproduction:
             assert summary["overlaps"][k]["parity_forbidden"]
             assert summary["overlaps"][k]["value"] == 0.0
             assert summary["overlaps"][k]["max_det"] < 1e-12
+
+    def test_forbidden_witness_is_signed(self):
+        # det M0 * minor of a forbidden state rounds to either sign; the
+        # records keep it, and max_det is its largest absolute value
+        records = ising_overlap_table(range(2, 21, 2), 5)
+        summary = ising_fit_summary(records)
+        forbidden = [r for r in records if not overlap_allowed(r.excitation)]
+        assert any(r.overlap_det < 0 for r in forbidden)
+        for k in {r.k for r in forbidden}:
+            dets = [r.overlap_det for r in forbidden if r.k == k]
+            assert summary["overlaps"][k]["max_det"] == max(map(abs, dets))

@@ -706,5 +706,6 @@ class TestOverlapTableAndFits:
 
     def test_parse_p(self):
         assert parse_p("inf").beta == 2.0
+        assert parse_p("inf").central_charge == 1.0
         assert parse_p(3).beta == pytest.approx(math.sqrt(2))
         assert parse_p("4").central_charge == pytest.approx(0.7)
